@@ -40,6 +40,8 @@ FADING_COLUMNS = ["schema_version", "row_kind", "tau_a", "pdf_density",
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -93,6 +95,9 @@ def cmd_rate(args) -> int:
     cfg = _load(args)
     rows = rate_rows(cfg, jobs=args.jobs)
     columns = FRONTIER_COLUMNS if cfg.sweep.mode == "frontier" else RATE_COLUMNS
+    if cfg.sweep.mode == "frontier" and rows[0]["max_secure_km"] is None:
+        print(f"note: no secure point found along {cfg.sweep.axis}; "
+              "max_secure_km is left empty", file=sys.stderr)
     path, fmt = _destination(args, cfg)
     write_rows(rows, columns, path, fmt, "rate")
     return 0

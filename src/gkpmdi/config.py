@@ -72,6 +72,11 @@ class RunConfig:
             raise ConfigError("layers must be >= 1")
         if self.layers > 1 and self.link_mode != "gkp":
             raise ConfigError("concatenation layers require link_mode = gkp")
+        if self.protocol.n_bar > 0.0 and (self.link_mode == "qt" or self.layers > 1
+                                           or self.fading is not None
+                                           or self.sweep.axis == "layers"):
+            raise ConfigError("thermal_photon_mean > 0 is modelled only on single-layer "
+                              "direct, preamp and gkp fiber links")
 
 
 def _get(section, key, cast, default):

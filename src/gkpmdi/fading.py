@@ -22,7 +22,7 @@ from scipy.interpolate import PchipInterpolator
 from .channels import ProtocolParams
 from .gaussian import symplectic_eigenvalues
 from .gkp import GkpAncilla, optimize_squeezing, residual_variance
-from .security import ConditionedState, _rate_pieces
+from .security import ConditionedState
 from .finite_size import FiniteSizeParams, composable_rate_from_pe, pe_rate_from_scalars
 
 Z2 = np.diag([1.0, -1.0])
@@ -242,9 +242,3 @@ def average_composable_rate(cfg: FadingConfig, params: ProtocolParams,
     r_pe = pe_rate_from_scalars(phi_a, psi, phi_b, params.beta0, fs)
     return composable_rate_from_pe(r_pe, fs)
 
-
-def average_asymptotic_rate(cfg: FadingConfig, params: ProtocolParams,
-                            policy: CodePolicy) -> float:
-    xi = xi_integral(cfg, params, policy)
-    phi_a, psi, phi_b = _scalars_from_xi(xi, params)
-    return _rate_pieces(phi_a, psi, phi_b, params.beta0).rate

@@ -16,28 +16,24 @@ model is: data noise a and pre-wrap syndrome w are jointly Gaussian with
 where delta_syn^2 is the syndrome broadening of a finitely squeezed ancilla
 (zero for an ideal one).  The corrected output is a - phi * wrap(w), and its
 variance follows from the wrapped-Gaussian moments E[wrap(w)^2], E[w wrap(w)].
+Over one lattice cell each moment is a Gaussian integral of a polynomial, so
+both are exact sums of per-cell closed forms in Phi and the normal density
+(no quadrature).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .gaussian import symplectic_form
 
 ELL = np.sqrt(2.0 * np.pi)  # square-lattice pitch
 
-# Neglected Gaussian tail mass below 1e-12 -> integrate out to 7.5 sigma.
+# Neglected Gaussian tail mass below 1e-12 -> sum whole cells past 7.5 sigma.
 _TAIL_SIGMA = 7.5
 _MAX_CELLS = 20000
-_GL_ORDER = 24
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
 
 
 @dataclass(frozen=True)
@@ -183,49 +179,45 @@ def syndrome_reduce(x):
     return out
 
 
-def wrapped_moments(var_w: float, n_cells_boost: int = 0, gl_order: int = _GL_ORDER):
+def wrapped_moments(var_w: float, n_cells_boost: int = 0):
     """(E[wrap(w)^2], E[w wrap(w)]) for w ~ N(0, var_w), wrap = mod-ell.
 
-    Lattice cells [n*ell - ell/2, n*ell + ell/2] are summed out to where the
-    neglected Gaussian mass is below 1e-12, and each cell is integrated by
-    composite Gauss-Legendre panels no wider than one standard deviation, so
-    narrow densities are resolved exactly.  ``n_cells_boost`` widens the
-    truncation (used by the truncation-stability check).
+    Exact sum over lattice cells [a, b] = [c - ell/2, c + ell/2], c = n*ell,
+    out to where the neglected Gaussian mass is below 1e-12.  On a cell
+    wrap(w) is u = w - c.  Writing E[g; cell] for the integral of g f over the
+    cell, with f the N(0, var_w) density and P = E[1; cell] the cell mass,
+    the Gaussian identities
+
+        E[u; cell]   = var_w (f(a) - f(b)) - c P,
+        E[w u; cell] = var_w P + var_w ((a - c) f(a) - (b - c) f(b)),
+        E[u^2; cell] = E[w u; cell] - c E[u; cell]
+
+    need only Phi differences and the density at the cell edges.  P is a
+    difference of upper tails, so a far cell's mass keeps its relative
+    accuracy and its c-weighted terms round off by about eps c^2 P, which
+    sums to about eps var_w over all cells.  The integrands are even in w:
+    cell 0 is folded onto [0, ell/2] and the sums are doubled.
+    ``n_cells_boost`` adds lattice cells beyond the truncation (used by the
+    truncation-stability check).
     """
     if var_w < 0:
         raise ValueError("variance must be >= 0")
     if var_w == 0.0:
         return 0.0, 0.0
     sd = np.sqrt(var_w)
-    w_max = _TAIL_SIGMA * sd
-    n_cells = int(np.ceil(w_max / ELL + 0.5)) + n_cells_boost
+    n_cells = int(np.ceil(_TAIL_SIGMA * sd / ELL + 0.5)) + n_cells_boost
     if n_cells > _MAX_CELLS:
         raise ValueError("lattice sum does not converge: variance too large")
-    x_gl, w_gl = _gauss_legendre(gl_order)
-
-    # Panel edges: cell boundaries over [0, upper] (integrands are even in w),
-    # each cell subdivided so no panel is wider than one standard deviation.
-    upper = min((n_cells + 0.5) * ELL, w_max)
-    bounds = np.minimum(np.arange(n_cells + 2) * ELL - ELL / 2.0, upper)
-    bounds[0] = 0.0
-    pieces = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi <= lo:
-            continue
-        k = max(1, int(np.ceil((hi - lo) / sd)))
-        pieces.append(np.linspace(lo, hi, k + 1)[1:] if pieces else np.linspace(lo, hi, k + 1))
-    edges = np.concatenate(pieces)
-
-    mids = (edges[1:] + edges[:-1]) / 2.0
-    halfs = (edges[1:] - edges[:-1]) / 2.0
-    w = mids[:, None] + halfs[:, None] * x_gl[None, :]
-    pdf = np.exp(-0.5 * w * w / var_w) / (sd * np.sqrt(2.0 * np.pi))
-    idx = np.sign(w) * np.floor(np.abs(w) / ELL + 0.5)
-    rw = w - idx * ELL
-    weights = halfs[:, None] * w_gl[None, :]
-    m2 = 2.0 * float(np.sum(weights * rw * rw * pdf))
-    m11 = 2.0 * float(np.sum(weights * w * rw * pdf))
-    return m2, m11
+    c = np.arange(n_cells + 1) * ELL
+    edges = (np.arange(n_cells + 2) - 0.5) * ELL
+    edges[0] = 0.0
+    z = edges / sd
+    tail = ndtr(-z)
+    vf = sd * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)  # var_w * f(edge)
+    p = tail[:-1] - tail[1:]
+    e_u = vf[:-1] - vf[1:] - c * p
+    e_wu = var_w * p + (edges[:-1] - c) * vf[:-1] - (edges[1:] - c) * vf[1:]
+    return 2.0 * float(np.sum(e_wu - c * e_u)), 2.0 * float(np.sum(e_wu))
 
 
 def residual_variance(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL,

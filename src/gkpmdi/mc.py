@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gkp import ELL, GkpAncilla, IDEAL, effective_estimator_gain
+from .gkp import GkpAncilla, IDEAL, effective_estimator_gain, syndrome_reduce
 
 _CHUNK = 1_000_000
 
@@ -82,8 +82,8 @@ def mc_residual_variance(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL,
         if dsyn > 0:
             u1 = u1 + gen.normal(0.0, dsyn, size=m)
             u2 = u2 + gen.normal(0.0, dsyn, size=m)
-        t1 = u1 - np.sign(u1) * np.floor(np.abs(u1) / ELL + 0.5) * ELL
-        t2 = u2 - np.sign(u2) * np.floor(np.abs(u2) / ELL + 0.5) * ELL
+        t1 = syndrome_reduce(u1)
+        t2 = syndrome_reduce(u2)
         out_q = z_qd - phi * t2
         out_p = z_pd + phi * t1
         for k, arr in enumerate((out_q, out_p)):

@@ -31,8 +31,6 @@ import numpy as np
 from .channels import ProtocolParams, awgn_variance_preamp
 from .gaussian import h_function, h_function_1p, symplectic_eigenvalues, schur_condition
 
-LINK_MODES = ("direct", "preamp", "gkp")
-
 Z2 = np.diag([1.0, -1.0])
 
 # Below this value of psi^2/(Phi+phi)^2 the two-mode state is numerically

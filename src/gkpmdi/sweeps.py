@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import awgn_variance_preamp, awgn_variance_qt
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .fading import CodePolicy, average_composable_rate, xi_integral, \
     mean_residual_variance, mean_transmittance, sigma_r2_of_tau, fading_quantile, fading_pdf
 from .finite_size import composable_rate
@@ -177,8 +177,6 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
                          "sigma_lb2": lower_bound_variance(s2_full), "r_opt": r_opt})
         return rows
     if sweep.axis != "la_km":
-        from .config import ConfigError
-
         raise ConfigError("residual sweeps support axes la_km and layers")
     for l_a in sweep.values():
         s2 = awgn_variance_preamp(10 ** (-alpha0 * l_a / 10), cfg.protocol.n_bar)
@@ -205,19 +203,19 @@ def rate_rows(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             value = max_secure_la(cfg, cfg.protocol.l_b_km)
             axis_echo = {"lb_km": cfg.protocol.l_b_km}
         else:
-            from .config import ConfigError
-
             raise ConfigError("frontier mode supports axes lb_km and la_km")
         return [{
             "schema_version": SCHEMA_VERSION,
             "link_mode": cfg.link_mode,
             "frontier_axis": sweep.axis,
-            "max_secure_km": value,
+            "max_secure_km": None if np.isnan(value) else value,
             "rate_kind": "composable" if cfg.finite_size is not None else "asymptotic",
             "gkp_squeezing_db": cfg.ancilla.squeezing_db if not cfg.ancilla.ideal else "",
             "layers": cfg.layers,
             **axis_echo,
         }]
+    if sweep.axis not in ("lb_km", "la_km", "total_pulse"):
+        raise ConfigError("rate sweeps support axes lb_km, la_km and total_pulse")
     points = []
     for v in sweep.values():
         la, lb, n = cfg.protocol.l_a_km, cfg.protocol.l_b_km, None

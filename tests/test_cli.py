@@ -155,6 +155,55 @@ mode = frontier
     assert abs(float(rows[0]["max_secure_km"]) - 852.0) <= 5.0
 
 
+def test_rate_frontier_without_secure_point_writes_null(tmp_path, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    ini = "[protocol]\nla_km = 40.0\nlink_mode = direct\n\n[sweep]\naxis = lb_km\nmode = frontier\n"
+    cfg = write(tmp_path, ini)
+    out_json, out_csv = tmp_path / "none.json", str(tmp_path / "none.csv")
+    assert main(["rate", "--config", cfg, "--output", str(out_json), "--format", "json"]) == 0
+    assert "no secure point" in capsys.readouterr().err
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    doc = json.loads(out_json.read_text(), parse_constant=reject)
+    assert doc["rows"][0]["max_secure_km"] is None
+    schema = json.loads((Path(__file__).parent.parent / "src" / "gkpmdi" / "schemas"
+                         / "output.schema.json").read_text())
+    jsonschema.validate(doc, schema)
+    assert main(["rate", "--config", cfg, "--output", out_csv]) == 0
+    assert rows_of(out_csv)[0]["max_secure_km"] == ""
+
+
+def test_rate_grid_rejects_layers_axis(tmp_path, capsys):
+    ini = FIBER_INI.replace("axis = lb_km", "axis = layers").replace(
+        "start = 6", "start = 1").replace("stop = 10", "stop = 3").replace("step = 2", "step = 1")
+    cfg = write(tmp_path, ini)
+    assert main(["rate", "--config", cfg]) == 2
+    assert "rate sweeps support axes lb_km, la_km and total_pulse" in capsys.readouterr().err
+
+
+def test_thermal_photon_mean_rejected_where_unmodelled(tmp_path, capsys):
+    def hot(ini):
+        return ini.replace("thermal_photon_mean = 0\n", "").replace(
+            "[protocol]", "[protocol]\nthermal_photon_mean = 0.05")
+
+    rejected = [
+        ("rate", FIBER_INI.replace("link_mode = gkp", "link_mode = qt")),
+        ("rate", FIBER_INI.replace("gkp_squeezing_db = 20", "gkp_squeezing_db = 20\nlayers = 3")),
+        ("residual", RESIDUAL_INI.replace("axis = la_km", "axis = layers")),
+        ("fading", reference_fading_config(0.1).read_text()),
+    ]
+    for command, ini in rejected:
+        assert main([command, "--config", write(tmp_path, hot(ini))]) == 2, command
+        assert "thermal_photon_mean" in capsys.readouterr().err
+    # single-layer gkp models the thermal background: it runs and the value acts
+    out0, out1 = str(tmp_path / "n0.csv"), str(tmp_path / "n1.csv")
+    assert main(["rate", "--config", write(tmp_path, FIBER_INI), "--output", out0]) == 0
+    assert main(["rate", "--config", write(tmp_path, hot(FIBER_INI)), "--output", out1]) == 0
+    assert float(rows_of(out1)[0]["sigma_r2"]) > float(rows_of(out0)[0]["sigma_r2"])
+
+
 def test_empty_sweep_header_only(tmp_path):
     ini = FIBER_INI.replace("start = 6", "start = 12").replace("stop = 10", "stop = 11")
     cfg = write(tmp_path, ini)

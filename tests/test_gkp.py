@@ -104,9 +104,10 @@ def test_syndrome_reduce():
 
 
 def test_wrapped_moments_against_theta_series():
-    for var_w in (1e-4, 0.02, 0.1, 0.4, 1.5, 6.0):
+    for var_w in (1e-10, 1e-7, 1e-4, 0.02, 0.1, 0.4, 1.5, 6.0, 20.0, 50.0):
         m2, m11 = wrapped_moments(var_w)
-        t2, t11 = theta_series_moments(var_w)
+        # the series needs about sqrt(13 / var_w) terms to converge
+        t2, t11 = theta_series_moments(var_w, terms=400_000)
         assert m2 == pytest.approx(t2, rel=1e-9, abs=1e-12)
         assert m11 == pytest.approx(t11, rel=1e-9, abs=1e-9)
 
