@@ -1,11 +1,11 @@
 """Security-analysis toolkit for relay-based CV QKD with GKP error correction.
 
-Layers, bottom up: symplectic/covariance primitives (:mod:`gaussian`),
-channel models (:mod:`channels`), the GKP-TMS code and its residual-error
-statistics (:mod:`gkp`), relay conditioning and rate functionals
-(:mod:`security`), composable finite-size accounting (:mod:`finite_size`),
-free-space fading averages (:mod:`fading`), Monte Carlo oracles (:mod:`mc`),
-and a sweep/CLI front end (:mod:`sweeps`, :mod:`cli`).
+Layers, bottom up: channel models (:mod:`channels`), the GKP-TMS code and
+its residual-error statistics (:mod:`gkp`), closed-form relay conditioning
+and rate functionals (:mod:`security`), composable finite-size accounting
+(:mod:`finite_size`), free-space fading averages (:mod:`fading`), Monte
+Carlo oracles (:mod:`mc`), and a sweep/CLI front end (:mod:`sweeps`,
+:mod:`cli`).
 """
 
 __version__ = "0.1.0"
@@ -13,20 +13,36 @@ __version__ = "0.1.0"
 from .channels import (ProtocolParams, awgn_variance_preamp, awgn_variance_qt,
                        fiber_transmittance, plob_bound)
 from .fading import (CodePolicy, FadingConfig, average_composable_rate, fading_cdf,
-                     fading_cm, fading_pdf, fading_quantile, mean_residual_variance,
+                     fading_pdf, fading_quantile, fading_scalars, mean_residual_variance,
                      mean_transmittance, pointing_wander_variance, xi_integral)
-from .finite_size import (FiniteSizeParams, WorstCaseCM, aep_delta, composable_rate,
-                          epsilon_total, kappa_from_eps, worst_case_cm)
-from .gaussian import (h_function, schur_condition, symplectic_eigenvalues,
-                       symplectic_form, tms_symplectic)
-from .gkp import (GkpAncilla, GkpCodeConfig, NoiseBlocks, break_even, concat_variance,
-                  concat_residual_variance, conditioning_blocks, linear_estimator,
-                  lower_bound_variance, mu_tilde, optimize_squeezing,
-                  reshaped_noise_cm, residual_variance, syndrome_reduce)
+from .finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, aep_delta,
+                          composable_rate, epsilon_total, kappa_from_eps)
+from .gkp import (GkpAncilla, break_even, concat_residual_variance, concat_variance,
+                  lower_bound_variance, optimize_squeezing, residual_variance,
+                  syndrome_reduce)
 from .mc import (McMutualInfo, McVariance, RngStream, mc_pe_coverage,
                  mc_protocol_mutual_info, mc_residual_variance)
-from .security import (ConditionedState, RateReport, asymptotic_rate, assemble_global_cm,
-                       ci_rci, condition_on_bell, conditioned_scalars, conditioned_state,
-                       holevo_bound, mutual_information, theta_value)
+from .security import (ConditionedScalars, RateReport, asymptotic_rate,
+                       conditioned_scalars, h_function)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # channels
+    "ProtocolParams", "awgn_variance_preamp", "awgn_variance_qt", "fiber_transmittance",
+    "plob_bound",
+    # gkp
+    "GkpAncilla", "break_even", "concat_residual_variance", "concat_variance",
+    "lower_bound_variance", "optimize_squeezing", "residual_variance", "syndrome_reduce",
+    # security
+    "ConditionedScalars", "RateReport", "asymptotic_rate", "conditioned_scalars",
+    "h_function",
+    # finite_size
+    "FiniteSizeParams", "UnphysicalWorstCaseError", "aep_delta", "composable_rate",
+    "epsilon_total", "kappa_from_eps",
+    # fading
+    "CodePolicy", "FadingConfig", "average_composable_rate", "fading_cdf", "fading_pdf",
+    "fading_quantile", "fading_scalars", "mean_residual_variance", "mean_transmittance",
+    "pointing_wander_variance", "xi_integral",
+    # mc
+    "McMutualInfo", "McVariance", "RngStream", "mc_pe_coverage",
+    "mc_protocol_mutual_info", "mc_residual_variance",
+]

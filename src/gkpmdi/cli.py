@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import awgn_variance_preamp
+from .channels import ProtocolParams, awgn_variance_preamp
 from .config import ConfigError, RunConfig, load_config
+from .finite_size import UnphysicalWorstCaseError
 from .gkp import ELL, GkpAncilla, optimize_squeezing, residual_variance, syndrome_reduce
 from .mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, mc_residual_variance
-from .security import conditioned_state
+from .security import asymptotic_rate, conditioned_scalars
 from .sweeps import SCHEMA_VERSION, fading_rows, rate_rows, residual_rows
 
 RESIDUAL_COLUMNS = ["schema_version", "la_km", "layers", "sigma2", "sigma_r2",
@@ -133,24 +134,20 @@ def _validate_checks(seed: int, samples: int) -> list[dict]:
             est.variance - ref, band, abs(est.variance - ref) <= band,
             f"analytic={ref:.6g} mc={est.variance:.6g}")
 
-    from .channels import ProtocolParams
-
     params = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
     s2 = awgn_variance_preamp(params.tau_a)
     _, sr2 = optimize_squeezing(s2, anc)
     est = mc_protocol_mutual_info(params, sr2, max(samples, 160), RngStream(seed, 20))
-    from .security import mutual_information
-
-    ref = mutual_information(conditioned_state(params, sr2, "gkp"))
+    ref = asymptotic_rate(params, sr2, "gkp").mutual_info
     band = max(3.0 * est.stderr, 0.01 * ref)
     add("protocol_mi_mc", est.mutual_info - ref, band,
         abs(est.mutual_info - ref) <= band, f"analytic={ref:.6g} mc={est.mutual_info:.6g}")
     add("key_relay_decorrelated", est.corr_key_relay, 0.01,
         est.corr_key_relay <= 0.01, "optimal displacement leaves no relay correlation")
 
-    state = conditioned_state(params, sr2, "gkp")
+    cm = conditioned_scalars(params, sr2, "gkp").cm
     n_trials = max(200, min(samples // 10, 20000))
-    frac = mc_pe_coverage(state.cm, 10000, 1e-2, n_trials, RngStream(seed, 30))
+    frac = mc_pe_coverage(cm, 10000, 1e-2, n_trials, RngStream(seed, 30))
     bound = 1e-2 + 3.0 * np.sqrt(1e-2 * (1 - 1e-2) / n_trials)
     add("pe_coverage", frac, bound, frac <= bound, f"trials={n_trials}")
 
@@ -216,7 +213,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, UnphysicalWorstCaseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

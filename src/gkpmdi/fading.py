@@ -2,10 +2,10 @@
 
 The instantaneous transmittance of the beam-wandering link is a random
 variable on (0, tau0] with a Weibull-like density in log-transmittance.
-The conditioned covariance matrix of the protocol then depends on the
-fading only through one scalar integral (``xi_integral``), because a
-dynamic code re-optimized per transmittance keeps the state Gaussian when
-averaged over outcomes.
+A dynamic code re-optimized per transmittance keeps the state Gaussian when
+averaged over outcomes, and the conditioned scalars of the averaged state
+are the fixed-link closed forms (:mod:`gkpmdi.security`) with the
+conditioning scalar xi replaced by its fading average (``xi_integral``).
 
 The distribution parameters (tau0, gamma0, r0, sigma_bw^2) are inputs; the
 shipped reference configurations carry values fitted to reproduce the
@@ -20,12 +20,9 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .channels import ProtocolParams
-from .gaussian import symplectic_eigenvalues
 from .gkp import GkpAncilla, optimize_squeezing, residual_variance
-from .security import ConditionedState
+from .security import ConditionedScalars, _conditioned_entries, _link_coefficients
 from .finite_size import FiniteSizeParams, composable_rate_from_pe, pe_rate_from_scalars
-
-Z2 = np.diag([1.0, -1.0])
 
 _MEMO_NODES = 512
 _XI_PANELS = 64
@@ -198,30 +195,17 @@ def xi_integral(cfg: FadingConfig, params: ProtocolParams, policy: CodePolicy,
     return _expect(cfg, integrand, n_panels=n_panels)
 
 
-def fading_cm(cfg: FadingConfig, params: ProtocolParams, policy: CodePolicy) -> ConditionedState:
-    """Conditioned two-mode covariance matrix averaged over the fading law.
+def fading_scalars(cfg: FadingConfig, params: ProtocolParams,
+                   policy: CodePolicy) -> ConditionedScalars:
+    """Conditioned scalars of the fading-averaged state (corrected gkp link).
 
-    Entries are the closed forms driven by the single scalar xi; with a
-    point-mass transmittance they coincide with the fiber-path conditioning.
+    With a point-mass transmittance they coincide with the fiber-path
+    conditioning at the matching transmittance and residual noise.
     """
     xi = xi_integral(cfg, params, policy)
-    sc = _scalars_from_xi(xi, params)
-    cm = np.zeros((4, 4))
-    cm[0:2, 0:2] = sc[0] * np.eye(2)
-    cm[2:4, 2:4] = sc[2] * np.eye(2)
-    cm[0:2, 2:4] = cm[2:4, 0:2] = sc[1] * Z2
-    symplectic_eigenvalues(cm)  # raises if the averaged state is unphysical
-    return ConditionedState(cm=cm, theta=1.0 / (2.0 * xi))
-
-
-def _scalars_from_xi(xi: float, params: ProtocolParams) -> tuple[float, float, float]:
-    sa2, sb2, tau_b = params.sigma2_a, params.sigma2_b, params.tau_b
-    ca2 = sa2 * (sa2 + 2.0)
-    cb2 = tau_b * sb2 * (sb2 + 2.0)
-    phi_a = sa2 + 1.0 - ca2 * xi
-    phi_b = sb2 + 1.0 - cb2 * xi
-    psi = np.sqrt(ca2 * cb2) * xi
-    return float(phi_a), float(psi), float(phi_b)
+    _, ca2 = _link_coefficients("gkp", params.tau_a, params.sigma2_a, 0.0)
+    phi_a, psi, phi_b = _conditioned_entries(params, params.tau_b, ca2, xi)
+    return ConditionedScalars(phi_a=float(phi_a), psi=float(psi), phi_b=float(phi_b))
 
 
 def mean_transmittance(cfg: FadingConfig) -> float:
@@ -237,8 +221,7 @@ def mean_residual_variance(cfg: FadingConfig, policy: CodePolicy) -> float:
 def average_composable_rate(cfg: FadingConfig, params: ProtocolParams,
                             fs: FiniteSizeParams, policy: CodePolicy) -> float:
     """Composable rate of the fading-averaged state (worst-case shifted)."""
-    xi = xi_integral(cfg, params, policy)
-    phi_a, psi, phi_b = _scalars_from_xi(xi, params)
-    r_pe = pe_rate_from_scalars(phi_a, psi, phi_b, params.beta0, fs)
+    sc = fading_scalars(cfg, params, policy)
+    r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs)
     return composable_rate_from_pe(r_pe, fs)
 

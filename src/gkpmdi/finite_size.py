@@ -1,13 +1,28 @@
-"""Composable finite-size layer: tail-bound parameter estimation and key rate."""
+"""Composable finite-size layer: tail-bound parameter estimation and key rate.
+
+Parameter estimation on m_pe signals bounds each cross correlation of the
+conditioned state by a chi-squared tail bound: the worst case lowers the q
+correlation psi and raises the p correlation -psi by the same shift, so the
+worst-case state is again of the closed form [[phi_a I, psi' Z],
+[psi' Z, phi_b I]] with psi' = psi - shift.  The composable rate evaluates
+the asymptotic rate functional on (phi_a, psi', phi_b).  A block so small
+that the shift leaves the physical cone is reported as
+:class:`UnphysicalWorstCaseError`, never clamped.
+"""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ProtocolParams
-from .gaussian import symplectic_eigenvalues
-from .security import ConditionedState, _rate_pieces, conditioned_scalars
+from .security import PHYSICALITY_TOL, _rate_pieces, conditioned_scalars
+
+
+class UnphysicalWorstCaseError(ValueError):
+    """The worst-case (tail-bound shifted) state violates the uncertainty
+    principle: the parameter-estimation block is too small."""
 
 
 @dataclass(frozen=True)
@@ -47,13 +62,6 @@ class FiniteSizeParams:
         return self.n_total - self.pe_signals
 
 
-@dataclass(frozen=True)
-class WorstCaseCM:
-    v_wc: np.ndarray
-    kappa: float
-    physical: bool
-
-
 def kappa_from_eps(eps_pe: float) -> float:
     """Tail-bound exponent solving 4 exp(-kappa) = eps_pe.
 
@@ -71,29 +79,6 @@ def correlation_shift(v_qa: float, v_qb: float, kappa: float, m_pe: float) -> fl
     return np.sqrt(kappa / m_pe) * (v_qa + v_qb)
 
 
-def worst_case_cm(v: np.ndarray, fs: FiniteSizeParams) -> WorstCaseCM:
-    """Replace the cross correlations of a conditioned CM by their worst case.
-
-    The q correlation is decreased and the p correlation increased by the
-    chi-squared tail-bound shift; diagonals are local quantities and stay.
-    An unphysical result is flagged, never clamped.
-    """
-    v = np.asarray(v, dtype=float)
-    kappa = kappa_from_eps(fs.eps_pe)
-    m = fs.pe_signals
-    out = v.copy()
-    shift_q = correlation_shift(v[0, 0], v[2, 2], kappa, m)
-    shift_p = correlation_shift(v[1, 1], v[3, 3], kappa, m)
-    out[0, 2] = out[2, 0] = v[0, 2] - shift_q
-    out[1, 3] = out[3, 1] = v[1, 3] + shift_p
-    try:
-        symplectic_eigenvalues(out)
-        physical = True
-    except ValueError:
-        physical = False
-    return WorstCaseCM(v_wc=out, kappa=kappa, physical=physical)
-
-
 def aep_delta(d: int, eps_s: float) -> float:
     """Asymptotic-equipartition penalty 4 log2(sqrt(d)+2) sqrt(log2(2/eps_s^2))."""
     return float(4.0 * np.log2(np.sqrt(d) + 2.0) * np.sqrt(np.log2(2.0 / eps_s**2)))
@@ -106,9 +91,21 @@ def epsilon_total(fs: FiniteSizeParams) -> float:
 
 def pe_rate_from_scalars(phi_a: float, psi: float, phi_b: float,
                          beta0: float, fs: FiniteSizeParams) -> float:
-    """Asymptotic rate functional evaluated on the worst-case correlations."""
+    """Asymptotic rate functional evaluated on the worst-case correlations.
+
+    Raises :class:`UnphysicalWorstCaseError` unless the shifted state is
+    physical, i.e. its smaller symplectic eigenvalue
+    (sqrt((phi_a + phi_b)^2 - 4 psi'^2) - |phi_b - phi_a|)/2 is at least 1.
+    """
     shift = correlation_shift(phi_a, phi_b, kappa_from_eps(fs.eps_pe), fs.pe_signals)
-    return _rate_pieces(phi_a, psi - shift, phi_b, beta0).rate
+    psi_wc = psi - shift
+    s = phi_a + phi_b
+    disc2 = s * s - 4.0 * psi_wc * psi_wc
+    if disc2 < 0.0 or (math.sqrt(disc2) - abs(phi_b - phi_a)) / 2.0 < 1.0 - PHYSICALITY_TOL:
+        raise UnphysicalWorstCaseError(
+            f"worst-case state is unphysical at m_pe = {fs.pe_signals:g} (correlation "
+            f"shift {shift:.6g} against psi {psi:.6g}): enlarge the parameter-estimation block")
+    return _rate_pieces(phi_a, psi_wc, phi_b, beta0).rate
 
 
 def composable_rate(params: ProtocolParams, sigma_r2: float, fs: FiniteSizeParams,
@@ -128,11 +125,3 @@ def composable_rate_from_pe(r_pe: float, fs: FiniteSizeParams) -> float:
     bracket = ell * r_pe - np.sqrt(ell) * aep_delta(fs.d, fs.eps_s) \
         + np.log2(fs.eps_h**2 * fs.eps_cor)
     return float(fs.p_ec * bracket / fs.n_total)
-
-
-def composable_rate_from_state(state: ConditionedState, beta0: float,
-                               fs: FiniteSizeParams) -> float:
-    """Composable rate evaluated from an explicit conditioned CM."""
-    a, c, b = state.scalars()
-    r_pe = pe_rate_from_scalars(a, c, b, beta0, fs)
-    return composable_rate_from_pe(r_pe, fs)

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .gaussian import symplectic_form
-
 ELL = np.sqrt(2.0 * np.pi)  # square-lattice pitch
 
 # Neglected Gaussian tail mass below 1e-12 -> sum whole cells past 7.5 sigma.
@@ -76,88 +74,10 @@ class GkpAncilla:
 IDEAL = GkpAncilla(None)
 
 
-@dataclass(frozen=True)
-class GkpCodeConfig:
-    """Two-mode-squeezing code configuration on the square lattice."""
-
-    r: float = 0.0
-    ancilla: GkpAncilla = IDEAL
-    layers: int = 1
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("squeezing parameter must be >= 0")
-        if self.layers < 1:
-            raise ValueError("layer count must be >= 1")
-
-
-@dataclass(frozen=True)
-class NoiseBlocks:
-    """Covariance blocks of the (data noise, rotated ancilla noise) pair.
-
-    ``v_d_given_a`` is the Schur complement v_a - v_da^T v_d^{-1} v_da.
-    """
-
-    v_d: np.ndarray
-    v_da: np.ndarray
-    v_a: np.ndarray
-    v_d_given_a: np.ndarray
-
-
-def reshaped_noise_cm(r: float, sigma2: float) -> np.ndarray:
-    """Covariance of the decoded channel noise on (q_d, p_d, q_a, p_a).
-
-    Diagonal sigma^2 cosh(2r); data-ancilla cross terms -sigma^2 sinh(2r)
-    on matching quadratures.
-    """
-    if r < 0 or sigma2 < 0:
-        raise ValueError("r and sigma2 must be >= 0")
-    c2 = np.cosh(2.0 * r)
-    s2 = np.sinh(2.0 * r)
-    v = sigma2 * np.diag([c2, c2, c2, c2])
-    for i in range(2):
-        v[i, i + 2] = v[i + 2, i] = -sigma2 * s2
-    return v
-
-
-def conditioning_blocks(v_z: np.ndarray) -> NoiseBlocks:
-    """Blocks of (I2 (+) Omega) V_z (I2 (+) Omega^T): the joint covariance of
-    the data noise and the symplectically rotated ancilla noise whose modular
-    reduction is the syndrome."""
-    v_z = np.asarray(v_z, dtype=float)
-    rot = np.zeros((4, 4))
-    rot[:2, :2] = np.eye(2)
-    rot[2:, 2:] = symplectic_form(1)
-    joint = rot @ v_z @ rot.T
-    if abs(np.linalg.det(joint)) < 1e-300:
-        raise ValueError("singular noise covariance")
-    v_d = joint[:2, :2]
-    v_da = joint[:2, 2:]
-    v_a = joint[2:, 2:]
-    v_dga = v_a - v_da.T @ np.linalg.solve(v_d, v_da)
-    return NoiseBlocks(v_d=v_d, v_da=v_da, v_a=v_a, v_d_given_a=v_dga)
-
-
-def mu_tilde(r: float) -> float:
-    """Estimator gain 2 cosh(r) sinh(r) / (cosh^2(r) + sinh^2(r)) = tanh(2r)."""
-    return np.tanh(2.0 * r)
-
-
-def linear_estimator(r: float) -> np.ndarray:
-    """Syndrome-to-displacement matrix: the regression of the data noise on
-    the rotated ancilla noise, v_da @ v_a^{-1} of :func:`conditioning_blocks`.
-
-    For a noiseless ancilla this reduces to mu_tilde(r) times the single-mode
-    symplectic form: each data quadrature couples with gain tanh(2r) to the
-    syndrome component that carries it, with the sign that subtracts noise.
-    """
-    return mu_tilde(r) * symplectic_form(1)
-
-
 def effective_estimator_gain(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL) -> float:
     """Per-quadrature regression gain of data noise on the pre-wrap syndrome.
 
-    Equals mu_tilde(r) for an ideal ancilla and is reduced by the syndrome
+    Equals tanh(2r) for an ideal ancilla and is reduced by the syndrome
     broadening of a finitely squeezed one.
     """
     var_w = sigma2 * np.cosh(2.0 * r) + ancilla.syndrome_noise_variance

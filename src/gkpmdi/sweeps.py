@@ -156,6 +156,10 @@ def max_secure_la(cfg: RunConfig, l_b_km: float, lo: float = 0.05,
 def residual_rows(cfg: RunConfig) -> list[dict]:
     """Residual-error sweep: distance axis or concatenation-layer axis."""
     sweep = cfg.sweep
+    if cfg.link_mode != "gkp":
+        raise ConfigError("residual sweeps model the gkp link")
+    if sweep.axis == "la_km" and cfg.layers != 1:
+        raise ConfigError("use axis = layers for concatenation")
     rows = []
     alpha0 = cfg.protocol.alpha0_db_per_km
     common = {

@@ -10,17 +10,17 @@ import pytest
 from gkpmdi.channels import ProtocolParams, awgn_variance_preamp, awgn_variance_qt, \
     fiber_transmittance
 from gkpmdi.config import RunConfig, SweepSpec
-from gkpmdi.fading import CodePolicy, fading_cm, fading_pdf, mean_residual_variance
+from gkpmdi.fading import CodePolicy, fading_pdf, fading_scalars, mean_residual_variance
 from gkpmdi.finite_size import FiniteSizeParams, composable_rate
-from gkpmdi.gaussian import h_function, symplectic_eigenvalues, symplectic_form, \
-    tms_symplectic
 from gkpmdi.gkp import GkpAncilla, IDEAL, concat_residual_variance, lower_bound_variance, \
     optimize_squeezing, residual_variance
 from gkpmdi.mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, \
     mc_residual_variance
-from gkpmdi.security import conditioned_state, mutual_information
+from gkpmdi.security import h_function
 from gkpmdi.sweeps import max_secure_la, max_secure_lb
 from gkpmdi.config import load_config, reference_fading_config
+from matrix_oracle import conditioned_state, mutual_information, symplectic_eigenvalues, \
+    symplectic_form, tms_symplectic
 
 DB20 = GkpAncilla(20.0)
 DB25 = GkpAncilla(25.0)
@@ -249,7 +249,7 @@ def test_criterion_10_invariant_suite():
     _, sr2 = optimize_squeezing(1.0 - point.tau0, DB20)
     l_a_eq = -10.0 * np.log10(point.tau0) / 0.2
     fib = conditioned_state(ProtocolParams(l_a_km=l_a_eq, l_b_km=8.0), sr2, "gkp")
-    fad = fading_cm(point, params, policy)
+    fad = fading_scalars(point, params, policy)
     checks["point-mass fading == fiber"] = float(np.max(np.abs(fad.cm - fib.cm))) < 1e-9
 
     checks["r=0 recovery"] = abs(residual_variance(0.0, 0.129, DB20) - 0.129) / 0.129 < 1e-9

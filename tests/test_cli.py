@@ -183,6 +183,29 @@ def test_rate_grid_rejects_layers_axis(tmp_path, capsys):
     assert "rate sweeps support axes lb_km, la_km and total_pulse" in capsys.readouterr().err
 
 
+def test_rate_with_unphysical_worst_case_is_a_config_error(tmp_path, capsys):
+    # 100 pulses leave a 10-signal estimation block: the worst-case state is unphysical
+    cfg = write(tmp_path, FIBER_INI.replace("total_pulse = 1e8", "total_pulse = 100"))
+    assert main(["rate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "m_pe = 10" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_residual_rejects_settings_it_does_not_model(tmp_path, capsys):
+    rejected = [
+        (RESIDUAL_INI.replace("link_mode = gkp", "link_mode = qt"),
+         "residual sweeps model the gkp link"),
+        (RESIDUAL_INI.replace("link_mode = gkp", "link_mode = direct"),
+         "residual sweeps model the gkp link"),
+        (RESIDUAL_INI.replace("gkp_squeezing_db = 20", "gkp_squeezing_db = 20\nlayers = 3"),
+         "use axis = layers for concatenation"),
+    ]
+    for ini, message in rejected:
+        assert main(["residual", "--config", write(tmp_path, ini)]) == 2, message
+        assert message in capsys.readouterr().err
+
+
 def test_thermal_photon_mean_rejected_where_unmodelled(tmp_path, capsys):
     def hot(ini):
         return ini.replace("thermal_photon_mean = 0\n", "").replace(

@@ -4,14 +4,14 @@ from scipy.integrate import quad
 
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.fading import (CodePolicy, FadingConfig, average_composable_rate,
-                           fading_cdf, fading_cm, fading_pdf, fading_quantile,
+                           fading_cdf, fading_pdf, fading_quantile, fading_scalars,
                            mean_residual_variance, mean_transmittance,
                            pointing_wander_variance, sample_transmittance,
                            sigma_r2_of_tau, xi_integral)
 from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import GkpAncilla, optimize_squeezing, residual_variance
 from gkpmdi.mc import RngStream
-from gkpmdi.security import conditioned_state
+from matrix_oracle import conditioned_state, symplectic_eigenvalues
 
 CFG = FadingConfig(tau0=0.95, gamma0=1.5, r0_m=0.02, sigma_bw2_m2=1e-6)
 POLICY = CodePolicy(ancilla=GkpAncilla(20.0))
@@ -108,7 +108,7 @@ def test_fading_cm_point_mass_matches_fiber_path():
     cfg = _point_mass(0.92)
     s2 = 1.0 - cfg.tau0
     _, sr2 = optimize_squeezing(s2, POLICY.ancilla)
-    state_fad = fading_cm(cfg, PARAMS, POLICY)
+    state_fad = fading_scalars(cfg, PARAMS, POLICY)
     # fiber path at the matched transmittance and residual noise
     l_a = -10.0 * np.log10(cfg.tau0) / PARAMS.alpha0_db_per_km
     p = ProtocolParams(l_a_km=l_a, l_b_km=PARAMS.l_b_km)
@@ -117,8 +117,8 @@ def test_fading_cm_point_mass_matches_fiber_path():
 
 
 def test_fading_cm_structure():
-    state = fading_cm(CFG, PARAMS, POLICY)
-    v = state.cm
+    v = fading_scalars(CFG, PARAMS, POLICY).cm
+    assert min(symplectic_eigenvalues(v)) >= 1.0  # the averaged state is physical
     assert np.allclose(v, v.T)
     assert v[0, 0] == pytest.approx(v[1, 1])
     assert v[0, 2] == pytest.approx(-v[1, 3])

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from gkpmdi.channels import ProtocolParams
-from gkpmdi.finite_size import (FiniteSizeParams, aep_delta, composable_rate,
-                                epsilon_total, kappa_from_eps, worst_case_cm)
-from gkpmdi.security import asymptotic_rate, conditioned_state
+from gkpmdi.finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, aep_delta,
+                                composable_rate, composable_rate_from_pe, correlation_shift,
+                                epsilon_total, kappa_from_eps)
+from gkpmdi.security import asymptotic_rate
+from matrix_oracle import (ConditionedState, conditioned_state, holevo_bound,
+                           mutual_information, worst_case_cm)
 
 FS = FiniteSizeParams()
 
@@ -68,6 +71,9 @@ def test_worst_case_unphysical_is_flagged():
     wc = worst_case_cm(state.cm, fs_small)
     assert not wc.physical  # flagged, not clamped
     assert wc.v_wc[0, 2] < -abs(state.cm[0, 2])  # overshoot left in place
+    # the production path flags the same state instead of evaluating it
+    with pytest.raises(UnphysicalWorstCaseError, match="m_pe = 20"):
+        composable_rate(ProtocolParams(l_a_km=1.0, l_b_km=10.0), 0.02, fs_small, "gkp")
 
 
 def test_epsilon_total():
@@ -100,18 +106,16 @@ def test_composable_monotone_in_block_size():
 
 def test_composable_dual_path():
     # scalar pipeline versus explicit worst-case matrix pipeline
-    from gkpmdi.finite_size import composable_rate_from_state
-
     for (l_a, l_b, sr2) in [(1.0, 8.0, 0.02), (2.0, 5.0, 0.08), (0.5, 15.0, 0.0)]:
         p = ProtocolParams(l_a_km=l_a, l_b_km=l_b)
         state = conditioned_state(p, sr2, "gkp")
         direct = composable_rate(p, sr2, FS, "gkp")
-        via_state = composable_rate_from_state(state, p.beta0, FS)
+        wc = worst_case_cm(state.cm, FS)
+        wc_state = ConditionedState(cm=wc.v_wc, theta=state.theta)
+        r_pe = p.beta0 * mutual_information(wc_state) - holevo_bound(wc_state)
+        via_state = composable_rate_from_pe(r_pe, FS)
         assert via_state == pytest.approx(direct, rel=1e-9, abs=1e-12)
         # the matrix worst case equals the scalar correlation shift
-        from gkpmdi.finite_size import correlation_shift
-
-        wc = worst_case_cm(state.cm, FS)
         shift = correlation_shift(state.cm[0, 0], state.cm[2, 2],
                                   wc.kappa, FS.pe_signals)
         assert wc.v_wc[0, 2] == pytest.approx(state.cm[0, 2] - shift, rel=1e-12)

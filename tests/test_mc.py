@@ -4,7 +4,7 @@ from gkpmdi.channels import ProtocolParams
 from gkpmdi.gkp import ELL, GkpAncilla, IDEAL, syndrome_reduce
 from gkpmdi.mc import (RngStream, mc_pe_coverage, mc_protocol_mutual_info,
                        mc_residual_variance)
-from gkpmdi.security import conditioned_state
+from gkpmdi.security import conditioned_scalars
 
 
 def test_stream_determinism():
@@ -56,15 +56,15 @@ def test_protocol_mi_relay_decorrelation():
 
 
 def test_pe_coverage_within_bound():
-    state = conditioned_state(ProtocolParams(l_a_km=1.0, l_b_km=10.0), 0.02, "gkp")
-    frac = mc_pe_coverage(state.cm, m_pe=2_000, eps_pe=0.05, n_trials=2_000,
+    cm = conditioned_scalars(ProtocolParams(l_a_km=1.0, l_b_km=10.0), 0.02, "gkp").cm
+    frac = mc_pe_coverage(cm, m_pe=2_000, eps_pe=0.05, n_trials=2_000,
                           rng=RngStream(6))
     bound = 0.05 + 3.0 * np.sqrt(0.05 * 0.95 / 2_000)
     assert frac <= bound
 
 
 def test_pe_coverage_deterministic():
-    state = conditioned_state(ProtocolParams(l_a_km=1.0, l_b_km=10.0), 0.02, "gkp")
-    f1 = mc_pe_coverage(state.cm, 1_000, 0.05, 500, RngStream(8, 3))
-    f2 = mc_pe_coverage(state.cm, 1_000, 0.05, 500, RngStream(8, 3))
+    cm = conditioned_scalars(ProtocolParams(l_a_km=1.0, l_b_km=10.0), 0.02, "gkp").cm
+    f1 = mc_pe_coverage(cm, 1_000, 0.05, 500, RngStream(8, 3))
+    f2 = mc_pe_coverage(cm, 1_000, 0.05, 500, RngStream(8, 3))
     assert f1 == f2

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams, awgn_variance_preamp
 from gkpmdi.gkp import GkpAncilla, optimize_squeezing
 from gkpmdi.mc import RngStream, mc_protocol_mutual_info
-from gkpmdi.security import (asymptotic_rate, assemble_global_cm, ci_rci,
-                             condition_on_bell, conditioned_scalars, conditioned_state,
-                             holevo_bound, mutual_information, theta_value)
+from gkpmdi.security import asymptotic_rate, conditioned_scalars, h_function
+from matrix_oracle import (assemble_global_cm, ci_rci, condition_on_bell, conditioned_state,
+                           holevo_bound, mutual_information, theta_value)
 
 TABLE = ProtocolParams()  # reference defaults
 
@@ -59,21 +60,29 @@ def test_conditioned_state_hand_values():
     assert state.cm[1, 3] == pytest.approx(-220.0 / 21.0, rel=1e-12)
 
 
-def test_scalar_path_matches_matrix_path():
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        p = ProtocolParams(l_a_km=rng.uniform(0, 5), l_b_km=rng.uniform(0, 30),
-                           sigma2_a=rng.uniform(5, 40), sigma2_b=rng.uniform(5, 40))
-        sr2 = rng.uniform(0, 0.3)
-        mode = ("gkp", "preamp", "direct")[rng.integers(3)]
-        sc = conditioned_scalars(p, sr2, mode)
-        state = conditioned_state(p, sr2, mode)
-        assert state.cm[0, 0] == pytest.approx(sc.phi_a, rel=1e-11)
-        assert state.cm[0, 2] == pytest.approx(sc.psi, rel=1e-11)
-        assert state.cm[2, 2] == pytest.approx(sc.phi_b, rel=1e-11)
-        # cancellation-free variants agree in the moderate regime
-        assert sc.phi_a_m1 == pytest.approx(sc.phi_a - 1.0, rel=1e-9)
-        assert sc.phi_b_m1 == pytest.approx(sc.phi_b - 1.0, rel=1e-9)
+@st.composite
+def _link_points(draw):
+    mode = draw(st.sampled_from(("direct", "preamp", "gkp")))
+    n_bar = 0.0 if mode == "gkp" else draw(st.floats(0.0, 0.2))
+    p = ProtocolParams(l_a_km=draw(st.floats(0.0, 5.0)), l_b_km=draw(st.floats(0.0, 30.0)),
+                       sigma2_a=draw(st.floats(5.0, 40.0)), sigma2_b=draw(st.floats(5.0, 40.0)),
+                       n_bar=n_bar)
+    return p, draw(st.floats(0.0, 0.3)), mode
+
+
+@settings(derandomize=True, deadline=None)
+@given(_link_points())
+def test_scalar_path_matches_matrix_path(point):
+    # the oracle restates the link table, so this also checks _link_coefficients
+    p, sr2, mode = point
+    sc = conditioned_scalars(p, sr2, mode)
+    state = conditioned_state(p, sr2, mode)
+    assert state.cm[0, 0] == pytest.approx(sc.phi_a, rel=1e-11)
+    assert state.cm[0, 2] == pytest.approx(sc.psi, rel=1e-11)
+    assert state.cm[2, 2] == pytest.approx(sc.phi_b, rel=1e-11)
+    # cancellation-free variants agree in the moderate regime
+    assert sc.phi_a_m1 == pytest.approx(sc.phi_a - 1.0, rel=1e-9)
+    assert sc.phi_b_m1 == pytest.approx(sc.phi_b - 1.0, rel=1e-9)
 
 
 def test_mutual_information_zero_without_correlation():
@@ -169,8 +178,6 @@ def test_rci_lossless_first_principles():
     p = ProtocolParams(l_a_km=0.0, l_b_km=0.0)
     state = conditioned_state(p, 0.0, "gkp")
     ci, rci = ci_rci(state)
-    from gkpmdi.gaussian import h_function
-
     nu_a = np.sqrt(np.linalg.det(state.cm[0:2, 0:2]))
     assert rci == pytest.approx(h_function(nu_a), abs=1e-9)  # v1 = v2 = 1 here
 
