@@ -126,7 +126,7 @@ def sample_transmittance(cfg: FadingConfig, n: int, gen: np.random.Generator):
 
 
 @lru_cache(maxsize=32)
-def _residual_interpolant(cfg: FadingConfig, policy: CodePolicy, n_nodes: int = _MEMO_NODES):
+def _residual_interpolant(cfg: FadingConfig, policy: CodePolicy):
     """Monotone cubic interpolant of sigma_r^2 over the transmittance support.
 
     Per-node optimization of the code squeezing is the cost hotspot, so the
@@ -136,8 +136,8 @@ def _residual_interpolant(cfg: FadingConfig, policy: CodePolicy, n_nodes: int = 
     tau_lo = max(tau_lo, 1e-6)
     # keep a nondegenerate grid even for a point-mass-like law
     tau_lo = min(tau_lo, cfg.tau0 * (1.0 - 1e-9))
-    taus = np.linspace(tau_lo, cfg.tau0, n_nodes)
-    vals = np.empty(n_nodes)
+    taus = np.linspace(tau_lo, cfg.tau0, _MEMO_NODES)
+    vals = np.empty(_MEMO_NODES)
     for i, t in enumerate(taus):
         s2 = 1.0 - t
         if s2 <= 0.0:
@@ -160,9 +160,9 @@ def sigma_r2_of_tau(cfg: FadingConfig, policy: CodePolicy, tau):
     return _residual_interpolant(cfg, policy)(tau)
 
 
-def _quantile_nodes(n_panels: int, order: int):
+def _quantile_nodes(n_panels: int):
     """Gauss-Legendre nodes/weights on (0, 1), composite over equal panels."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(_XI_ORDER)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     mids = (edges[1:] + edges[:-1]) / 2.0
     halfs = (edges[1:] - edges[:-1]) / 2.0
@@ -171,13 +171,13 @@ def _quantile_nodes(n_panels: int, order: int):
     return u, uw
 
 
-def _expect(cfg: FadingConfig, fn, n_panels: int = _XI_PANELS, order: int = _XI_ORDER):
+def _expect(cfg: FadingConfig, fn, n_panels: int = _XI_PANELS):
     """E[fn(tau)] under the fading law, integrated in the quantile variable.
 
     Substituting u = CDF(tau) makes the measure uniform, which concentrates
     nodes wherever the density does (near tau0 for weak fading).
     """
-    u, uw = _quantile_nodes(n_panels, order)
+    u, uw = _quantile_nodes(n_panels)
     tau = fading_quantile(u, cfg)
     return float(np.sum(uw * fn(tau)))
 

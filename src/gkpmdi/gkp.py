@@ -167,18 +167,23 @@ def residual_variance(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL,
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_R_MAX = 3.0
+_COARSE_POINTS = 200
+# The moment sums neglect Gaussian mass below 1e-12, so a relative gain
+# smaller than that is rounding, not coding gain.
+_NO_GAIN_RTOL = 1e-12
 
 
-def optimize_squeezing(sigma2: float, ancilla: GkpAncilla = IDEAL,
-                       r_max: float = 3.0, coarse_points: int = 200) -> tuple[float, float]:
-    """Minimize residual_variance over r in [0, r_max].
+def optimize_squeezing(sigma2: float, ancilla: GkpAncilla = IDEAL) -> tuple[float, float]:
+    """Minimize residual_variance over r in [0, 3].
 
-    Coarse grid scan followed by golden-section refinement around the best
-    grid cell.  Returns (r_opt, minimum variance).
+    Coarse 200-point grid scan followed by golden-section refinement around
+    the best grid cell.  Returns (r_opt, minimum variance); where coding
+    gains less than the moment sums resolve, that is (0, sigma2).
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    rs = np.linspace(0.0, r_max, coarse_points)
+    rs = np.linspace(0.0, _R_MAX, _COARSE_POINTS)
     vals = np.array([residual_variance(r, sigma2, ancilla) for r in rs])
     i = int(np.argmin(vals))
     a = rs[max(0, i - 1)]
@@ -198,8 +203,7 @@ def optimize_squeezing(sigma2: float, ancilla: GkpAncilla = IDEAL,
             fd = residual_variance(d, sigma2, ancilla)
     r_opt = (a + b) / 2.0
     v_opt = residual_variance(r_opt, sigma2, ancilla)
-    # never worse than no coding
-    if v_opt > sigma2:
+    if v_opt >= sigma2 * (1.0 - _NO_GAIN_RTOL):
         return 0.0, float(sigma2)
     return float(r_opt), float(v_opt)
 

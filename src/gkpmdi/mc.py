@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .finite_size import correlation_shift, kappa_from_eps
 from .gkp import GkpAncilla, IDEAL, effective_estimator_gain, syndrome_reduce
 
 _CHUNK = 1_000_000
+_MI_BLOCKS = 16  # block means behind the mutual-information standard error
 
 
 @dataclass(frozen=True)
@@ -24,11 +26,6 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream_id]))
-
-    def split(self, n: int) -> list["RngStream"]:
-        """Child streams with distinct ids derived from this one."""
-        base = self.stream_id * 1000 + 1
-        return [RngStream(self.seed, base + k) for k in range(n)]
 
 
 @dataclass(frozen=True)
@@ -87,9 +84,10 @@ def mc_residual_variance(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL,
         out_q = z_qd - phi * t2
         out_p = z_pd + phi * t1
         for k, arr in enumerate((out_q, out_p)):
+            sq = arr * arr
             sums[k] += arr.sum()
-            sums2[k] += (arr * arr).sum()
-            sums4[k] += (arr ** 4).sum()
+            sums2[k] += sq.sum()
+            sums4[k] += (sq * sq).sum()
         done += m
     n = float(n_samples)
     means = sums / n
@@ -109,7 +107,7 @@ class McMutualInfo:
 
 
 def mc_protocol_mutual_info(params, sigma_r2: float, n_samples: int = 1_000_000,
-                            rng: RngStream = RngStream(0), n_blocks: int = 16) -> McMutualInfo:
+                            rng: RngStream = RngStream(0)) -> McMutualInfo:
     """Raw-key mutual information from a protocol-level simulation.
 
     Simulates the compensated configuration: Gaussian-modulated inputs, the
@@ -120,7 +118,7 @@ def mc_protocol_mutual_info(params, sigma_r2: float, n_samples: int = 1_000_000,
     two-quadrature Gaussian mutual information of the displaced keys from
     sample covariances; the standard error comes from block means.
     """
-    if n_samples < n_blocks * 10:
+    if n_samples < _MI_BLOCKS * 10:
         raise ValueError("n_samples too small for block error estimation")
     gen = rng.generator()
     sa2, sb2 = params.sigma2_a, params.sigma2_b
@@ -128,12 +126,12 @@ def mc_protocol_mutual_info(params, sigma_r2: float, n_samples: int = 1_000_000,
     theta = (sa2 + 2.0 * sigma_r2 + tau_b * sb2 + 2.0) / 2.0
     ca = -np.sqrt(0.5) * sa2 / theta          # q_A coefficient on the q outcome
     cb = np.sqrt(tau_b / 2.0) * sb2 / theta   # q_B coefficient on the q outcome
-    block = n_samples // n_blocks
+    block = n_samples // _MI_BLOCKS
     mis = []
     pooled = np.zeros(6)  # sums of x^2, y^2, xy per quadrature pair (q then p)
     pooled_xr = 0.0
     pooled_yr = 0.0
-    for _ in range(n_blocks):
+    for _ in range(_MI_BLOCKS):
         qa = gen.normal(0.0, np.sqrt(sa2), block)
         pa = gen.normal(0.0, np.sqrt(sa2), block)
         qb = gen.normal(0.0, np.sqrt(sb2), block)
@@ -154,8 +152,8 @@ def mc_protocol_mutual_info(params, sigma_r2: float, n_samples: int = 1_000_000,
         mis.append(_gaussian_mi(stats))
     mis = np.asarray(mis)
     mi = _gaussian_mi(pooled)
-    stderr = float(mis.std(ddof=1) / np.sqrt(n_blocks))
-    n_used = block * n_blocks
+    stderr = float(mis.std(ddof=1) / np.sqrt(_MI_BLOCKS))
+    n_used = block * _MI_BLOCKS
     corr = 0.0
     for s2_key, cross in ((pooled[0], pooled_xr), (pooled[1], pooled_yr)):
         if s2_key > 0:
@@ -179,40 +177,26 @@ def mc_pe_coverage(true_cm: np.ndarray, m_pe: int, eps_pe: float,
                    n_trials: int = 10_000, rng: RngStream = RngStream(0)) -> float:
     """Fraction of simulated estimation rounds whose worst-case bound fails.
 
-    Each round draws m_pe correlated Gaussian pairs per quadrature, forms the
-    empirical cross-moment estimators, shifts them by the tail-bound margin
-    (local variances taken as known), and checks whether the true correlation
-    is worse than the shifted estimate.  The guarantee is a failure fraction
-    of at most eps_pe.
+    Each round stands for m_pe correlated Gaussian pairs per quadrature,
+    (a, b) = (sqrt(va) x, (c/sqrt(va)) x + k y) with x, y iid N(0, 1).  The
+    cross-moment estimator reads the pairs only through sxx = sum x^2 and
+    sxy = sum x y, so those are drawn from their exact joint law (the
+    Bartlett decomposition of a 2x2 Wishart matrix): sxx ~ chi^2(m_pe) and,
+    given sxx, sxy ~ N(0, sxx).  The estimate is shifted by the tail-bound
+    margin (local variances taken as known) and the round fails when the true
+    correlation is worse than the shifted estimate; q is drawn before p.  The
+    guarantee is a failure fraction of at most eps_pe.
     """
-    from .finite_size import correlation_shift, kappa_from_eps
-
     v = np.asarray(true_cm, dtype=float)
     kappa = kappa_from_eps(eps_pe)
     gen = rng.generator()
-    failures = 0
-    trials_per_chunk = max(1, min(n_trials, int(2e7 // max(m_pe, 1))))
-    done = 0
-    specs = (
-        (v[0, 0], v[2, 2], v[0, 2], -1.0),  # q: bound from below
-        (v[1, 1], v[3, 3], v[1, 3], +1.0),  # p: bound from above
-    )
-    while done < n_trials:
-        t = min(trials_per_chunk, n_trials - done)
-        fail = np.zeros(t, dtype=bool)
-        for va, vb, c, sign in specs:
-            # pairs (a, b) = (sqrt(va) x, (c/sqrt(va)) x + k y); the cross
-            # moment needs only the x.x and x.y reductions.  Single-precision
-            # draws with double accumulation keep the estimator error orders
-            # of magnitude below the tail-bound shift.
-            x = gen.standard_normal((t, m_pe), dtype=np.float32)
-            y = gen.standard_normal((t, m_pe), dtype=np.float32)
-            sxx = np.einsum("ij,ij->i", x, x, dtype=np.float64)
-            sxy = np.einsum("ij,ij->i", x, y, dtype=np.float64)
-            k = np.sqrt(max(vb - c * c / va, 0.0))
-            est = (c * sxx + np.sqrt(va) * k * sxy) / m_pe
-            wc = est + sign * correlation_shift(va, vb, kappa, m_pe)
-            fail |= (c < wc) if sign < 0 else (c > wc)
-        failures += int(fail.sum())
-        done += t
-    return failures / float(n_trials)
+    fail = np.zeros(n_trials, dtype=bool)
+    for va, vb, c, sign in ((v[0, 0], v[2, 2], v[0, 2], -1.0),   # q: bound from below
+                            (v[1, 1], v[3, 3], v[1, 3], +1.0)):  # p: bound from above
+        sxx = gen.chisquare(m_pe, n_trials)
+        sxy = np.sqrt(sxx) * gen.standard_normal(n_trials)
+        k = np.sqrt(max(vb - c * c / va, 0.0))
+        est = (c * sxx + np.sqrt(va) * k * sxy) / m_pe
+        wc = est + sign * correlation_shift(va, vb, kappa, m_pe)
+        fail |= (c < wc) if sign < 0 else (c > wc)
+    return float(fail.mean())

@@ -17,6 +17,9 @@ from .gkp import break_even, concat_variance, lower_bound_variance, \
 from .security import asymptotic_rate
 
 SCHEMA_VERSION = "1"
+_FRONTIER_POINTS = 400
+_FRONTIER_RESOLUTION_KM = 0.01
+_PDF_ROWS = 1000
 
 
 @lru_cache(maxsize=4096)
@@ -113,17 +116,16 @@ def _rate_value(cfg: RunConfig, l_a_km: float, l_b_km: float) -> float:
     return asymptotic_rate(params, sigma_r2, mode).rate
 
 
-def max_secure_distance(rate_fn, lo: float, hi: float, resolution_km: float = 0.01,
-                        coarse_points: int = 400) -> float:
-    """Largest distance with positive rate, to ``resolution_km``.
+def max_secure_distance(rate_fn, lo: float, hi: float) -> float:
+    """Largest distance with positive rate, to 0.01 km.
 
     The secure region can be bounded by a numerically noisy edge, so the
-    frontier is located as the supremum: a coarse scan finds the last
-    positive point, then bisection refines inside the bracketing cell, and a
-    guard extends the scan if the edge touches the last cell.
+    frontier is located as the supremum: a coarse 400-point scan finds the
+    last positive point, then bisection refines inside the bracketing cell,
+    and a guard extends the scan if the edge touches the last cell.
     """
     for _ in range(8):
-        grid = np.linspace(lo, hi, coarse_points)
+        grid = np.linspace(lo, hi, _FRONTIER_POINTS)
         vals = np.array([rate_fn(x) for x in grid])
         pos = np.nonzero(vals > 0.0)[0]
         if len(pos) == 0:
@@ -133,7 +135,7 @@ def max_secure_distance(rate_fn, lo: float, hi: float, resolution_km: float = 0.
             lo, hi = grid[-1], hi * 2.0  # guard: secure past the scan window
             continue
         a, b = grid[i], grid[i + 1]
-        while b - a > resolution_km:
+        while b - a > _FRONTIER_RESOLUTION_KM:
             mid = (a + b) / 2.0
             if rate_fn(mid) > 0.0:
                 a = mid
@@ -236,7 +238,7 @@ def rate_rows(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     return [_rate_row_worker(p) for p in points]
 
 
-def fading_rows(cfg: RunConfig, n_pdf: int = 1000) -> list[dict]:
+def fading_rows(cfg: RunConfig) -> list[dict]:
     """Transmittance-density samples, summary means, and averaged-rate rows."""
     fad = cfg.fading
     policy = CodePolicy(ancilla=cfg.ancilla)
@@ -250,7 +252,7 @@ def fading_rows(cfg: RunConfig, n_pdf: int = 1000) -> list[dict]:
         "sigma_bw2_m2": fad.sigma_bw2_m2,
         "gkp_squeezing_db": cfg.ancilla.squeezing_db if not cfg.ancilla.ideal else "",
     }
-    taus = np.linspace(fading_quantile(1e-7, fad), fad.tau0, n_pdf)
+    taus = np.linspace(fading_quantile(1e-7, fad), fad.tau0, _PDF_ROWS)
     dens = fading_pdf(taus, fad)
     sig = sigma_r2_of_tau(fad, policy, taus)
     for t, d, s in zip(taus, dens, sig):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, break_even, concat_residual_variance,
                         concat_variance, effective_estimator_gain, lower_bound_variance,
@@ -149,6 +150,16 @@ def test_optimize_never_worse_than_break_even():
         _, v = optimize_squeezing(s2, DB20)
         assert v <= s2 + 1e-15
         assert v >= lower_bound_variance(s2) if s2 < 1.0 else True
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.floats(1e-3, 0.9),
+       st.sampled_from([IDEAL, GkpAncilla(15.0), DB20, GkpAncilla(25.0)]))
+@example(0.01, DB20)
+def test_optimize_reports_no_gain_as_r_zero(s2, ancilla):
+    r_opt, v = optimize_squeezing(s2, ancilla)
+    assert v <= s2
+    assert (r_opt == 0.0) == (v == s2)
 
 
 def test_optimize_tiny_noise_ideal():
