@@ -94,7 +94,7 @@ def cmd_residual(args) -> int:
 
 def cmd_rate(args) -> int:
     cfg = _load(args)
-    rows = rate_rows(cfg, jobs=args.jobs)
+    rows = rate_rows(cfg)
     columns = FRONTIER_COLUMNS if cfg.sweep.mode == "frontier" else RATE_COLUMNS
     if cfg.sweep.mode == "frontier" and rows[0]["max_secure_km"] is None:
         print(f"note: no secure point found along {cfg.sweep.axis}; "
@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--samples", type=int, default=1_000_000)
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility and ignored: runs are serial")
 
     for name, fn, doc in [("residual", cmd_residual, "residual-error sweeps"),
                           ("rate", cmd_rate, "key-rate sweeps and frontiers"),

@@ -7,6 +7,11 @@ averaged over outcomes, and the conditioned scalars of the averaged state
 are the fixed-link closed forms (:mod:`gkpmdi.security`) with the
 conditioning scalar xi replaced by its fading average (``xi_integral``).
 
+Every average is a composite Gauss-Legendre sum in the quantile variable
+(``_quantile_nodes``), and the code residual is evaluated exactly at each
+node transmittance: one array call of ``optimize_squeezing`` (dynamic code)
+or ``residual_variance`` (fixed squeezing) per set of nodes.
+
 The distribution parameters (tau0, gamma0, r0, sigma_bw^2) are inputs; the
 shipped reference configurations carry values fitted to reproduce the
 reference mean residual variances and are labeled as such.
@@ -14,17 +19,14 @@ reference mean residual variances and are labeled as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .channels import ProtocolParams
 from .gkp import GkpAncilla, optimize_squeezing, residual_variance
 from .security import ConditionedScalars, _conditioned_entries, _link_coefficients
 from .finite_size import FiniteSizeParams, composable_rate_from_pe, pe_rate_from_scalars
 
-_MEMO_NODES = 512
 _XI_PANELS = 64
 _XI_ORDER = 16
 
@@ -125,74 +127,73 @@ def sample_transmittance(cfg: FadingConfig, n: int, gen: np.random.Generator):
     return fading_quantile(gen.uniform(size=n), cfg)
 
 
-@lru_cache(maxsize=32)
-def _residual_interpolant(cfg: FadingConfig, policy: CodePolicy):
-    """Monotone cubic interpolant of sigma_r^2 over the transmittance support.
-
-    Per-node optimization of the code squeezing is the cost hotspot, so the
-    table is built once per (config, policy) and shared.
-    """
-    tau_lo = fading_quantile(1e-12, cfg)
-    tau_lo = max(tau_lo, 1e-6)
-    # keep a nondegenerate grid even for a point-mass-like law
-    tau_lo = min(tau_lo, cfg.tau0 * (1.0 - 1e-9))
-    taus = np.linspace(tau_lo, cfg.tau0, _MEMO_NODES)
-    vals = np.empty(_MEMO_NODES)
-    for i, t in enumerate(taus):
-        s2 = 1.0 - t
-        if s2 <= 0.0:
-            vals[i] = 0.0
-        elif policy.dynamic:
-            vals[i] = optimize_squeezing(s2, policy.ancilla)[1]
-        else:
-            vals[i] = residual_variance(policy.fixed_r, s2, policy.ancilla)
-    interp = PchipInterpolator(taus, vals, extrapolate=False)
-
-    def sigma_r2_of(tau):
-        tau = np.clip(np.asarray(tau, dtype=float), tau_lo, cfg.tau0)
-        return interp(tau)
-
-    return sigma_r2_of
-
-
 def sigma_r2_of_tau(cfg: FadingConfig, policy: CodePolicy, tau):
-    """Residual variance of the (possibly re-optimized) code at transmittance tau."""
-    return _residual_interpolant(cfg, policy)(tau)
+    """Residual variance of the (possibly re-optimized) code at transmittance tau.
+
+    The channel noise is 1 - tau; where it vanishes, so does the residual.
+    """
+    s2 = 1.0 - np.asarray(tau, dtype=float)
+    out = np.zeros_like(s2)
+    noisy = s2 > 0.0
+    if policy.dynamic:
+        out[noisy] = optimize_squeezing(s2[noisy], policy.ancilla)[1]
+    else:
+        out[noisy] = residual_variance(policy.fixed_r, s2[noisy], policy.ancilla)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
-def _quantile_nodes(n_panels: int):
-    """Gauss-Legendre nodes/weights on (0, 1), composite over equal panels."""
+def _quantile_nodes(cfg: FadingConfig, n_panels: int = _XI_PANELS):
+    """Nodes and weights for E[g(tau)] under the fading law.
+
+    Composite Gauss-Legendre in the quantile variable: substituting
+    u = CDF(tau) makes the measure uniform on (0, 1), which concentrates
+    nodes wherever the density does (near tau0 for weak fading).
+    """
     x, w = np.polynomial.legendre.leggauss(_XI_ORDER)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     mids = (edges[1:] + edges[:-1]) / 2.0
     halfs = (edges[1:] - edges[:-1]) / 2.0
     u = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
     uw = (halfs[:, None] * w[None, :]).ravel()
-    return u, uw
+    return fading_quantile(u, cfg), uw
 
 
-def _expect(cfg: FadingConfig, fn, n_panels: int = _XI_PANELS):
-    """E[fn(tau)] under the fading law, integrated in the quantile variable.
+def _residual_nodes(cfg: FadingConfig, policy: CodePolicy, n_panels: int = _XI_PANELS):
+    """Weights and exact sigma_r^2 at the nodes: every residual average reads these."""
+    tau, uw = _quantile_nodes(cfg, n_panels)
+    return uw, sigma_r2_of_tau(cfg, policy, tau)
 
-    Substituting u = CDF(tau) makes the measure uniform, which concentrates
-    nodes wherever the density does (near tau0 for weak fading).
-    """
-    u, uw = _quantile_nodes(n_panels)
-    tau = fading_quantile(u, cfg)
-    return float(np.sum(uw * fn(tau)))
+
+def _mean_at(nodes) -> float:
+    uw, sr2 = nodes
+    return float(np.sum(uw * sr2))
+
+
+def _xi_at(nodes, params: ProtocolParams) -> float:
+    uw, sr2 = nodes
+    denom_const = params.sigma2_a + params.tau_b * params.sigma2_b + 2.0
+    return float(np.sum(uw * (1.0 / (denom_const + 2.0 * sr2))))
+
+
+def _scalars_at(nodes, params: ProtocolParams) -> ConditionedScalars:
+    _, ca2 = _link_coefficients("gkp", params.tau_a, params.sigma2_a, 0.0)
+    phi_a, psi, phi_b = _conditioned_entries(params, params.tau_b, ca2, _xi_at(nodes, params))
+    return ConditionedScalars(phi_a=float(phi_a), psi=float(psi), phi_b=float(phi_b))
+
+
+def _composable_at(nodes, params: ProtocolParams, fs: FiniteSizeParams) -> float:
+    sc = _scalars_at(nodes, params)
+    r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs)
+    return composable_rate_from_pe(r_pe, fs)
 
 
 def xi_integral(cfg: FadingConfig, params: ProtocolParams, policy: CodePolicy,
                 n_panels: int = _XI_PANELS) -> float:
     """The fading-averaged conditioning scalar
     E[ 1 / (sigma_a^2 + 2 sigma_r^2(tau) + tau_b sigma_b^2 + 2) ]."""
-    table = _residual_interpolant(cfg, policy)
-    denom_const = params.sigma2_a + params.tau_b * params.sigma2_b + 2.0
-
-    def integrand(tau):
-        return 1.0 / (denom_const + 2.0 * table(tau))
-
-    return _expect(cfg, integrand, n_panels=n_panels)
+    return _xi_at(_residual_nodes(cfg, policy, n_panels), params)
 
 
 def fading_scalars(cfg: FadingConfig, params: ProtocolParams,
@@ -202,26 +203,20 @@ def fading_scalars(cfg: FadingConfig, params: ProtocolParams,
     With a point-mass transmittance they coincide with the fiber-path
     conditioning at the matching transmittance and residual noise.
     """
-    xi = xi_integral(cfg, params, policy)
-    _, ca2 = _link_coefficients("gkp", params.tau_a, params.sigma2_a, 0.0)
-    phi_a, psi, phi_b = _conditioned_entries(params, params.tau_b, ca2, xi)
-    return ConditionedScalars(phi_a=float(phi_a), psi=float(psi), phi_b=float(phi_b))
+    return _scalars_at(_residual_nodes(cfg, policy), params)
 
 
 def mean_transmittance(cfg: FadingConfig) -> float:
-    return _expect(cfg, lambda tau: tau)
+    tau, uw = _quantile_nodes(cfg)
+    return float(np.sum(uw * tau))
 
 
 def mean_residual_variance(cfg: FadingConfig, policy: CodePolicy) -> float:
     """Fading-averaged residual variance of the (dynamic) code."""
-    table = _residual_interpolant(cfg, policy)
-    return _expect(cfg, table)
+    return _mean_at(_residual_nodes(cfg, policy))
 
 
 def average_composable_rate(cfg: FadingConfig, params: ProtocolParams,
                             fs: FiniteSizeParams, policy: CodePolicy) -> float:
     """Composable rate of the fading-averaged state (worst-case shifted)."""
-    sc = fading_scalars(cfg, params, policy)
-    r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs)
-    return composable_rate_from_pe(r_pe, fs)
-
+    return _composable_at(_residual_nodes(cfg, policy), params, fs)

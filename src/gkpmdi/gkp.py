@@ -99,7 +99,7 @@ def syndrome_reduce(x):
     return out
 
 
-def wrapped_moments(var_w: float, n_cells_boost: int = 0):
+def wrapped_moments(var_w, n_cells_boost: int = 0):
     """(E[wrap(w)^2], E[w wrap(w)]) for w ~ N(0, var_w), wrap = mod-ell.
 
     Exact sum over lattice cells [a, b] = [c - ell/2, c + ell/2], c = n*ell,
@@ -119,29 +119,40 @@ def wrapped_moments(var_w: float, n_cells_boost: int = 0):
     cell 0 is folded onto [0, ell/2] and the sums are doubled.
     ``n_cells_boost`` adds lattice cells beyond the truncation (used by the
     truncation-stability check).
+
+    ``var_w`` may be an array; a scalar gives floats.  Elements are summed in
+    groups of equal cell count, so each one's arithmetic is batch-independent.
     """
-    if var_w < 0:
+    var = np.asarray(var_w, dtype=float)
+    if np.any(var < 0):
         raise ValueError("variance must be >= 0")
-    if var_w == 0.0:
-        return 0.0, 0.0
-    sd = np.sqrt(var_w)
-    n_cells = int(np.ceil(_TAIL_SIGMA * sd / ELL + 0.5)) + n_cells_boost
-    if n_cells > _MAX_CELLS:
+    flat = var.ravel()
+    m2, m11 = np.zeros_like(flat), np.zeros_like(flat)
+    live = np.flatnonzero(flat > 0.0)
+    counts = np.ceil(_TAIL_SIGMA * np.sqrt(flat[live]) / ELL + 0.5).astype(int) + n_cells_boost
+    if np.any(counts > _MAX_CELLS):
         raise ValueError("lattice sum does not converge: variance too large")
-    c = np.arange(n_cells + 1) * ELL
-    edges = (np.arange(n_cells + 2) - 0.5) * ELL
-    edges[0] = 0.0
-    z = edges / sd
-    tail = ndtr(-z)
-    vf = sd * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)  # var_w * f(edge)
-    p = tail[:-1] - tail[1:]
-    e_u = vf[:-1] - vf[1:] - c * p
-    e_wu = var_w * p + (edges[:-1] - c) * vf[:-1] - (edges[1:] - c) * vf[1:]
-    return 2.0 * float(np.sum(e_wu - c * e_u)), 2.0 * float(np.sum(e_wu))
+    for n_cells in np.unique(counts):
+        rows = live[counts == n_cells]
+        v = flat[rows, None]
+        sd = np.sqrt(v)
+        c = np.arange(n_cells + 1) * ELL
+        edges = (np.arange(n_cells + 2) - 0.5) * ELL
+        edges[0] = 0.0
+        z = edges / sd
+        tail = ndtr(-z)
+        vf = sd * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)  # var_w * f(edge)
+        p = tail[:, :-1] - tail[:, 1:]
+        e_u = vf[:, :-1] - vf[:, 1:] - c * p
+        e_wu = v * p + (edges[:-1] - c) * vf[:, :-1] - (edges[1:] - c) * vf[:, 1:]
+        m2[rows] = 2.0 * np.sum(e_wu - c * e_u, axis=1)
+        m11[rows] = 2.0 * np.sum(e_wu, axis=1)
+    if var.ndim == 0:
+        return float(m2[0]), float(m11[0])
+    return m2.reshape(var.shape), m11.reshape(var.shape)
 
 
-def residual_variance(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL,
-                      n_cells_boost: int = 0) -> float:
+def residual_variance(r, sigma2, ancilla: GkpAncilla = IDEAL, n_cells_boost: int = 0):
     """Per-quadrature variance of the data noise after the corrective shift.
 
     Exact second-moment decomposition of a - phi*wrap(w):
@@ -150,62 +161,80 @@ def residual_variance(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL,
 
     with phi the regression gain of the data noise on the pre-wrap syndrome.
     At r = 0 the gain vanishes and the channel noise is returned unchanged.
+    ``r`` and ``sigma2`` broadcast together; scalars give a float.
     """
-    if r < 0 or sigma2 < 0:
+    r, sigma2 = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(sigma2, dtype=float))
+    if np.any(r < 0) or np.any(sigma2 < 0):
         raise ValueError("r and sigma2 must be >= 0")
-    if sigma2 == 0.0:
-        return 0.0
-    c2 = np.cosh(2.0 * r)
-    var_d = sigma2 * c2
-    var_w = var_d + ancilla.syndrome_noise_variance
+    out = np.asarray(sigma2 * np.cosh(2.0 * r))  # Var(a): the result where phi = 0
     cov = sigma2 * np.sinh(2.0 * r)
-    if cov == 0.0:
-        return float(var_d)
-    m2, m11 = wrapped_moments(var_w, n_cells_boost=n_cells_boost)
-    phi = cov / var_w
-    return float(var_d - 2.0 * phi * (cov / var_w) * m11 + phi * phi * m2)
+    live = cov != 0.0
+    if np.any(live):
+        var_d, cov = out[live], cov[live]
+        var_w = var_d + ancilla.syndrome_noise_variance
+        m2, m11 = wrapped_moments(var_w, n_cells_boost=n_cells_boost)
+        phi = cov / var_w
+        out[live] = var_d - 2.0 * phi * (cov / var_w) * m11 + phi * phi * m2
+    return float(out) if out.ndim == 0 else out
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _R_MAX = 3.0
 _COARSE_POINTS = 200
+_GRID = np.linspace(0.0, _R_MAX, _COARSE_POINTS)
+_SCAN_BLOCK = 2**14  # grid points per scan call: bounds the working memory
 # The moment sums neglect Gaussian mass below 1e-12, so a relative gain
 # smaller than that is rounding, not coding gain.
 _NO_GAIN_RTOL = 1e-12
 
 
-def optimize_squeezing(sigma2: float, ancilla: GkpAncilla = IDEAL) -> tuple[float, float]:
-    """Minimize residual_variance over r in [0, 3].
+def optimize_squeezing(sigma2, ancilla: GkpAncilla = IDEAL):
+    """Minimize residual_variance over r >= 0, elementwise over ``sigma2``.
 
-    Coarse 200-point grid scan followed by golden-section refinement around
-    the best grid cell.  Returns (r_opt, minimum variance); where coding
-    gains less than the moment sums resolve, that is (0, sigma2).
+    A 200-point grid scan over [0, 3], moved up wherever its best point is
+    the last one, brackets each minimum; golden-section steps shrink each
+    bracket to 1e-10.  Returns (r_opt, minimum variance) shaped like
+    ``sigma2`` (floats for a scalar); where coding gains less than the
+    moment sums resolve, that is (0, sigma2).
     """
-    if sigma2 <= 0:
+    shape = np.shape(sigma2)
+    s2 = np.asarray(sigma2, dtype=float).ravel()
+    if not np.all(s2 > 0):
         raise ValueError("sigma2 must be > 0")
-    rs = np.linspace(0.0, _R_MAX, _COARSE_POINTS)
-    vals = np.array([residual_variance(r, sigma2, ancilla) for r in rs])
-    i = int(np.argmin(vals))
-    a = rs[max(0, i - 1)]
-    b = rs[min(len(rs) - 1, i + 1)]
+    lo = np.zeros_like(s2)
+    best = np.empty(s2.size, dtype=int)
+    todo = np.arange(s2.size)
+    rows = _SCAN_BLOCK // _COARSE_POINTS
+    while todo.size:
+        for k in range(0, todo.size, rows):
+            blk = todo[k:k + rows]
+            vals = residual_variance(lo[blk, None] + _GRID, s2[blk, None], ancilla)
+            best[blk] = np.argmin(vals, axis=1)
+        todo = todo[best[todo] == _COARSE_POINTS - 1]
+        lo[todo] += _GRID[-2]
+    a = lo + _GRID[np.maximum(best - 1, 0)]
+    b = lo + _GRID[np.minimum(best + 1, _COARSE_POINTS - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = residual_variance(c, sigma2, ancilla)
-    fd = residual_variance(d, sigma2, ancilla)
-    while b - a > 1e-10:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = residual_variance(c, sigma2, ancilla)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = residual_variance(d, sigma2, ancilla)
+    fc, fd = residual_variance(np.stack([c, d]), s2, ancilla)
+    act = np.flatnonzero(b - a > 1e-10)
+    while act.size:
+        left = fc[act] < fd[act]
+        i, j = act[left], act[~left]
+        b[i], d[i], fd[i] = d[i], c[i], fc[i]
+        a[j], c[j], fc[j] = c[j], d[j], fd[j]
+        c[i] = b[i] - _GOLDEN * (b[i] - a[i])
+        d[j] = a[j] + _GOLDEN * (b[j] - a[j])
+        fx = residual_variance(np.concatenate([c[i], d[j]]), s2[np.concatenate([i, j])], ancilla)
+        fc[i], fd[j] = fx[:i.size], fx[i.size:]
+        act = act[b[act] - a[act] > 1e-10]
     r_opt = (a + b) / 2.0
-    v_opt = residual_variance(r_opt, sigma2, ancilla)
-    if v_opt >= sigma2 * (1.0 - _NO_GAIN_RTOL):
-        return 0.0, float(sigma2)
-    return float(r_opt), float(v_opt)
+    v_opt = residual_variance(r_opt, s2, ancilla)
+    no_gain = v_opt >= s2 * (1.0 - _NO_GAIN_RTOL)
+    r_opt[no_gain], v_opt[no_gain] = 0.0, s2[no_gain]
+    if not shape:
+        return float(r_opt[0]), float(v_opt[0])
+    return r_opt.reshape(shape), v_opt.reshape(shape)
 
 
 def lower_bound_variance(sigma2: float) -> float:

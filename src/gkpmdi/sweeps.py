@@ -1,7 +1,6 @@
 """Sweep execution and secure-distance frontiers shared by the CLI and tests."""
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import lru_cache
 
@@ -9,8 +8,8 @@ import numpy as np
 
 from .channels import awgn_variance_preamp, awgn_variance_qt
 from .config import ConfigError, RunConfig
-from .fading import CodePolicy, average_composable_rate, xi_integral, \
-    mean_residual_variance, mean_transmittance, sigma_r2_of_tau, fading_quantile, fading_pdf
+from .fading import CodePolicy, _composable_at, _mean_at, _residual_nodes, _xi_at, \
+    mean_transmittance, sigma_r2_of_tau, fading_quantile, fading_pdf
 from .finite_size import composable_rate
 from .gkp import break_even, concat_variance, lower_bound_variance, \
     optimize_squeezing, segment_noise
@@ -34,15 +33,12 @@ def link_sigma_r2(cfg: RunConfig, l_a_km: float) -> tuple[float, float, float]:
     if cfg.link_mode in ("direct", "preamp"):
         return 0.0, 0.0, 0.0
     params = replace(cfg.protocol, l_a_km=l_a_km)
-    if cfg.link_mode == "qt":
-        s2 = awgn_variance_qt(params.tau_a, cfg.qt_squeezing_db)
-        r_opt, v = optimize_squeezing(s2, cfg.ancilla)
-        return v, v, r_opt
-    if cfg.layers == 1:
-        s2 = awgn_variance_preamp(params.tau_a, params.n_bar)
-        r_opt, v = optimize_squeezing(s2, cfg.ancilla)
-        return v, v, r_opt
-    s2_seg = segment_noise(l_a_km, cfg.layers, params.alpha0_db_per_km)
+    if cfg.link_mode == "qt":  # the config allows layers > 1 only on gkp links
+        s2_seg = awgn_variance_qt(params.tau_a, cfg.qt_squeezing_db)
+    elif cfg.layers == 1:
+        s2_seg = awgn_variance_preamp(params.tau_a, params.n_bar)
+    else:
+        s2_seg = segment_noise(l_a_km, cfg.layers, params.alpha0_db_per_km)
     r_opt, v_seg = optimize_squeezing(s2_seg, cfg.ancilla)
     return concat_variance(v_seg, cfg.layers), v_seg, r_opt
 
@@ -98,10 +94,7 @@ def rate_point(cfg: RunConfig, l_a_km: float, l_b_km: float,
         })
     else:
         row.update({
-            "rate_kind": "asymptotic",
-            "total_pulse": "", "pe_signals": "", "digitalization": "",
-            "ec_success_probability": "", "eps_correctness": "",
-            "eps_smoothing": "", "eps_hashing": "", "eps_pe": "",
+            "rate_kind": "asymptotic",  # finite-size columns stay blank
             "rate_bits": report.rate,
         })
     return row
@@ -162,7 +155,6 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
         raise ConfigError("residual sweeps model the gkp link")
     if sweep.axis == "la_km" and cfg.layers != 1:
         raise ConfigError("use axis = layers for concatenation")
-    rows = []
     alpha0 = cfg.protocol.alpha0_db_per_km
     common = {
         "schema_version": SCHEMA_VERSION,
@@ -172,33 +164,26 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
     }
     if sweep.axis == "layers":
         l_a = cfg.protocol.l_a_km
-        for c in sweep.values():
-            c = int(c)
-            s2_seg = segment_noise(l_a, c, alpha0)
-            r_opt, v_seg = optimize_squeezing(s2_seg, cfg.ancilla)
-            s2_full = awgn_variance_preamp(10 ** (-alpha0 * l_a / 10))
-            rows.append({**common, "la_km": l_a, "layers": c, "sigma2": s2_full,
-                         "sigma_r2": concat_variance(v_seg, c),
-                         "sigma_be2": break_even(s2_full),
-                         "sigma_lb2": lower_bound_variance(s2_full), "r_opt": r_opt})
-        return rows
+        layers = [int(c) for c in sweep.values()]
+        s2_seg = np.array([segment_noise(l_a, c, alpha0) for c in layers])
+        r_opt, v_seg = optimize_squeezing(s2_seg, cfg.ancilla)
+        s2_full = awgn_variance_preamp(10 ** (-alpha0 * l_a / 10))
+        return [{**common, "la_km": l_a, "layers": c, "sigma2": s2_full,
+                 "sigma_r2": concat_variance(v, c), "sigma_be2": break_even(s2_full),
+                 "sigma_lb2": lower_bound_variance(s2_full), "r_opt": r}
+                for c, r, v in zip(layers, r_opt.tolist(), v_seg.tolist())]
     if sweep.axis != "la_km":
         raise ConfigError("residual sweeps support axes la_km and layers")
-    for l_a in sweep.values():
-        s2 = awgn_variance_preamp(10 ** (-alpha0 * l_a / 10), cfg.protocol.n_bar)
-        r_opt, v = optimize_squeezing(s2, cfg.ancilla)
-        rows.append({**common, "la_km": l_a, "layers": 1, "sigma2": s2, "sigma_r2": v,
-                     "sigma_be2": break_even(s2), "sigma_lb2": lower_bound_variance(s2),
-                     "r_opt": r_opt})
-    return rows
+    l_as = sweep.values()
+    s2 = np.array([awgn_variance_preamp(10 ** (-alpha0 * l_a / 10), cfg.protocol.n_bar)
+                   for l_a in l_as])
+    r_opt, v = optimize_squeezing(s2, cfg.ancilla)
+    return [{**common, "la_km": l_a, "layers": 1, "sigma2": s, "sigma_r2": vi,
+             "sigma_be2": break_even(s), "sigma_lb2": lower_bound_variance(s), "r_opt": r}
+            for l_a, s, r, vi in zip(l_as, s2.tolist(), r_opt.tolist(), v.tolist())]
 
 
-def _rate_row_worker(args):
-    cfg, la, lb, n = args
-    return rate_point(cfg, la, lb, n)
-
-
-def rate_rows(cfg: RunConfig, jobs: int = 1) -> list[dict]:
+def rate_rows(cfg: RunConfig) -> list[dict]:
     """Key-rate sweep (grid mode) or secure-distance frontier (frontier mode)."""
     sweep = cfg.sweep
     if sweep.mode == "frontier":
@@ -222,27 +207,20 @@ def rate_rows(cfg: RunConfig, jobs: int = 1) -> list[dict]:
         }]
     if sweep.axis not in ("lb_km", "la_km", "total_pulse"):
         raise ConfigError("rate sweeps support axes lb_km, la_km and total_pulse")
-    points = []
-    for v in sweep.values():
-        la, lb, n = cfg.protocol.l_a_km, cfg.protocol.l_b_km, None
-        if sweep.axis == "la_km":
-            la = v
-        elif sweep.axis == "lb_km":
-            lb = v
-        else:
-            n = v
-        points.append((cfg, la, lb, n))
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_rate_row_worker, points))
-    return [_rate_row_worker(p) for p in points]
+    base = cfg.protocol
+    return [rate_point(cfg, v if sweep.axis == "la_km" else base.l_a_km,
+                       v if sweep.axis == "lb_km" else base.l_b_km,
+                       v if sweep.axis == "total_pulse" else None)
+            for v in sweep.values()]
 
 
 def fading_rows(cfg: RunConfig) -> list[dict]:
-    """Transmittance-density samples, summary means, and averaged-rate rows."""
+    """Transmittance-density samples, summary means, and averaged-rate rows.
+
+    Columns a row kind does not use are absent and written as blank cells.
+    """
     fad = cfg.fading
     policy = CodePolicy(ancilla=cfg.ancilla)
-    rows = []
     common = {
         "schema_version": SCHEMA_VERSION,
         "receiver_aperture_m": fad.a_r_m,
@@ -253,22 +231,14 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
         "gkp_squeezing_db": cfg.ancilla.squeezing_db if not cfg.ancilla.ideal else "",
     }
     taus = np.linspace(fading_quantile(1e-7, fad), fad.tau0, _PDF_ROWS)
-    dens = fading_pdf(taus, fad)
-    sig = sigma_r2_of_tau(fad, policy, taus)
-    for t, d, s in zip(taus, dens, sig):
-        rows.append({**common, "row_kind": "pdf", "tau_a": t, "pdf_density": d,
-                     "sigma_r2_of_tau": s, "lb_km": "", "rate_bits": "",
-                     "mean_sigma_r2": "", "mean_tau": "", "xi": ""})
-    rows.append({**common, "row_kind": "summary", "tau_a": "", "pdf_density": "",
-                 "sigma_r2_of_tau": "", "lb_km": "", "rate_bits": "",
-                 "mean_sigma_r2": mean_residual_variance(fad, policy),
-                 "mean_tau": mean_transmittance(fad),
-                 "xi": xi_integral(fad, cfg.protocol, policy)})
+    rows = [{**common, "row_kind": "pdf", "tau_a": t, "pdf_density": d, "sigma_r2_of_tau": s}
+            for t, d, s in zip(taus, fading_pdf(taus, fad), sigma_r2_of_tau(fad, policy, taus))]
+    nodes = _residual_nodes(fad, policy)  # shared by the summary and every rate row
+    rows.append({**common, "row_kind": "summary", "mean_sigma_r2": _mean_at(nodes),
+                 "mean_tau": mean_transmittance(fad), "xi": _xi_at(nodes, cfg.protocol)})
     if cfg.sweep.axis == "lb_km" and cfg.finite_size is not None:
         for lb in cfg.sweep.values():
             params = replace(cfg.protocol, l_b_km=lb)
-            r = average_composable_rate(fad, params, cfg.finite_size, policy)
-            rows.append({**common, "row_kind": "rate", "tau_a": "", "pdf_density": "",
-                         "sigma_r2_of_tau": "", "lb_km": lb, "rate_bits": r,
-                         "mean_sigma_r2": "", "mean_tau": "", "xi": ""})
+            rows.append({**common, "row_kind": "rate", "lb_km": lb,
+                         "rate_bits": _composable_at(nodes, params, cfg.finite_size)})
     return rows

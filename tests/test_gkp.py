@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gkpmdi import gkp
 from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, break_even, concat_residual_variance,
                         concat_variance, effective_estimator_gain, lower_bound_variance,
                         optimize_squeezing, residual_variance, segment_noise,
@@ -11,6 +12,7 @@ from matrix_oracle import (conditioning_blocks, linear_estimator, mu_tilde,
                            reshaped_noise_cm, symplectic_form)
 
 DB20 = GkpAncilla(20.0)
+ANCILLAS = [IDEAL, GkpAncilla(15.0), DB20, GkpAncilla(25.0)]
 
 
 def theta_series_moments(var_w, terms=400):
@@ -153,13 +155,108 @@ def test_optimize_never_worse_than_break_even():
 
 
 @settings(derandomize=True, deadline=None)
-@given(st.floats(1e-3, 0.9),
-       st.sampled_from([IDEAL, GkpAncilla(15.0), DB20, GkpAncilla(25.0)]))
+@given(st.floats(1e-3, 0.9), st.sampled_from(ANCILLAS))
 @example(0.01, DB20)
 def test_optimize_reports_no_gain_as_r_zero(s2, ancilla):
     r_opt, v = optimize_squeezing(s2, ancilla)
     assert v <= s2
     assert (r_opt == 0.0) == (v == s2)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.floats(1e-6, 0.9), st.sampled_from(ANCILLAS))
+@example(1e-5, IDEAL)
+@example(1.7e-4, IDEAL)
+def test_optimum_is_interior_to_its_bracket(s2, ancilla):
+    # a coarse-grid step either way raises the residual: the optimum is not
+    # pinned to the end of a search window
+    r_opt, v = optimize_squeezing(s2, ancilla)
+    if r_opt == 0.0:
+        return  # no coding gain
+    step = gkp._GRID[1]
+    assert residual_variance(max(r_opt - step, 0.0), s2, ancilla) > v
+    assert residual_variance(r_opt + step, s2, ancilla) > v
+
+
+def scalar_reference_optimize(s2, ancilla):
+    """The optimizer as a scalar loop: one residual_variance call per point."""
+    lo = 0.0
+    while True:  # move the 200-point window up while its last point is best
+        rs = lo + np.linspace(0.0, 3.0, 200)
+        i = int(np.argmin([residual_variance(r, s2, ancilla) for r in rs]))
+        if i < 199:
+            break
+        lo = rs[198]
+    a, b = rs[max(0, i - 1)], rs[min(199, i + 1)]
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = residual_variance(c, s2, ancilla), residual_variance(d, s2, ancilla)
+    while b - a > 1e-10:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = residual_variance(c, s2, ancilla)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = residual_variance(d, s2, ancilla)
+    r = (a + b) / 2.0
+    v = residual_variance(r, s2, ancilla)
+    return (0.0, s2) if v >= s2 * (1.0 - 1e-12) else (r, v)
+
+
+# More elements than one block of the coarse scan holds.
+_BEYOND_ONE_BLOCK = gkp._SCAN_BLOCK // gkp._COARSE_POINTS + 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(st.lists(st.floats(1e-6, 0.9), min_size=_BEYOND_ONE_BLOCK - 6,
+                max_size=_BEYOND_ONE_BLOCK + 10),
+       st.sampled_from(ANCILLAS))
+def test_optimize_batch_matches_single_calls(drawn, ancilla):
+    # window-extended (1e-6 .. 1.7e-4 ideal) and no-gain (0.9) elements always ride along
+    fixed = [1e-6, 1e-5, 1.7e-4, 0.01, 0.5, 0.9]
+    s2 = np.array(fixed + drawn)
+    r_opt, v = optimize_squeezing(s2, ancilla)
+    single = np.array([optimize_squeezing(float(x), ancilla) for x in s2])
+    assert np.array_equal(r_opt, single[:, 0]) and np.array_equal(v, single[:, 1])
+    reference = np.array([scalar_reference_optimize(x, ancilla) for x in fixed])
+    assert np.array_equal(single[:len(fixed)], reference)
+    assert np.any(r_opt == 0.0)
+    assert not ancilla.ideal or np.any(r_opt > gkp._R_MAX)
+    assert isinstance(optimize_squeezing(0.1, ancilla)[0], float)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.2, 1.0, 3.0]) | st.floats(0.0, 4.0),
+                          st.sampled_from([0.0, 1e-9]) | st.floats(1e-12, 1.0)),
+                min_size=1, max_size=60),
+       st.sampled_from(ANCILLAS))
+def test_residual_batch_matches_single_calls(pairs, ancilla):
+    r, s2 = np.array(pairs).T
+    batch = residual_variance(r, s2, ancilla)
+    single = [residual_variance(float(a), float(b), ancilla) for a, b in pairs]
+    assert np.array_equal(batch, single)
+    m2, m11 = wrapped_moments(s2 * 1e3)  # 0 .. 1000: many cell counts
+    single = np.array([wrapped_moments(float(x)) for x in s2 * 1e3])
+    assert np.array_equal(m2, single[:, 0]) and np.array_equal(m11, single[:, 1])
+    assert isinstance(wrapped_moments(0.3)[0], float)
+    assert isinstance(residual_variance(0.4, 0.1, ancilla), float)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), st.data())
+def test_negative_element_anywhere_raises(values, data):
+    bad = np.array(values)
+    bad[data.draw(st.integers(0, len(values) - 1))] = -1e-3
+    with pytest.raises(ValueError):
+        wrapped_moments(bad)
+    with pytest.raises(ValueError):
+        residual_variance(bad, 0.1)
+    with pytest.raises(ValueError):
+        residual_variance(0.4, bad)
+    with pytest.raises(ValueError):
+        optimize_squeezing(np.where(bad < 0, bad, bad + 0.1))
 
 
 def test_optimize_tiny_noise_ideal():
@@ -171,7 +268,7 @@ def test_optimize_matches_dense_grid():
     s2 = 0.1290364100439194
     r_opt, v_opt = optimize_squeezing(s2, DB20)
     rs = np.arange(0.0, 1.5, 1e-4)
-    dense = min(residual_variance(r, s2, DB20) for r in rs)
+    dense = residual_variance(rs, s2, DB20).min()
     assert v_opt <= dense + 1e-6
 
 
