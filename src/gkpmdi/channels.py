@@ -2,7 +2,9 @@
 
 Noise variances returned here are per quadrature in the hbar = 1 convention
 (vacuum variance 1/2), matching the additive-noise bookkeeping of the
-error-correction layer.
+error-correction layer.  Everything here broadcasts over arrays.  A thermal
+background n_bar enters through the loss, tau V + (1 - tau)(2 n_bar + 1)
+(Weedbrook et al., RMP 84, 621 (2012)): a lossless link carries none.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ class ProtocolParams:
     """Protocol-level parameters; defaults follow the reference configuration.
 
     Variances are dimensionless (shot-noise units), lengths in km,
-    attenuation in dB/km.  ``wavelength_nm`` is metadata only.
+    attenuation in dB/km.  ``wavelength_nm`` is metadata only.  The link
+    lengths may be arrays (one rate evaluation per element).
     """
 
     sigma2_a: float = 20.0
@@ -35,38 +38,51 @@ class ProtocolParams:
             raise ValueError("reconciliation efficiency must be in (0, 1]")
         if self.n_bar < 0:
             raise ValueError("thermal photon mean must be >= 0")
-        if self.l_a_km < 0 or self.l_b_km < 0:
+        if np.any(np.asarray(self.l_a_km) < 0) or np.any(np.asarray(self.l_b_km) < 0):
             raise ValueError("link lengths must be >= 0")
 
     @property
-    def tau_a(self) -> float:
+    def tau_a(self):
         return fiber_transmittance(self.l_a_km, self.alpha0_db_per_km)
 
     @property
-    def tau_b(self) -> float:
+    def tau_b(self):
         return fiber_transmittance(self.l_b_km, self.alpha0_db_per_km)
 
 
-def fiber_transmittance(length_km: float, alpha0_db_per_km: float = 0.2) -> float:
-    """Fiber transmittance 10^(-alpha0 * L / 10)."""
-    if length_km < 0:
+def _as_output(x):
+    """A float for a 0-d result, the array otherwise: scalar calls return floats."""
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
+
+
+def fiber_transmittance(length_km, alpha0_db_per_km: float = 0.2):
+    """Fiber transmittance 10^(-alpha0 * L / 10), elementwise.
+
+    Each power is Python's float ``**`` (the C library's pow): numpy's
+    vectorized power is off from it by one ulp on a few per cent of
+    elements, which would make a transmittance depend on how it was batched.
+    """
+    length = np.asarray(length_km, dtype=float)
+    if np.any(length < 0):
         raise ValueError("length must be >= 0")
-    return 10.0 ** (-alpha0_db_per_km * length_km / 10.0)
+    exponent = -alpha0_db_per_km * length / 10.0
+    return _as_output(np.reshape([10.0 ** e for e in exponent.ravel().tolist()], length.shape))
 
 
-def awgn_variance_preamp(tau_a: float, n_bar: float = 0.0) -> float:
+def awgn_variance_preamp(tau_a, n_bar: float = 0.0):
     """Additive-noise variance of the loss channel compensated by a
-    pre-amplifier of gain 1/tau_a: n_bar + 1 - tau_a."""
-    if not 0.0 < tau_a <= 1.0:
+    pre-amplifier of gain 1/tau_a and then thermal loss: (1 + n_bar)(1 - tau_a)."""
+    if not np.all((tau_a > 0.0) & (tau_a <= 1.0)):
         raise ValueError("transmittance must be in (0, 1]")
-    return n_bar + 1.0 - tau_a
+    return (1.0 + n_bar) * (1.0 - tau_a)
 
 
-def awgn_variance_qt(tau_a: float, s0_db: float) -> float:
+def awgn_variance_qt(tau_a, s0_db: float):
     """Additive-noise variance when the loss is compensated by
     continuous-variable teleportation with a TMSV resource of s0_db dB:
     sqrt(tau_a) * 10^(-s0/10) + 1 - sqrt(tau_a)."""
-    if not 0.0 < tau_a <= 1.0:
+    if not np.all((tau_a > 0.0) & (tau_a <= 1.0)):
         raise ValueError("transmittance must be in (0, 1]")
     if s0_db < 0:
         raise ValueError("resource squeezing must be >= 0 dB")

@@ -40,42 +40,50 @@ FADING_COLUMNS = ["schema_version", "row_kind", "tau_a", "pdf_density",
                   "sigma_bw2_m2", "gkp_squeezing_db"]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _block_length(block: dict) -> int:
+    """Rows a block stands for: the length of its arrays, or one."""
+    return max((len(v) for v in block.values() if isinstance(v, np.ndarray)), default=1)
 
 
-def write_rows(rows: list[dict], columns: list[str], path: str | None,
+def _column(value, n: int) -> tuple[list, list[str]]:
+    """n JSON values and n CSV cells of one column: an echoed value is
+    formatted once, an array column element by element."""
+    if isinstance(value, np.ndarray):
+        values = value.tolist()
+        return values, list(map(repr if value.dtype.kind == "f" else str, values))
+    if isinstance(value, np.floating):
+        value = float(value)
+    text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    return [value] * n, [text] * n
+
+
+def write_rows(blocks: list[dict], columns: list[str], path: str | None,
                fmt: str, command: str) -> None:
+    """Write row blocks (see :mod:`gkpmdi.sweeps`) as CSV or JSON; a column a
+    block lacks is a blank cell."""
     if fmt == "csv":
         out = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
         try:
             writer = csv.writer(out)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(row.get(c, "")) for c in columns])
+            for block in blocks:
+                n = _block_length(block)
+                writer.writerows(zip(*(_column(block.get(c, ""), n)[1] for c in columns)))
         finally:
             if path is not None:
                 out.close()
         return
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "rows": [{c: (float(row[c]) if isinstance(row.get(c), (float, np.floating))
-                      else row.get(c, "")) for c in columns} for row in rows],
-    }
+    rows = []
+    for block in blocks:
+        n = _block_length(block)
+        rows.extend(dict(zip(columns, values))
+                    for values in zip(*(_column(block.get(c, ""), n)[0] for c in columns)))
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, "rows": rows}
     text = json.dumps(doc, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-def _load(args) -> RunConfig:
-    return load_config(args.config)
 
 
 def _destination(args, cfg: RunConfig) -> tuple[str | None, str]:
@@ -86,26 +94,26 @@ def _destination(args, cfg: RunConfig) -> tuple[str | None, str]:
 
 
 def cmd_residual(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     path, fmt = _destination(args, cfg)
     write_rows(residual_rows(cfg), RESIDUAL_COLUMNS, path, fmt, "residual")
     return 0
 
 
 def cmd_rate(args) -> int:
-    cfg = _load(args)
-    rows = rate_rows(cfg)
+    cfg = load_config(args.config)
+    blocks = rate_rows(cfg)
     columns = FRONTIER_COLUMNS if cfg.sweep.mode == "frontier" else RATE_COLUMNS
-    if cfg.sweep.mode == "frontier" and rows[0]["max_secure_km"] is None:
+    if cfg.sweep.mode == "frontier" and blocks[0]["max_secure_km"] is None:
         print(f"note: no secure point found along {cfg.sweep.axis}; "
               "max_secure_km is left empty", file=sys.stderr)
     path, fmt = _destination(args, cfg)
-    write_rows(rows, columns, path, fmt, "rate")
+    write_rows(blocks, columns, path, fmt, "rate")
     return 0
 
 
 def cmd_fading(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     if cfg.fading is None:
         raise ConfigError("fading command requires a [fading] section")
     path, fmt = _destination(args, cfg)
@@ -165,6 +173,8 @@ def _validate_checks(seed: int, samples: int) -> list[dict]:
 
 
 def cmd_validate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     checks = _validate_checks(args.seed, args.samples)
     lines = [f"{c['status']} {c['name']} value={c['value']:.6g} band={c['band']:.6g}"
              + (f" ({c['detail']})" if c["detail"] else "") for c in checks]
@@ -189,12 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--config", type=str, default=None, help="INI run configuration")
         sp.add_argument("--output", type=str, default=None,
                         help="output path (overrides [output]; default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=1_000_000)
         sp.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility and ignored: runs are serial")
 
@@ -204,6 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
                           ("validate", cmd_validate, "Monte Carlo oracle suite")]:
         sp = sub.add_parser(name, help=doc)
         common(sp)
+        if name == "validate":
+            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--samples", type=int, default=1_000_000)
+        else:
+            sp.add_argument("--config", type=str, default=None, help="INI run configuration")
         sp.set_defaults(fn=fn)
     return p
 
@@ -211,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
         return args.fn(args)
     except (ConfigError, UnphysicalWorstCaseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -89,10 +89,9 @@ def _get(section, key, cast, default):
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
-def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
+def load_config(path: str | Path | None) -> RunConfig:
     """Parse an INI run configuration; missing keys fall back to the
-    reference defaults.  ``overrides`` replaces individual (section, key)
-    pairs before interpretation."""
+    reference defaults."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is not None:
         path = Path(path)
@@ -102,11 +101,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
-    if overrides:
-        for (sec, key), val in overrides.items():
-            if not parser.has_section(sec):
-                parser.add_section(sec)
-            parser.set(sec, key, str(val))
 
     prot = parser["protocol"] if parser.has_section("protocol") else None
     sigma2 = _get(prot, "modulation_variance", float, 20.0)

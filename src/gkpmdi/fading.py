@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ProtocolParams
+from .channels import ProtocolParams, _as_output
 from .gkp import GkpAncilla, optimize_squeezing, residual_variance
-from .security import ConditionedScalars, _conditioned_entries, _link_coefficients
+from .security import ConditionedScalars, _conditioned_entries
 from .finite_size import FiniteSizeParams, composable_rate_from_pe, pe_rate_from_scalars
 
 _XI_PANELS = 64
@@ -94,9 +94,7 @@ def fading_pdf(tau_a, cfg: FadingConfig):
     with np.errstate(divide="ignore", over="ignore"):
         out[inside] = (scale / t) * lg ** (2.0 / g - 1.0) * np.exp(
             -(cfg.r0_m**2 / (2.0 * cfg.sigma_bw2_m2)) * lg ** (2.0 / g))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _as_output(out)
 
 
 def fading_cdf(tau_a, cfg: FadingConfig):
@@ -108,9 +106,7 @@ def fading_cdf(tau_a, cfg: FadingConfig):
     lg = np.log(cfg.tau0 / t)
     out[inside] = np.exp(-(cfg.r0_m**2 / (2.0 * cfg.sigma_bw2_m2))
                          * lg ** (2.0 / cfg.gamma0))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _as_output(out)
 
 
 def fading_quantile(u, cfg: FadingConfig):
@@ -118,9 +114,7 @@ def fading_quantile(u, cfg: FadingConfig):
     u = np.asarray(u, dtype=float)
     arg = (2.0 * cfg.sigma_bw2_m2 / cfg.r0_m**2) * (-np.log(u))
     out = cfg.tau0 * np.exp(-(arg ** (cfg.gamma0 / 2.0)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _as_output(out)
 
 
 def sample_transmittance(cfg: FadingConfig, n: int, gen: np.random.Generator):
@@ -133,15 +127,9 @@ def sigma_r2_of_tau(cfg: FadingConfig, policy: CodePolicy, tau):
     The channel noise is 1 - tau; where it vanishes, so does the residual.
     """
     s2 = 1.0 - np.asarray(tau, dtype=float)
-    out = np.zeros_like(s2)
-    noisy = s2 > 0.0
     if policy.dynamic:
-        out[noisy] = optimize_squeezing(s2[noisy], policy.ancilla)[1]
-    else:
-        out[noisy] = residual_variance(policy.fixed_r, s2[noisy], policy.ancilla)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return optimize_squeezing(s2, policy.ancilla)[1]
+    return residual_variance(policy.fixed_r, s2, policy.ancilla)
 
 
 def _quantile_nodes(cfg: FadingConfig, n_panels: int = _XI_PANELS):
@@ -171,19 +159,22 @@ def _mean_at(nodes) -> float:
     return float(np.sum(uw * sr2))
 
 
-def _xi_at(nodes, params: ProtocolParams) -> float:
+def _xi_at(nodes, params: ProtocolParams):
+    """xi at every B-link length of ``params`` (a float for a scalar length)."""
     uw, sr2 = nodes
     denom_const = params.sigma2_a + params.tau_b * params.sigma2_b + 2.0
-    return float(np.sum(uw * (1.0 / (denom_const + 2.0 * sr2))))
+    denom = np.asarray(denom_const)[..., None] + 2.0 * sr2
+    return _as_output(np.sum(uw * (1.0 / denom), axis=-1))
 
 
 def _scalars_at(nodes, params: ProtocolParams) -> ConditionedScalars:
-    _, ca2 = _link_coefficients("gkp", params.tau_a, params.sigma2_a, 0.0)
-    phi_a, psi, phi_b = _conditioned_entries(params, params.tau_b, ca2, _xi_at(nodes, params))
-    return ConditionedScalars(phi_a=float(phi_a), psi=float(psi), phi_b=float(phi_b))
+    # the corrected link has unit gain
+    phi_a, psi, phi_b = _conditioned_entries(params, params.tau_b, 1.0, _xi_at(nodes, params))
+    return ConditionedScalars(phi_a=_as_output(phi_a), psi=_as_output(psi),
+                              phi_b=_as_output(phi_b))
 
 
-def _composable_at(nodes, params: ProtocolParams, fs: FiniteSizeParams) -> float:
+def _composable_at(nodes, params: ProtocolParams, fs: FiniteSizeParams):
     sc = _scalars_at(nodes, params)
     r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs)
     return composable_rate_from_pe(r_pe, fs)

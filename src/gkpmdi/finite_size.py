@@ -8,15 +8,15 @@ worst-case state is again of the closed form [[phi_a I, psi' Z],
 the asymptotic rate functional on (phi_a, psi', phi_b).  A block so small
 that the shift leaves the physical cone is reported as
 :class:`UnphysicalWorstCaseError`, never clamped.
+The rates broadcast over arrays, block sizes (``n_total``, ``m_pe``) included.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ProtocolParams
+from .channels import ProtocolParams, _as_output
 from .security import PHYSICALITY_TOL, _rate_pieces, conditioned_scalars
 
 
@@ -39,10 +39,10 @@ class FiniteSizeParams:
     eps_pe: float = 1e-10
 
     def __post_init__(self):
-        if self.n_total <= 0:
+        if np.any(np.asarray(self.n_total) <= 0):
             raise ValueError("total pulse count must be > 0")
-        m = self.pe_signals
-        if not 0 < m < self.n_total:
+        m = np.asarray(self.pe_signals)
+        if not np.all((0 < m) & (m < self.n_total)):
             raise ValueError("PE signal count must satisfy 0 < m_pe < N")
         if self.d < 2 or (self.d & (self.d - 1)) != 0:
             raise ValueError("digitalization must be a power of two >= 2")
@@ -89,27 +89,32 @@ def epsilon_total(fs: FiniteSizeParams) -> float:
     return fs.eps_cor + fs.eps_s + fs.eps_h + fs.p_ec * fs.eps_pe
 
 
-def pe_rate_from_scalars(phi_a: float, psi: float, phi_b: float,
-                         beta0: float, fs: FiniteSizeParams) -> float:
+def pe_rate_from_scalars(phi_a, psi, phi_b, beta0: float, fs: FiniteSizeParams):
     """Asymptotic rate functional evaluated on the worst-case correlations.
 
-    Raises :class:`UnphysicalWorstCaseError` unless the shifted state is
+    Raises :class:`UnphysicalWorstCaseError` unless every shifted state is
     physical, i.e. its smaller symplectic eigenvalue
-    (sqrt((phi_a + phi_b)^2 - 4 psi'^2) - |phi_b - phi_a|)/2 is at least 1.
+    (sqrt((phi_a + phi_b)^2 - 4 psi'^2) - |phi_b - phi_a|)/2 is at least 1;
+    the message names the first unphysical element.
     """
-    shift = correlation_shift(phi_a, phi_b, kappa_from_eps(fs.eps_pe), fs.pe_signals)
+    m_pe = fs.pe_signals
+    shift = correlation_shift(phi_a, phi_b, kappa_from_eps(fs.eps_pe), m_pe)
     psi_wc = psi - shift
     s = phi_a + phi_b
     disc2 = s * s - 4.0 * psi_wc * psi_wc
-    if disc2 < 0.0 or (math.sqrt(disc2) - abs(phi_b - phi_a)) / 2.0 < 1.0 - PHYSICALITY_TOL:
+    # disc2 < 0 clips to 0, which leaves the eigenvalue below 1
+    nu_min = (np.sqrt(np.maximum(disc2, 0.0)) - np.abs(phi_b - phi_a)) / 2.0
+    bad = nu_min < 1.0 - PHYSICALITY_TOL
+    if np.any(bad):
+        m_pe, shift, psi = (np.broadcast_to(x, bad.shape)[bad][0] for x in (m_pe, shift, psi))
         raise UnphysicalWorstCaseError(
-            f"worst-case state is unphysical at m_pe = {fs.pe_signals:g} (correlation "
+            f"worst-case state is unphysical at m_pe = {m_pe:g} (correlation "
             f"shift {shift:.6g} against psi {psi:.6g}): enlarge the parameter-estimation block")
     return _rate_pieces(phi_a, psi_wc, phi_b, beta0).rate
 
 
-def composable_rate(params: ProtocolParams, sigma_r2: float, fs: FiniteSizeParams,
-                    mode: str = "gkp") -> float:
+def composable_rate(params: ProtocolParams, sigma_r2, fs: FiniteSizeParams,
+                    mode: str = "gkp"):
     """Composable finite-size key rate, bits per protocol use.
 
     p_ec * [l * R_pe - sqrt(l) * Delta_aep + log2(eps_h^2 eps_cor)] / N with
@@ -120,8 +125,8 @@ def composable_rate(params: ProtocolParams, sigma_r2: float, fs: FiniteSizeParam
     return composable_rate_from_pe(r_pe, fs)
 
 
-def composable_rate_from_pe(r_pe: float, fs: FiniteSizeParams) -> float:
+def composable_rate_from_pe(r_pe, fs: FiniteSizeParams):
     ell = fs.key_signals
     bracket = ell * r_pe - np.sqrt(ell) * aep_delta(fs.d, fs.eps_s) \
         + np.log2(fs.eps_h**2 * fs.eps_cor)
-    return float(fs.p_ec * bracket / fs.n_total)
+    return _as_output(fs.p_ec * bracket / fs.n_total)

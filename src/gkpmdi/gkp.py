@@ -27,6 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .channels import _as_output, awgn_variance_preamp, fiber_transmittance
+
 ELL = np.sqrt(2.0 * np.pi)  # square-lattice pitch
 
 # Neglected Gaussian tail mass below 1e-12 -> sum whole cells past 7.5 sigma.
@@ -93,10 +95,7 @@ def syndrome_reduce(x):
     """
     x = np.asarray(x, dtype=float)
     n = np.sign(x) * np.floor(np.abs(x) / ELL + 0.5)
-    out = x - n * ELL
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _as_output(x - n * ELL)
 
 
 def wrapped_moments(var_w, n_cells_boost: int = 0):
@@ -147,9 +146,7 @@ def wrapped_moments(var_w, n_cells_boost: int = 0):
         e_wu = v * p + (edges[:-1] - c) * vf[:, :-1] - (edges[1:] - c) * vf[:, 1:]
         m2[rows] = 2.0 * np.sum(e_wu - c * e_u, axis=1)
         m11[rows] = 2.0 * np.sum(e_wu, axis=1)
-    if var.ndim == 0:
-        return float(m2[0]), float(m11[0])
-    return m2.reshape(var.shape), m11.reshape(var.shape)
+    return _as_output(m2.reshape(var.shape)), _as_output(m11.reshape(var.shape))
 
 
 def residual_variance(r, sigma2, ancilla: GkpAncilla = IDEAL, n_cells_boost: int = 0):
@@ -175,7 +172,7 @@ def residual_variance(r, sigma2, ancilla: GkpAncilla = IDEAL, n_cells_boost: int
         m2, m11 = wrapped_moments(var_w, n_cells_boost=n_cells_boost)
         phi = cov / var_w
         out[live] = var_d - 2.0 * phi * (cov / var_w) * m11 + phi * phi * m2
-    return float(out) if out.ndim == 0 else out
+    return _as_output(out)
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -195,12 +192,13 @@ def optimize_squeezing(sigma2, ancilla: GkpAncilla = IDEAL):
     the last one, brackets each minimum; golden-section steps shrink each
     bracket to 1e-10.  Returns (r_opt, minimum variance) shaped like
     ``sigma2`` (floats for a scalar); where coding gains less than the
-    moment sums resolve, that is (0, sigma2).
+    moment sums resolve, that is (0, sigma2), so a noiseless channel
+    (sigma2 = 0) gives (0, 0).
     """
     shape = np.shape(sigma2)
     s2 = np.asarray(sigma2, dtype=float).ravel()
-    if not np.all(s2 > 0):
-        raise ValueError("sigma2 must be > 0")
+    if not np.all(s2 >= 0):
+        raise ValueError("sigma2 must be >= 0")
     lo = np.zeros_like(s2)
     best = np.empty(s2.size, dtype=int)
     todo = np.arange(s2.size)
@@ -232,36 +230,26 @@ def optimize_squeezing(sigma2, ancilla: GkpAncilla = IDEAL):
     v_opt = residual_variance(r_opt, s2, ancilla)
     no_gain = v_opt >= s2 * (1.0 - _NO_GAIN_RTOL)
     r_opt[no_gain], v_opt[no_gain] = 0.0, s2[no_gain]
-    if not shape:
-        return float(r_opt[0]), float(v_opt[0])
-    return r_opt.reshape(shape), v_opt.reshape(shape)
+    return _as_output(r_opt.reshape(shape)), _as_output(v_opt.reshape(shape))
 
 
-def lower_bound_variance(sigma2: float) -> float:
+def lower_bound_variance(sigma2):
     """Capacity-based floor for single-layer correction: s^4 / (e (1-s^2)^2)."""
-    if not 0.0 <= sigma2 < 1.0:
+    if not np.all((sigma2 >= 0.0) & (sigma2 < 1.0)):
         raise ValueError("sigma2 must be in [0, 1)")
     return sigma2 ** 2 / (np.e * (1.0 - sigma2) ** 2)
 
 
-def break_even(sigma2: float) -> float:
+def break_even(sigma2):
     """The no-coding reference level: the channel noise itself."""
-    return float(sigma2)
+    return sigma2
 
 
-def concat_variance(sigma_r2_single: float, layers: int) -> float:
+def concat_variance(sigma_r2_single, layers):
     """Accumulated residual of ``layers`` identical one-by-one layers."""
-    if layers < 1 or layers != int(layers):
+    if not np.all((layers >= 1) & (layers == np.floor(layers))):
         raise ValueError("layer count must be a positive integer")
-    return float(layers) * float(sigma_r2_single)
-
-
-def segment_noise(l_a_km: float, layers: int, alpha0_db_per_km: float = 0.2) -> float:
-    """Compensated-channel noise of one of ``layers`` equal fiber segments."""
-    from .channels import awgn_variance_preamp, fiber_transmittance
-
-    l_seg = l_a_km / layers
-    return awgn_variance_preamp(fiber_transmittance(l_seg, alpha0_db_per_km))
+    return layers * sigma_r2_single
 
 
 def concat_residual_variance(l_a_km: float, layers: int, ancilla: GkpAncilla = IDEAL,
@@ -272,6 +260,6 @@ def concat_residual_variance(l_a_km: float, layers: int, ancilla: GkpAncilla = I
     noise accumulates linearly across segments.  Returns
     (total residual, per-segment residual, per-segment r_opt).
     """
-    s2 = segment_noise(l_a_km, layers, alpha0_db_per_km)
+    s2 = awgn_variance_preamp(fiber_transmittance(l_a_km / layers, alpha0_db_per_km))
     r_opt, v_seg = optimize_squeezing(s2, ancilla)
     return concat_variance(v_seg, layers), v_seg, r_opt

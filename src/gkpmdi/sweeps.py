@@ -1,4 +1,8 @@
-"""Sweep execution and secure-distance frontiers shared by the CLI and tests."""
+"""Sweep execution and secure-distance frontiers shared by the CLI and tests.
+
+Row builders return blocks: dicts mapping each output column to one echoed
+value or to a 1-D array with one element per row.
+"""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -6,14 +10,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import awgn_variance_preamp, awgn_variance_qt
+from .channels import _as_output, awgn_variance_preamp, awgn_variance_qt, fiber_transmittance
 from .config import ConfigError, RunConfig
 from .fading import CodePolicy, _composable_at, _mean_at, _residual_nodes, _xi_at, \
     mean_transmittance, sigma_r2_of_tau, fading_quantile, fading_pdf
-from .finite_size import composable_rate
-from .gkp import break_even, concat_variance, lower_bound_variance, \
-    optimize_squeezing, segment_noise
-from .security import asymptotic_rate
+from .finite_size import composable_rate_from_pe, pe_rate_from_scalars
+from .gkp import break_even, concat_variance, lower_bound_variance, optimize_squeezing
+from .security import _rate_pieces, conditioned_scalars
 
 SCHEMA_VERSION = "1"
 _FRONTIER_POINTS = 400
@@ -21,40 +24,45 @@ _FRONTIER_RESOLUTION_KM = 0.01
 _PDF_ROWS = 1000
 
 
-@lru_cache(maxsize=4096)
-def link_sigma_r2(cfg: RunConfig, l_a_km: float) -> tuple[float, float, float]:
-    """(effective sigma_r2, per-segment sigma_r2, per-segment r_opt) of the A link.
-
-    Memoized: frontier searches evaluate the same (config, distance) pair
-    many times.  For ``direct``/``preamp`` modes the corrected-residual
-    concept does not apply and zeros are returned (the security layer
-    handles those modes through their own covariance assembly).
-    """
+def _link(cfg: RunConfig, l_a_km):
+    """(effective sigma_r2, per-segment sigma_r2, per-segment r_opt) of the A
+    link, elementwise over ``l_a_km`` in one array optimization; zeros for
+    ``direct``/``preamp`` links, which carry no code."""
     if cfg.link_mode in ("direct", "preamp"):
-        return 0.0, 0.0, 0.0
-    params = replace(cfg.protocol, l_a_km=l_a_km)
+        zero = _as_output(np.zeros(np.shape(l_a_km)))
+        return zero, zero, zero
+    alpha0 = cfg.protocol.alpha0_db_per_km
     if cfg.link_mode == "qt":  # the config allows layers > 1 only on gkp links
-        s2_seg = awgn_variance_qt(params.tau_a, cfg.qt_squeezing_db)
-    elif cfg.layers == 1:
-        s2_seg = awgn_variance_preamp(params.tau_a, params.n_bar)
-    else:
-        s2_seg = segment_noise(l_a_km, cfg.layers, params.alpha0_db_per_km)
+        s2_seg = awgn_variance_qt(fiber_transmittance(l_a_km, alpha0), cfg.qt_squeezing_db)
+    else:  # one of `layers` equal segments
+        tau_seg = fiber_transmittance(l_a_km / cfg.layers, alpha0)
+        s2_seg = awgn_variance_preamp(tau_seg, cfg.protocol.n_bar)
     r_opt, v_seg = optimize_squeezing(s2_seg, cfg.ancilla)
     return concat_variance(v_seg, cfg.layers), v_seg, r_opt
 
 
-def _security_mode(link_mode: str) -> str:
-    return "gkp" if link_mode == "qt" else link_mode
+@lru_cache(maxsize=4096)
+def link_sigma_r2(cfg: RunConfig, l_a_km: float) -> tuple[float, float, float]:
+    """The A link at one length: the memoized scalar case of ``_link``.
+
+    A frontier along lb_km evaluates the same (config, distance) pair at
+    every probe.
+    """
+    return _link(cfg, l_a_km)
 
 
-def rate_point(cfg: RunConfig, l_a_km: float, l_b_km: float,
-               n_total: float | None = None) -> dict:
-    """One secret-key-rate evaluation, as an output row."""
+def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None) -> dict:
+    """Secret-key rates as one block of output columns.
+
+    ``l_a_km``, ``l_b_km`` and ``n_total`` (None keeps the configured block
+    size) are scalars or equal-length 1-D arrays.  The conditioned scalars
+    are formed once and feed both the asymptotic and the composable columns.
+    """
+    sigma_r2 = (link_sigma_r2 if np.ndim(l_a_km) == 0 else _link)(cfg, l_a_km)[0]
     params = replace(cfg.protocol, l_a_km=l_a_km, l_b_km=l_b_km)
-    sigma_r2, _, _ = link_sigma_r2(cfg, l_a_km)
-    mode = _security_mode(cfg.link_mode)
-    report = asymptotic_rate(params, sigma_r2, mode)
-    row = {
+    sc = conditioned_scalars(params, sigma_r2, "gkp" if cfg.link_mode == "qt" else cfg.link_mode)
+    report = _rate_pieces(sc.phi_a, sc.psi, sc.phi_b, params.beta0, sc.phi_a_m1)
+    block = {
         "schema_version": SCHEMA_VERSION,
         "link_mode": cfg.link_mode,
         "la_km": l_a_km,
@@ -74,53 +82,43 @@ def rate_point(cfg: RunConfig, l_a_km: float, l_b_km: float,
         "qt_squeezing_db": cfg.qt_squeezing_db if cfg.link_mode == "qt" else "",
         "layers": cfg.layers,
     }
-    if cfg.finite_size is not None:
-        if n_total is None:
-            fs = cfg.finite_size
-        else:  # block-size sweeps keep the configured PE fraction
-            ratio = cfg.finite_size.pe_signals / cfg.finite_size.n_total
-            fs = replace(cfg.finite_size, n_total=n_total, m_pe=ratio * n_total)
-        row.update({
-            "rate_kind": "composable",
-            "total_pulse": fs.n_total,
-            "pe_signals": fs.pe_signals,
-            "digitalization": fs.d,
-            "ec_success_probability": fs.p_ec,
-            "eps_correctness": fs.eps_cor,
-            "eps_smoothing": fs.eps_s,
-            "eps_hashing": fs.eps_h,
-            "eps_pe": fs.eps_pe,
-            "rate_bits": composable_rate(params, sigma_r2, fs, mode),
-        })
-    else:
-        row.update({
-            "rate_kind": "asymptotic",  # finite-size columns stay blank
-            "rate_bits": report.rate,
-        })
-    return row
-
-
-def _rate_value(cfg: RunConfig, l_a_km: float, l_b_km: float) -> float:
-    params = replace(cfg.protocol, l_a_km=l_a_km, l_b_km=l_b_km)
-    sigma_r2, _, _ = link_sigma_r2(cfg, l_a_km)
-    mode = _security_mode(cfg.link_mode)
-    if cfg.finite_size is not None:
-        return composable_rate(params, sigma_r2, cfg.finite_size, mode)
-    return asymptotic_rate(params, sigma_r2, mode).rate
+    if cfg.finite_size is None:
+        block.update({"rate_kind": "asymptotic",  # finite-size columns stay blank
+                      "rate_bits": report.rate})
+        return block
+    fs = cfg.finite_size
+    if n_total is not None:  # block-size sweeps keep the configured PE fraction
+        ratio = fs.pe_signals / fs.n_total
+        fs = replace(fs, n_total=n_total, m_pe=ratio * n_total)
+    r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs)
+    block.update({
+        "rate_kind": "composable",
+        "total_pulse": fs.n_total,
+        "pe_signals": fs.pe_signals,
+        "digitalization": fs.d,
+        "ec_success_probability": fs.p_ec,
+        "eps_correctness": fs.eps_cor,
+        "eps_smoothing": fs.eps_s,
+        "eps_hashing": fs.eps_h,
+        "eps_pe": fs.eps_pe,
+        "rate_bits": composable_rate_from_pe(r_pe, fs),
+    })
+    return block
 
 
 def max_secure_distance(rate_fn, lo: float, hi: float) -> float:
     """Largest distance with positive rate, to 0.01 km.
 
-    The secure region can be bounded by a numerically noisy edge, so the
-    frontier is located as the supremum: a coarse 400-point scan finds the
-    last positive point, then bisection refines inside the bracketing cell,
-    and a guard extends the scan if the edge touches the last cell.
+    ``rate_fn`` maps an array of distances to their rates (and a scalar to
+    a scalar).  The secure region can be bounded by a numerically noisy
+    edge, so the frontier is located as the supremum: a coarse 400-point
+    scan, one ``rate_fn`` call, finds the last positive point, then scalar
+    bisection refines inside the bracketing cell, and a guard extends the
+    scan if the edge touches the last cell.
     """
     for _ in range(8):
         grid = np.linspace(lo, hi, _FRONTIER_POINTS)
-        vals = np.array([rate_fn(x) for x in grid])
-        pos = np.nonzero(vals > 0.0)[0]
+        pos = np.nonzero(rate_fn(grid) > 0.0)[0]
         if len(pos) == 0:
             return float("nan")
         i = pos[-1]
@@ -140,12 +138,12 @@ def max_secure_distance(rate_fn, lo: float, hi: float) -> float:
 
 def max_secure_lb(cfg: RunConfig, l_a_km: float, lo: float = 0.05,
                   hi: float = 1200.0) -> float:
-    return max_secure_distance(lambda lb: _rate_value(cfg, l_a_km, lb), lo, hi)
+    return max_secure_distance(lambda lb: rate_point(cfg, l_a_km, lb)["rate_bits"], lo, hi)
 
 
 def max_secure_la(cfg: RunConfig, l_b_km: float, lo: float = 0.05,
                   hi: float = 30.0) -> float:
-    return max_secure_distance(lambda la: _rate_value(cfg, la, l_b_km), lo, hi)
+    return max_secure_distance(lambda la: rate_point(cfg, la, l_b_km)["rate_bits"], lo, hi)
 
 
 def residual_rows(cfg: RunConfig) -> list[dict]:
@@ -162,25 +160,20 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
         "attenuation_db_per_km": alpha0,
         "thermal_photon_mean": cfg.protocol.n_bar,
     }
-    if sweep.axis == "layers":
-        l_a = cfg.protocol.l_a_km
-        layers = [int(c) for c in sweep.values()]
-        s2_seg = np.array([segment_noise(l_a, c, alpha0) for c in layers])
-        r_opt, v_seg = optimize_squeezing(s2_seg, cfg.ancilla)
-        s2_full = awgn_variance_preamp(10 ** (-alpha0 * l_a / 10))
-        return [{**common, "la_km": l_a, "layers": c, "sigma2": s2_full,
-                 "sigma_r2": concat_variance(v, c), "sigma_be2": break_even(s2_full),
-                 "sigma_lb2": lower_bound_variance(s2_full), "r_opt": r}
-                for c, r, v in zip(layers, r_opt.tolist(), v_seg.tolist())]
-    if sweep.axis != "la_km":
+    if sweep.axis not in ("la_km", "layers"):
         raise ConfigError("residual sweeps support axes la_km and layers")
-    l_as = sweep.values()
-    s2 = np.array([awgn_variance_preamp(10 ** (-alpha0 * l_a / 10), cfg.protocol.n_bar)
-                   for l_a in l_as])
-    r_opt, v = optimize_squeezing(s2, cfg.ancilla)
-    return [{**common, "la_km": l_a, "layers": 1, "sigma2": s, "sigma_r2": vi,
-             "sigma_be2": break_even(s), "sigma_lb2": lower_bound_variance(s), "r_opt": r}
-            for l_a, s, r, vi in zip(l_as, s2.tolist(), r_opt.tolist(), v.tolist())]
+    values = np.array(sweep.values())
+    if sweep.axis == "la_km":
+        l_a, layers = values, 1
+    else:
+        l_a, layers = cfg.protocol.l_a_km, values.astype(int)
+    n_bar = cfg.protocol.n_bar
+    s2 = awgn_variance_preamp(fiber_transmittance(l_a, alpha0), n_bar)
+    s2_seg = awgn_variance_preamp(fiber_transmittance(l_a / layers, alpha0), n_bar)
+    r_opt, v_seg = optimize_squeezing(s2_seg, cfg.ancilla)
+    return [{**common, "la_km": l_a, "layers": layers, "sigma2": s2,
+             "sigma_r2": concat_variance(v_seg, layers), "sigma_be2": break_even(s2),
+             "sigma_lb2": lower_bound_variance(s2), "r_opt": r_opt}]
 
 
 def rate_rows(cfg: RunConfig) -> list[dict]:
@@ -207,11 +200,11 @@ def rate_rows(cfg: RunConfig) -> list[dict]:
         }]
     if sweep.axis not in ("lb_km", "la_km", "total_pulse"):
         raise ConfigError("rate sweeps support axes lb_km, la_km and total_pulse")
+    values = np.array(sweep.values(), dtype=float)
     base = cfg.protocol
-    return [rate_point(cfg, v if sweep.axis == "la_km" else base.l_a_km,
-                       v if sweep.axis == "lb_km" else base.l_b_km,
-                       v if sweep.axis == "total_pulse" else None)
-            for v in sweep.values()]
+    return [rate_point(cfg, values if sweep.axis == "la_km" else base.l_a_km,
+                       values if sweep.axis == "lb_km" else base.l_b_km,
+                       values if sweep.axis == "total_pulse" else None)]
 
 
 def fading_rows(cfg: RunConfig) -> list[dict]:
@@ -231,14 +224,14 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
         "gkp_squeezing_db": cfg.ancilla.squeezing_db if not cfg.ancilla.ideal else "",
     }
     taus = np.linspace(fading_quantile(1e-7, fad), fad.tau0, _PDF_ROWS)
-    rows = [{**common, "row_kind": "pdf", "tau_a": t, "pdf_density": d, "sigma_r2_of_tau": s}
-            for t, d, s in zip(taus, fading_pdf(taus, fad), sigma_r2_of_tau(fad, policy, taus))]
+    blocks = [{**common, "row_kind": "pdf", "tau_a": taus, "pdf_density": fading_pdf(taus, fad),
+               "sigma_r2_of_tau": sigma_r2_of_tau(fad, policy, taus)}]
     nodes = _residual_nodes(fad, policy)  # shared by the summary and every rate row
-    rows.append({**common, "row_kind": "summary", "mean_sigma_r2": _mean_at(nodes),
-                 "mean_tau": mean_transmittance(fad), "xi": _xi_at(nodes, cfg.protocol)})
+    blocks.append({**common, "row_kind": "summary", "mean_sigma_r2": _mean_at(nodes),
+                   "mean_tau": mean_transmittance(fad), "xi": _xi_at(nodes, cfg.protocol)})
     if cfg.sweep.axis == "lb_km" and cfg.finite_size is not None:
-        for lb in cfg.sweep.values():
-            params = replace(cfg.protocol, l_b_km=lb)
-            rows.append({**common, "row_kind": "rate", "lb_km": lb,
-                         "rate_bits": _composable_at(nodes, params, cfg.finite_size)})
-    return rows
+        lbs = np.array(cfg.sweep.values(), dtype=float)
+        params = replace(cfg.protocol, l_b_km=lbs)
+        blocks.append({**common, "row_kind": "rate", "lb_km": lbs,
+                       "rate_bits": _composable_at(nodes, params, cfg.finite_size)})
+    return blocks

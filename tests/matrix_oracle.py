@@ -13,9 +13,9 @@ entropic quantities, kept for tests only:
 
 The conditioning shares no code with production (only the entropy function
 and the tail-bound shift are imported): the per-mode A' variance and
-correlation are restated below from the link models, so a comparison
-against :func:`gkpmdi.security.conditioned_scalars` also checks its link
-table.
+correlation are derived below from the channel steps (thermal loss,
+amplification), so a comparison against
+:func:`gkpmdi.security.conditioned_scalars` also checks its link table.
 
 Conventions: quadrature ordering (q1, p1, q2, p2, ...); covariance matrices
 in shot-noise units with vacuum variance 1, so a physical state satisfies
@@ -34,25 +34,35 @@ from gkpmdi.finite_size import FiniteSizeParams, correlation_shift, kappa_from_e
 from gkpmdi.security import h_function
 
 
+def _thermal_loss(v, c2, tau, n_bar):
+    """Thermal-loss channel on A' (vacuum-1 units): V -> tau V + (1 - tau)(2 n_bar + 1),
+    and the a-A' correlation shrinks by sqrt(tau)."""
+    return tau * v + (1.0 - tau) * (2.0 * n_bar + 1.0), tau * c2
+
+
+def _amplifier(v, c2, gain):
+    """Phase-insensitive amplifier of gain g: V -> g V + (g - 1), and the
+    a-A' correlation grows by sqrt(g)."""
+    return gain * v + (gain - 1.0), gain * c2
+
+
 def link_coefficients(mode: str, params: ProtocolParams, sigma_r2: float = 0.0):
     """(A'-variance, squared a-A' correlation) of the travelling mode A'.
 
-    A' carries gain * sigma_a^2 + 1 + noise with (gain, noise) set by the link:
-    ``direct`` is loss tau_a plus a thermal background 2 n_bar; ``preamp``
-    undoes the loss, leaving additive noise 2 (n_bar + 1 - tau_a); ``gkp``
-    leaves the corrected residual 2 sigma_r2.  The a-A' correlation of the
-    two-mode squeezed source, sigma_a^2 (sigma_a^2 + 2), scales with the gain.
+    Composed from the channel steps acting on the source arm (variance
+    sigma_a^2 + 1, squared correlation sigma_a^2 (sigma_a^2 + 2)): ``direct``
+    is the thermal-loss channel; ``preamp`` amplifies by 1/tau_a and then
+    crosses the thermal loss; ``gkp`` leaves the corrected residual 2 sigma_r2.
     """
     sa2, tau_a, n_bar = params.sigma2_a, params.tau_a, params.n_bar
+    v, c2 = sa2 + 1.0, sa2 * (sa2 + 2.0)
     if mode == "direct":
-        gain, noise = tau_a, 2.0 * n_bar
-    elif mode == "preamp":
-        gain, noise = 1.0, 2.0 * (n_bar + 1.0 - tau_a)
-    elif mode == "gkp":
-        gain, noise = 1.0, 2.0 * sigma_r2
-    else:
-        raise ValueError(f"unknown link mode {mode!r}")
-    return gain * sa2 + 1.0 + noise, gain * sa2 * (sa2 + 2.0)
+        return _thermal_loss(v, c2, tau_a, n_bar)
+    if mode == "preamp":
+        return _thermal_loss(*_amplifier(v, c2, 1.0 / tau_a), tau_a, n_bar)
+    if mode == "gkp":
+        return v + 2.0 * sigma_r2, c2
+    raise ValueError(f"unknown link mode {mode!r}")
 
 
 SYMPLECTIC_TOL = 1e-12
@@ -161,7 +171,8 @@ def theta_value(params: ProtocolParams, mode: str = "gkp", sigma_r2: float = 0.0
     Equals half the sum of the travelling-mode variances:
     (sigma_a^2 + 2 sigma_r^2 + tau_b sigma_b^2 + 2)/2 for the corrected link
     and (sigma_a^2 - 2 tau_a + tau_b sigma_b^2 + 4)/2 for pre-amp only
-    (pure loss; a thermal background adds 2 n_bar to the A' variance).
+    (pure loss; a thermal background adds 2 n_bar (1 - tau_a) to the A'
+    variance on either link).
     """
     va, _ = link_coefficients(mode, params, sigma_r2)
     vb = params.tau_b * params.sigma2_b + 1.0

@@ -22,10 +22,12 @@ def test_preamp_variance():
 
 
 def test_preamp_variance_monotone_and_floor():
+    # the thermal background enters through the loss: (1 + n_bar)(1 - tau)
     taus = np.linspace(0.05, 1.0, 50)
-    vals = [awgn_variance_preamp(t, 0.2) for t in taus]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert all(v >= 0.2 - 1e-12 for v in vals)
+    vals = awgn_variance_preamp(taus, 0.2)
+    assert np.all(np.diff(vals) < 0)
+    assert np.all(vals >= awgn_variance_preamp(taus)) and vals[-1] == 0.0
+    assert np.allclose(vals, 1.2 * (1.0 - taus), rtol=1e-15, atol=0.0)
 
 
 def test_qt_variance():

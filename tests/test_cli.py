@@ -2,9 +2,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gkpmdi.cli import main
+from gkpmdi.cli import main, write_rows
 from gkpmdi.config import ConfigError, load_config, reference_fading_config
 
 FIBER_INI = """
@@ -344,3 +345,105 @@ def test_shipped_configs_parse():
         assert cfg.scenario == "free_space"
         assert cfg.fading is not None
         assert cfg.ancilla.squeezing_db == 25.0
+
+
+def test_zero_length_gkp_link(tmp_path):
+    # a lossless A link carries no noise: the code has nothing to correct
+    ini = FIBER_INI.replace("la_km = 1.0", "la_km = 0.0")
+    grid = ini.replace("axis = lb_km", "axis = la_km").replace("start = 6", "start = 0") \
+        .replace("stop = 10", "stop = 1").replace("step = 2", "step = 0.5")
+    out = str(tmp_path / "la.csv")
+    assert main(["rate", "--config", write(tmp_path, grid), "--output", out]) == 0
+    rows = rows_of(out)
+    assert [float(r["la_km"]) for r in rows] == [0.0, 0.5, 1.0]
+    assert float(rows[0]["sigma_r2"]) == 0.0 < float(rows[1]["sigma_r2"])
+    assert float(rows[0]["rate_bits"]) > float(rows[1]["rate_bits"]) > 0.0
+    # asymptotic lb frontier: the corrected lossless link is the direct one (852 km)
+    front = str(tmp_path / "front.csv")
+    frontier = ini.replace("mode = grid", "mode = frontier").replace(
+        "[finite_size]\ntotal_pulse = 1e8\n", "")
+    assert main(["rate", "--config", write(tmp_path, frontier), "--output", front]) == 0
+    assert abs(float(rows_of(front)[0]["max_secure_km"]) - 852.0) <= 5.0
+    res = str(tmp_path / "res.csv")
+    residual = RESIDUAL_INI.replace("start = 1", "start = 0")
+    assert main(["residual", "--config", write(tmp_path, residual), "--output", res]) == 0
+    first = rows_of(res)[0]
+    assert float(first["sigma2"]) == float(first["sigma_r2"]) == float(first["r_opt"]) == 0.0
+
+
+def test_unphysical_element_of_a_block_sweep_is_a_config_error(tmp_path, capsys):
+    ini = FIBER_INI.replace("axis = lb_km", "axis = total_pulse").replace(
+        "start = 6", "start = 100").replace("stop = 10", "stop = 1e9").replace(
+        "step = 2", "step = 5e8")
+    assert main(["rate", "--config", write(tmp_path, ini)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "m_pe = 10 " in err and "Traceback" not in err
+
+
+def test_flags_only_where_they_act(tmp_path, capsys):
+    for argv in (["rate", "--seed", "3"], ["residual", "--samples", "10"],
+                 ["validate", "--config", "x"], ["validate", "--samples", "0", "--config", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    # every command keeps --jobs, --output and --format
+    out = str(tmp_path / "v.json")
+    assert main(["validate", "--samples", "0", "--jobs", "1", "--output", out,
+                 "--format", "json"]) == 0
+
+
+def _reference_write_rows(rows, columns, path, fmt, command):
+    """The per-cell writer the columnar one replaced: one dict per row."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    if fmt == "csv":
+        with open(path, "w", newline="", encoding="utf-8") as out:
+            writer = csv.writer(out)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([cell(row.get(c, "")) for c in columns])
+        return
+    doc = {
+        "schema_version": "1",
+        "command": command,
+        "rows": [{c: (float(row[c]) if isinstance(row.get(c), (float, np.floating))
+                      else row.get(c, "")) for c in columns} for row in rows],
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _as_rows(blocks):
+    rows = []
+    for block in blocks:
+        arrays = {k: v.tolist() for k, v in block.items() if isinstance(v, np.ndarray)}
+        n = len(next(iter(arrays.values()))) if arrays else 1
+        rows += [{k: arrays[k][i] if k in arrays else v for k, v in block.items()}
+                 for i in range(n)]
+    return rows
+
+
+def test_columnar_writer_matches_per_cell_writer(tmp_path):
+    columns = ["kind", "x", "y", "count", "note", "maybe", "absent", "tiny"]
+    block_sets = {
+        "mixed": [
+            {"kind": "grid", "x": np.linspace(0.1, 3.0, 7), "y": np.geomspace(1e-12, 7.0, 7),
+             "count": np.arange(1, 8), "note": "echo", "maybe": None, "tiny": 5e-324},
+            {"kind": "summary", "x": 0.5, "y": np.float64(-2.5), "count": 3, "note": "a,b"},
+            {"kind": "empty", "x": np.array([]), "y": np.array([])},
+            {"kind": "edge", "x": np.array([0.0, -0.0, 1e300]), "count": np.array([0, -1, 2])},
+        ],
+        "zero_rows": [{"kind": "grid", "x": np.array([]), "count": np.array([], dtype=int)}],
+        "no_blocks": [],
+    }
+    for name, blocks in block_sets.items():
+        for fmt in ("csv", "json"):
+            new, ref = tmp_path / f"{name}.{fmt}", tmp_path / f"{name}.ref.{fmt}"
+            write_rows(blocks, columns, str(new), fmt, "rate")
+            _reference_write_rows(_as_rows(blocks), columns, str(ref), fmt, "rate")
+            assert new.read_bytes() == ref.read_bytes(), (name, fmt)

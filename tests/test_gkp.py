@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from gkpmdi import gkp
 from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, break_even, concat_residual_variance,
                         concat_variance, effective_estimator_gain, lower_bound_variance,
-                        optimize_squeezing, residual_variance, segment_noise,
-                        syndrome_reduce, wrapped_moments)
+                        optimize_squeezing, residual_variance, syndrome_reduce,
+                        wrapped_moments)
 from gkpmdi.mc import RngStream, mc_residual_variance
 from matrix_oracle import (conditioning_blocks, linear_estimator, mu_tilde,
                            reshaped_noise_cm, symplectic_form)
@@ -290,9 +290,10 @@ def test_concat_variance():
     assert concat_variance(0.05, 4) == pytest.approx(0.2)
     with pytest.raises(ValueError):
         concat_variance(0.05, 0)
-    s2_seg = segment_noise(3.0, 4)
-    assert s2_seg == pytest.approx(1.0 - 10 ** (-0.2 * 0.75 / 10), rel=1e-12)
     total, per, r_opt = concat_residual_variance(3.0, 4, DB20)
+    # each of the four 0.75 km segments is corrected on its own compensated noise
+    assert per == pytest.approx(optimize_squeezing(1.0 - 10 ** (-0.2 * 0.75 / 10), DB20)[1],
+                                rel=1e-12)
     assert total == pytest.approx(4 * per, rel=1e-12)
     assert r_opt > 0
 

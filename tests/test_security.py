@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,28 +63,34 @@ def test_conditioned_state_hand_values():
 
 
 @st.composite
-def _link_points(draw):
+def _link_batches(draw):
     mode = draw(st.sampled_from(("direct", "preamp", "gkp")))
     n_bar = 0.0 if mode == "gkp" else draw(st.floats(0.0, 0.2))
-    p = ProtocolParams(l_a_km=draw(st.floats(0.0, 5.0)), l_b_km=draw(st.floats(0.0, 30.0)),
+    n = draw(st.integers(1, 6))
+
+    def column(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    p = ProtocolParams(l_a_km=column(0.0, 5.0), l_b_km=column(0.0, 30.0),
                        sigma2_a=draw(st.floats(5.0, 40.0)), sigma2_b=draw(st.floats(5.0, 40.0)),
                        n_bar=n_bar)
-    return p, draw(st.floats(0.0, 0.3)), mode
+    return p, column(0.0, 0.3), mode
 
 
 @settings(derandomize=True, deadline=None)
-@given(_link_points())
-def test_scalar_path_matches_matrix_path(point):
-    # the oracle restates the link table, so this also checks _link_coefficients
-    p, sr2, mode = point
+@given(_link_batches())
+def test_scalar_path_matches_matrix_path(batch):
+    # the oracle derives the link table from the channel, so this also checks
+    # _link_coefficients; the closed forms run on the whole batch at once
+    p, sr2, mode = batch
     sc = conditioned_scalars(p, sr2, mode)
-    state = conditioned_state(p, sr2, mode)
-    assert state.cm[0, 0] == pytest.approx(sc.phi_a, rel=1e-11)
-    assert state.cm[0, 2] == pytest.approx(sc.psi, rel=1e-11)
-    assert state.cm[2, 2] == pytest.approx(sc.phi_b, rel=1e-11)
-    # cancellation-free variants agree in the moderate regime
+    for k in range(len(sr2)):
+        state = conditioned_state(replace(p, l_a_km=p.l_a_km[k], l_b_km=p.l_b_km[k]), sr2[k], mode)
+        assert state.cm[0, 0] == pytest.approx(sc.phi_a[k], rel=1e-11)
+        assert state.cm[0, 2] == pytest.approx(sc.psi[k], rel=1e-11)
+        assert state.cm[2, 2] == pytest.approx(sc.phi_b[k], rel=1e-11)
+    # the cancellation-free variant agrees in the moderate regime
     assert sc.phi_a_m1 == pytest.approx(sc.phi_a - 1.0, rel=1e-9)
-    assert sc.phi_b_m1 == pytest.approx(sc.phi_b - 1.0, rel=1e-9)
 
 
 def test_mutual_information_zero_without_correlation():
@@ -194,6 +202,16 @@ def test_thermal_background_lowers_the_rate():
     sc = conditioned_scalars(p, 0.0, "direct")
     assert state.cm[0, 0] == pytest.approx(sc.phi_a, rel=1e-11)
     assert sc.phi_a_m1 == pytest.approx(sc.phi_a - 1.0, rel=1e-9)
+
+
+def test_thermal_background_vanishes_on_a_lossless_link():
+    # thermal noise enters through the loss, so a zero-length A link is clean
+    for mode in ("direct", "preamp", "gkp"):
+        clean = asymptotic_rate(params(0.0, 5.0), 0.0, mode)
+        warm = asymptotic_rate(params(0.0, 5.0, n_bar=0.1), 0.0, mode)
+        assert warm.rate == clean.rate == pytest.approx(1.0497, abs=1e-4), mode
+    s2 = awgn_variance_preamp(params(0.0, 5.0).tau_a, 0.1)
+    assert s2 == 0.0 and optimize_squeezing(s2, GkpAncilla(20.0)) == (0.0, 0.0)
 
 
 def test_condition_rejects_bad_theta():

@@ -24,7 +24,7 @@ def test_max_secure_distance_simple_root():
 
 
 def test_max_secure_distance_no_secure_region():
-    assert np.isnan(max_secure_distance(lambda x: -1.0, 0.1, 100.0))
+    assert np.isnan(max_secure_distance(lambda x: np.full(np.shape(x), -1.0), 0.1, 100.0))
 
 
 def test_max_secure_distance_expands_window():
@@ -34,9 +34,7 @@ def test_max_secure_distance_expands_window():
 def test_max_secure_distance_takes_last_positive():
     # isolated false negatives below the true edge must not stop the search
     def noisy(x):
-        if 4.9 < x < 4.95:
-            return -1e-18
-        return 10.0 - x
+        return np.where((4.9 < x) & (x < 4.95), -1e-18, 10.0 - x)
 
     assert max_secure_distance(noisy, 0.1, 100.0) == pytest.approx(10.0, abs=0.01)
 
@@ -79,3 +77,19 @@ def test_frontier_la_consistent_with_rate_sign():
     just_inside = rate_point(c, edge - 0.05, 5.0)["rate_bits"]
     just_outside = rate_point(c, edge + 0.05, 5.0)["rate_bits"]
     assert just_inside > 0 >= just_outside
+
+
+@pytest.mark.parametrize("mode", ["gkp", "qt", "direct"])
+def test_rate_point_block_matches_single_points(mode):
+    # one block over la (a batched link optimization), lb or block size
+    c = cfg(mode)
+    axes = [(np.array([0.0, 0.5, 1.7, 3.0]), 10.0, None),
+            (1.0, np.array([2.0, 8.0, 15.0, 30.0]), None),
+            (1.0, 8.0, np.array([1e8, 3e8, 1e9, 1e10]))]
+    for args in axes:
+        block = rate_point(c, *args)
+        for k in range(4):
+            row = rate_point(c, *(a[k] if isinstance(a, np.ndarray) else a for a in args))
+            assert row.keys() == block.keys()
+            for col, value in block.items():
+                assert (value[k] if isinstance(value, np.ndarray) else value) == row[col], col
