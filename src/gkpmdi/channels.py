@@ -59,9 +59,9 @@ def _as_output(x):
 def fiber_transmittance(length_km, alpha0_db_per_km: float = 0.2):
     """Fiber transmittance 10^(-alpha0 * L / 10), elementwise.
 
-    Each power is Python's float ``**`` (the C library's pow): numpy's
-    vectorized power is off from it by one ulp on a few per cent of
-    elements, which would make a transmittance depend on how it was batched.
+    Each power is Python's float ``**`` (the C library's pow, which the
+    scalar code always used): numpy's vectorized power differs from it by
+    one ulp on a few per cent of elements.
     """
     length = np.asarray(length_km, dtype=float)
     if np.any(length < 0):
