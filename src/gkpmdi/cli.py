@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -45,16 +44,44 @@ def _block_length(block: dict) -> int:
     return max((len(v) for v in block.values() if isinstance(v, np.ndarray)), default=1)
 
 
-def _column(value, n: int) -> tuple[list, list[str]]:
-    """n JSON values and n CSV cells of one column: an echoed value is
-    formatted once, an array column element by element."""
+def _values(value, n: int) -> list:
+    """n JSON values of one column: an array element by element, an echoed
+    value repeated."""
     if isinstance(value, np.ndarray):
-        values = value.tolist()
-        return values, list(map(repr if value.dtype.kind == "f" else str, values))
+        return value.tolist()
+    return [float(value) if isinstance(value, np.floating) else value] * n
+
+
+def _csv_cell(value) -> str:
+    """An echoed value as csv.writer's minimal quoting writes it: floats by
+    ``repr``, None blank, anything else by ``str``."""
     if isinstance(value, np.floating):
         value = float(value)
     text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
-    return [value] * n, [text] * n
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(cells: list[str]) -> str:
+    """Cells joined into one CSV line; csv.writer quotes a lone empty field."""
+    return ('""' if cells == [""] else ",".join(cells)) + "\r\n"
+
+
+def _csv_lines(block: dict, columns: list[str]):
+    """A block's CSV lines from one template: echoed cells are formatted and
+    quoted once, an array column is a ``%r`` (float) or ``%s`` slot filled
+    per row.  Array columns hold numbers or bools, which never need quoting."""
+    cells, arrays = [], []
+    for c in columns:
+        value = block.get(c, "")
+        if isinstance(value, np.ndarray):
+            cells.append("%r" if value.dtype.kind == "f" else "%s")
+            arrays.append(value.tolist())
+        else:
+            cells.append(_csv_cell(value).replace("%", "%%"))
+    line = _csv_line(cells)
+    return map(line.__mod__, zip(*arrays)) if arrays else [line % ()]
 
 
 def write_rows(blocks: list[dict], columns: list[str], path: str | None,
@@ -64,11 +91,9 @@ def write_rows(blocks: list[dict], columns: list[str], path: str | None,
     if fmt == "csv":
         out = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
         try:
-            writer = csv.writer(out)
-            writer.writerow(columns)
+            out.write(_csv_line([_csv_cell(c) for c in columns]))
             for block in blocks:
-                n = _block_length(block)
-                writer.writerows(zip(*(_column(block.get(c, ""), n)[1] for c in columns)))
+                out.writelines(_csv_lines(block, columns))
         finally:
             if path is not None:
                 out.close()
@@ -77,7 +102,7 @@ def write_rows(blocks: list[dict], columns: list[str], path: str | None,
     for block in blocks:
         n = _block_length(block)
         rows.extend(dict(zip(columns, values))
-                    for values in zip(*(_column(block.get(c, ""), n)[0] for c in columns)))
+                    for values in zip(*(_values(block.get(c, ""), n) for c in columns)))
     doc = {"schema_version": SCHEMA_VERSION, "command": command, "rows": rows}
     text = json.dumps(doc, indent=2) + "\n"
     if path is None:
@@ -104,6 +129,9 @@ def cmd_rate(args) -> int:
     cfg = load_config(args.config)
     blocks = rate_rows(cfg)
     columns = FRONTIER_COLUMNS if cfg.sweep.mode == "frontier" else RATE_COLUMNS
+    if cfg.sweep.mode == "frontier" and blocks[0]["unphysical_points"]:
+        print(f"note: the frontier scan met {blocks[0]['unphysical_points']} points whose "
+              "worst-case state is unphysical; they count as not secure", file=sys.stderr)
     if cfg.sweep.mode == "frontier" and blocks[0]["max_secure_km"] is None:
         print(f"note: no secure point found along {cfg.sweep.axis}; "
               "max_secure_km is left empty", file=sys.stderr)

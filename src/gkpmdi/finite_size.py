@@ -7,7 +7,8 @@ worst-case state is again of the closed form [[phi_a I, psi' Z],
 [psi' Z, phi_b I]] with psi' = psi - shift.  The composable rate evaluates
 the asymptotic rate functional on (phi_a, psi', phi_b).  A block so small
 that the shift leaves the physical cone is reported as
-:class:`UnphysicalWorstCaseError`, never clamped.
+:class:`UnphysicalWorstCaseError`, never clamped; a frontier scan reads such
+a point as not secure.
 The rates broadcast over arrays, block sizes (``n_total``, ``m_pe``) included.
 """
 from __future__ import annotations
@@ -89,13 +90,15 @@ def epsilon_total(fs: FiniteSizeParams) -> float:
     return fs.eps_cor + fs.eps_s + fs.eps_h + fs.p_ec * fs.eps_pe
 
 
-def pe_rate_from_scalars(phi_a, psi, phi_b, beta0: float, fs: FiniteSizeParams):
+def pe_rate_from_scalars(phi_a, psi, phi_b, beta0: float, fs: FiniteSizeParams,
+                         strict: bool = True):
     """Asymptotic rate functional evaluated on the worst-case correlations.
 
-    Raises :class:`UnphysicalWorstCaseError` unless every shifted state is
-    physical, i.e. its smaller symplectic eigenvalue
-    (sqrt((phi_a + phi_b)^2 - 4 psi'^2) - |phi_b - phi_a|)/2 is at least 1;
-    the message names the first unphysical element.
+    A shifted state is unphysical where its smaller symplectic eigenvalue
+    (sqrt((phi_a + phi_b)^2 - 4 psi'^2) - |phi_b - phi_a|)/2 is below 1.
+    Raises :class:`UnphysicalWorstCaseError`, naming the first such element,
+    unless every shifted state is physical; with ``strict=False`` such
+    elements are NaN instead, which a frontier scan counts as not secure.
     """
     m_pe = fs.pe_signals
     shift = correlation_shift(phi_a, phi_b, kappa_from_eps(fs.eps_pe), m_pe)
@@ -105,12 +108,14 @@ def pe_rate_from_scalars(phi_a, psi, phi_b, beta0: float, fs: FiniteSizeParams):
     # disc2 < 0 clips to 0, which leaves the eigenvalue below 1
     nu_min = (np.sqrt(np.maximum(disc2, 0.0)) - np.abs(phi_b - phi_a)) / 2.0
     bad = nu_min < 1.0 - PHYSICALITY_TOL
-    if np.any(bad):
+    if strict and np.any(bad):
         m_pe, shift, psi = (np.broadcast_to(x, bad.shape)[bad][0] for x in (m_pe, shift, psi))
         raise UnphysicalWorstCaseError(
             f"worst-case state is unphysical at m_pe = {m_pe:g} (correlation "
             f"shift {shift:.6g} against psi {psi:.6g}): enlarge the parameter-estimation block")
-    return _rate_pieces(phi_a, psi_wc, phi_b, beta0).rate
+    # the unshifted state is physical: it stands in where the shifted one is not
+    rate = _rate_pieces(phi_a, np.where(bad, psi, psi_wc), phi_b, beta0).rate
+    return _as_output(np.where(bad, np.nan, rate))
 
 
 def composable_rate(params: ProtocolParams, sigma_r2, fs: FiniteSizeParams,

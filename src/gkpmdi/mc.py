@@ -66,28 +66,31 @@ def mc_residual_variance(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL,
     sums = np.zeros(2)
     sums2 = np.zeros(2)
     sums4 = np.zeros(2)
+
+    def accumulate(k, out):
+        sq = out * out
+        sums[k] += out.sum()
+        sums2[k] += sq.sum()
+        sums4[k] += (sq * sq).sum()
+
+    def wrapped(u):
+        # the ancilla readout, broadened by syndrome noise, modulo the lattice
+        if dsyn > 0:
+            u = u + gen.normal(0.0, dsyn, size=u.shape)
+        return syndrome_reduce(u)
+
     done = 0
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
         xi = gen.normal(0.0, sd, size=(4, m)) if sd > 0 else np.zeros((4, m))
-        z_qd = c * xi[0] - s * xi[2]
-        z_pd = c * xi[1] - s * xi[3]
-        z_qa = c * xi[2] - s * xi[0]
-        z_pa = c * xi[3] - s * xi[1]
-        u1 = z_pa
-        u2 = -z_qa
-        if dsyn > 0:
-            u1 = u1 + gen.normal(0.0, dsyn, size=m)
-            u2 = u2 + gen.normal(0.0, dsyn, size=m)
-        t1 = syndrome_reduce(u1)
-        t2 = syndrome_reduce(u2)
-        out_q = z_qd - phi * t2
-        out_p = z_pd + phi * t1
-        for k, arr in enumerate((out_q, out_p)):
-            sq = arr * arr
-            sums[k] += arr.sum()
-            sums2[k] += sq.sum()
-            sums4[k] += (sq * sq).sum()
+        # the p output, then the q output: only one path's temporaries are
+        # alive at a time, and the syndrome-noise draws keep their order
+        t1 = wrapped(c * xi[3] - s * xi[1])                   # u1 = z_pa
+        accumulate(1, c * xi[1] - s * xi[3] + phi * t1)       # z_pd + phi t1
+        del t1
+        t2 = wrapped(-(c * xi[2] - s * xi[0]))                # u2 = -z_qa
+        accumulate(0, c * xi[0] - s * xi[2] - phi * t2)       # z_qd - phi t2
+        del t2, xi
         done += m
     n = float(n_samples)
     means = sums / n

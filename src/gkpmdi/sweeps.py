@@ -1,7 +1,8 @@
 """Sweep execution and secure-distance frontiers shared by the CLI and tests.
 
 Row builders return blocks: dicts mapping each output column to one echoed
-value or to a 1-D array with one element per row.
+value or to a 1-D array with one element per row.  A frontier block also
+carries ``unphysical_points``, a diagnostic that no output column holds.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ from .security import _rate_pieces, conditioned_scalars
 SCHEMA_VERSION = "1"
 _FRONTIER_POINTS = 400
 _FRONTIER_RESOLUTION_KM = 0.01
+_LB_WINDOW_KM = (0.05, 1200.0)  # initial frontier scan windows
+_LA_WINDOW_KM = (0.05, 30.0)
 _PDF_ROWS = 1000
 
 
@@ -51,12 +54,14 @@ def link_sigma_r2(cfg: RunConfig, l_a_km: float) -> tuple[float, float, float]:
     return _link(cfg, l_a_km)
 
 
-def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None) -> dict:
+def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True) -> dict:
     """Secret-key rates as one block of output columns.
 
     ``l_a_km``, ``l_b_km`` and ``n_total`` (None keeps the configured block
     size) are scalars or equal-length 1-D arrays.  The conditioned scalars
     are formed once and feed both the asymptotic and the composable columns.
+    ``strict`` is passed to :func:`pe_rate_from_scalars`: when False, an
+    unphysical worst-case state gives a NaN composable rate, not an error.
     """
     sigma_r2 = (link_sigma_r2 if np.ndim(l_a_km) == 0 else _link)(cfg, l_a_km)[0]
     params = replace(cfg.protocol, l_a_km=l_a_km, l_b_km=l_b_km)
@@ -90,7 +95,7 @@ def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None) -> dict:
     if n_total is not None:  # block-size sweeps keep the configured PE fraction
         ratio = fs.pe_signals / fs.n_total
         fs = replace(fs, n_total=n_total, m_pe=ratio * n_total)
-    r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs)
+    r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs, strict)
     block.update({
         "rate_kind": "composable",
         "total_pulse": fs.n_total,
@@ -136,14 +141,30 @@ def max_secure_distance(rate_fn, lo: float, hi: float) -> float:
     return float("nan")
 
 
-def max_secure_lb(cfg: RunConfig, l_a_km: float, lo: float = 0.05,
-                  hi: float = 1200.0) -> float:
-    return max_secure_distance(lambda lb: rate_point(cfg, l_a_km, lb)["rate_bits"], lo, hi)
+def _frontier(cfg: RunConfig, l_a_km, l_b_km, lo: float, hi: float) -> tuple[float, int]:
+    """Largest secure distance along the link whose length is None, and the
+    number of scanned points whose worst-case state was unphysical: their
+    NaN rate counts as not secure."""
+    unphysical = 0
+
+    def rate_fn(x):
+        nonlocal unphysical
+        rate = rate_point(cfg, x if l_a_km is None else l_a_km,
+                          x if l_b_km is None else l_b_km, strict=False)["rate_bits"]
+        unphysical += int(np.count_nonzero(np.isnan(rate)))
+        return rate
+
+    return max_secure_distance(rate_fn, lo, hi), unphysical
 
 
-def max_secure_la(cfg: RunConfig, l_b_km: float, lo: float = 0.05,
-                  hi: float = 30.0) -> float:
-    return max_secure_distance(lambda la: rate_point(cfg, la, l_b_km)["rate_bits"], lo, hi)
+def max_secure_lb(cfg: RunConfig, l_a_km: float, lo: float = _LB_WINDOW_KM[0],
+                  hi: float = _LB_WINDOW_KM[1]) -> float:
+    return _frontier(cfg, l_a_km, None, lo, hi)[0]
+
+
+def max_secure_la(cfg: RunConfig, l_b_km: float, lo: float = _LA_WINDOW_KM[0],
+                  hi: float = _LA_WINDOW_KM[1]) -> float:
+    return _frontier(cfg, None, l_b_km, lo, hi)[0]
 
 
 def residual_rows(cfg: RunConfig) -> list[dict]:
@@ -181,14 +202,15 @@ def rate_rows(cfg: RunConfig) -> list[dict]:
     sweep = cfg.sweep
     if sweep.mode == "frontier":
         if sweep.axis == "lb_km":
-            value = max_secure_lb(cfg, cfg.protocol.l_a_km)
+            value, unphysical = _frontier(cfg, cfg.protocol.l_a_km, None, *_LB_WINDOW_KM)
             axis_echo = {"la_km": cfg.protocol.l_a_km}
         elif sweep.axis == "la_km":
-            value = max_secure_la(cfg, cfg.protocol.l_b_km)
+            value, unphysical = _frontier(cfg, None, cfg.protocol.l_b_km, *_LA_WINDOW_KM)
             axis_echo = {"lb_km": cfg.protocol.l_b_km}
         else:
             raise ConfigError("frontier mode supports axes lb_km and la_km")
         return [{
+            "unphysical_points": unphysical,
             "schema_version": SCHEMA_VERSION,
             "link_mode": cfg.link_mode,
             "frontier_axis": sweep.axis,

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkpmdi.cli import main, write_rows
+from gkpmdi.cli import RATE_COLUMNS, main, write_rows
 from gkpmdi.config import ConfigError, load_config, reference_fading_config
+from gkpmdi.sweeps import rate_rows
 
 FIBER_INI = """
 [protocol]
@@ -428,7 +429,7 @@ def _as_rows(blocks):
     return rows
 
 
-def test_columnar_writer_matches_per_cell_writer(tmp_path):
+def test_columnar_writer_matches_per_cell_writer(tmp_path, capsys):
     columns = ["kind", "x", "y", "count", "note", "maybe", "absent", "tiny"]
     block_sets = {
         "mixed": [
@@ -437,6 +438,11 @@ def test_columnar_writer_matches_per_cell_writer(tmp_path):
             {"kind": "summary", "x": 0.5, "y": np.float64(-2.5), "count": 3, "note": "a,b"},
             {"kind": "empty", "x": np.array([]), "y": np.array([])},
             {"kind": "edge", "x": np.array([0.0, -0.0, 1e300]), "count": np.array([0, -1, 2])},
+        ],
+        "awkward_text": [
+            {"kind": '100% "quoted", text\nover lines', "x": np.array([np.nan, np.inf, -np.inf]),
+             "count": np.array([True, False, True]), "note": "%s %r %%", "maybe": "x\ry"},
+            {"kind": "%", "note": '"', "maybe": ",", "tiny": "\n"},  # no array columns
         ],
         "zero_rows": [{"kind": "grid", "x": np.array([]), "count": np.array([], dtype=int)}],
         "no_blocks": [],
@@ -447,3 +453,45 @@ def test_columnar_writer_matches_per_cell_writer(tmp_path):
             write_rows(blocks, columns, str(new), fmt, "rate")
             _reference_write_rows(_as_rows(blocks), columns, str(ref), fmt, "rate")
             assert new.read_bytes() == ref.read_bytes(), (name, fmt)
+            capsys.readouterr()
+            write_rows(blocks, columns, None, fmt, "rate")  # standard output
+            assert capsys.readouterr().out.encode() == ref.read_bytes(), (name, fmt, "stdout")
+
+
+@pytest.mark.parametrize("link", ["gkp", "qt"])
+def test_rate_grid_csv_bytes_match_per_cell_writer(tmp_path, link):
+    # gkp: finite ancilla, blank qt_squeezing_db; qt: ideal ancilla, blank gkp_squeezing_db
+    ini = FIBER_INI.replace("stop = 10", "stop = 8").replace("step = 2", "step = 0.001")
+    if link == "qt":
+        ini = ini.replace("link_mode = gkp", "link_mode = qt").replace(
+            "ancilla = finite", "ancilla = ideal")
+    cfg = write(tmp_path, ini)
+    out, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
+    assert main(["rate", "--config", cfg, "--output", str(out)]) == 0
+    rows = _as_rows(rate_rows(load_config(cfg)))
+    assert len(rows) == 2001
+    _reference_write_rows(rows, RATE_COLUMNS, str(ref), "csv", "rate")
+    assert out.read_bytes() == ref.read_bytes()
+    blank = "qt_squeezing_db" if link == "gkp" else "gkp_squeezing_db"
+    assert {r[blank] for r in rows_of(out)} == {""}
+
+
+def test_composable_frontier_at_zero_length_a_link(tmp_path, capsys):
+    fiber = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
+    frontier = fiber.read_text().replace("mode = grid", "mode = frontier")
+    values, notes = {}, {}
+    for la in ("0.0", "0.3"):
+        out = str(tmp_path / f"front{la}.csv")
+        cfg = write(tmp_path, frontier.replace("la_km = 1.0", f"la_km = {la}"))
+        assert main(["rate", "--config", cfg, "--output", out]) == 0, la
+        values[la] = float(rows_of(out)[0]["max_secure_km"])
+        notes[la] = capsys.readouterr().err
+    # far past the edge the worst-case state is unphysical: not secure, and noted
+    assert np.isfinite(values["0.0"]) and values["0.0"] > values["0.3"]
+    assert "unphysical" in notes["0.0"] and "Traceback" not in notes["0.0"]
+    assert round(values["0.3"], 4) == 25.4866 and notes["0.3"] == ""
+    # a rate grid still rejects an unphysical point
+    grid = frontier.replace("mode = frontier", "mode = grid").replace(
+        "total_pulse = 1e8", "total_pulse = 100")
+    assert main(["rate", "--config", write(tmp_path, grid)]) == 2
+    assert capsys.readouterr().err.startswith("config error: worst-case state is unphysical")

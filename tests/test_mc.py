@@ -2,8 +2,10 @@ import numpy as np
 
 from gkpmdi.channels import ProtocolParams, awgn_variance_preamp
 from gkpmdi.finite_size import correlation_shift, kappa_from_eps
-from gkpmdi.gkp import ELL, GkpAncilla, IDEAL, optimize_squeezing, syndrome_reduce
-from gkpmdi.mc import (RngStream, mc_pe_coverage, mc_protocol_mutual_info,
+from gkpmdi import mc
+from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, effective_estimator_gain, optimize_squeezing,
+                        syndrome_reduce)
+from gkpmdi.mc import (McVariance, RngStream, mc_pe_coverage, mc_protocol_mutual_info,
                        mc_residual_variance)
 from gkpmdi.security import conditioned_scalars
 
@@ -12,6 +14,58 @@ def test_stream_determinism():
     a = mc_residual_variance(0.4, 0.1, GkpAncilla(20.0), 200_000, RngStream(123, 4))
     b = mc_residual_variance(0.4, 0.1, GkpAncilla(20.0), 200_000, RngStream(123, 4))
     assert a == b  # bit-identical estimates
+
+
+def _residual_both_paths_at_once(r, sigma2, ancilla, n_samples, rng, chunk):
+    """The sampler as it was before the p and q paths were split: every
+    intermediate of a chunk is alive at once."""
+    gen = rng.generator()
+    c, s = np.cosh(r), np.sinh(r)
+    phi = effective_estimator_gain(r, sigma2, ancilla)
+    dsyn = np.sqrt(ancilla.syndrome_noise_variance)
+    sd = np.sqrt(sigma2)
+    sums, sums2, sums4 = np.zeros(2), np.zeros(2), np.zeros(2)
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        xi = gen.normal(0.0, sd, size=(4, m)) if sd > 0 else np.zeros((4, m))
+        z_qd = c * xi[0] - s * xi[2]
+        z_pd = c * xi[1] - s * xi[3]
+        z_qa = c * xi[2] - s * xi[0]
+        z_pa = c * xi[3] - s * xi[1]
+        u1 = z_pa
+        u2 = -z_qa
+        if dsyn > 0:
+            u1 = u1 + gen.normal(0.0, dsyn, size=m)
+            u2 = u2 + gen.normal(0.0, dsyn, size=m)
+        t1 = syndrome_reduce(u1)
+        t2 = syndrome_reduce(u2)
+        out_q = z_qd - phi * t2
+        out_p = z_pd + phi * t1
+        for k, arr in enumerate((out_q, out_p)):
+            sq = arr * arr
+            sums[k] += arr.sum()
+            sums2[k] += sq.sum()
+            sums4[k] += (sq * sq).sum()
+        done += m
+    n = float(n_samples)
+    means = sums / n
+    variances = sums2 / n - means**2
+    stderr = np.sqrt(np.maximum(sums4 / n - variances**2, 0.0) / n)
+    return McVariance(*(float(x) for x in (means[0], means[1], variances[0], variances[1],
+                                           stderr[0], stderr[1])))
+
+
+def test_residual_paths_in_turn_match_all_at_once(monkeypatch):
+    # three full chunks and a partial one
+    monkeypatch.setattr(mc, "_CHUNK", 3_000)
+    for r, sigma2, ancilla in [(0.5, 0.129, GkpAncilla(20.0)),  # syndrome-noise draws
+                               (0.46, 0.129, IDEAL),             # no syndrome noise
+                               (0.5, 0.0, GkpAncilla(20.0))]:    # no channel noise
+        rng = RngStream(7, 3)
+        got = mc_residual_variance(r, sigma2, ancilla, 10_000, rng)
+        want = _residual_both_paths_at_once(r, sigma2, ancilla, 10_000, rng, 3_000)
+        assert got == want, (r, sigma2, ancilla)
 
 
 def test_stream_independence():

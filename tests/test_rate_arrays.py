@@ -69,6 +69,10 @@ def test_array_rate_layer_matches_length1_calls(points):
         pe_rate_from_scalars(pa, psi, pb, 0.95, _fs(n_total))
     r_pe = pe_rate_from_scalars(pa[ok], psi[ok], pb[ok], 0.95, _fs(n_total[ok]))
     _same(r_pe, [r for r in single_pe if r is not None])
+    # a frontier scan's lenient call: unphysical elements are NaN, the rest unchanged
+    lenient = pe_rate_from_scalars(pa, psi, pb, 0.95, _fs(n_total), strict=False)
+    assert np.all(np.isnan(lenient[~ok]))
+    _same(lenient[ok], [r for r in single_pe if r is not None])
     _same(composable_rate_from_pe(r_pe, _fs(n_total[ok])),
           [composable_rate_from_pe(r, _fs(n)) for r, n in zip(r_pe.tolist(), n_total[ok])])
     for mode in set(modes[ok].tolist()):
