@@ -15,17 +15,17 @@ model is: data noise a and pre-wrap syndrome w are jointly Gaussian with
 
 where delta_syn^2 is the syndrome broadening of a finitely squeezed ancilla
 (zero for an ideal one).  The corrected output is a - phi * wrap(w), and its
-variance follows from the wrapped-Gaussian moments E[wrap(w)^2], E[w wrap(w)].
-Over one lattice cell each moment is a Gaussian integral of a polynomial, so
-both are exact sums of per-cell closed forms in Phi and the normal density
-(no quadrature).
+variance follows from the wrapped-Gaussian moments E[wrap(w)^2], E[w wrap(w)],
+evaluated without quadrature in one of two exact forms: for a broad syndrome
+(Var(w) >= 1/2) the Fourier (theta) series of the wrapped normal, five terms
+of exponentials; for a narrow one, sums of per-cell closed forms in the normal
+tail Phi(-z) and density over at most three lattice cells.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .channels import _as_output, awgn_variance_preamp, fiber_transmittance
 
@@ -33,7 +33,32 @@ ELL = np.sqrt(2.0 * np.pi)  # square-lattice pitch
 
 # Neglected Gaussian tail mass below 1e-12 -> sum whole cells past 7.5 sigma.
 _TAIL_SIGMA = 7.5
-_MAX_CELLS = 20000
+# Var(w) from which the theta series replaces the cell sum.  Below it the
+# sum needs at most three cells, and every cell edge but 0 has z >= sqrt(pi).
+_THETA_MIN_VAR = 0.5
+_THETA_TERMS = 5  # first neglected term: exp(-36 pi var_w) <= exp(-18 pi) ~ 3e-25
+
+# erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and exp(-x^2) R(x)/S(x) for
+# x >= 8: the large-argument branches of Cephes ndtr.c (S. L. Moshier).  The
+# columns hold P, Q, R, S, highest power first; R and S are padded with
+# leading zeros, so one Horner loop evaluates all four.
+_ERFC_PQRS = np.array([
+    [2.46196981473530512524e-10, 1.0, 0.0, 0.0],
+    [5.64189564831068821977e-1, 1.32281951154744992508e1, 0.0, 0.0],
+    [7.46321056442269912687e0, 8.67072140885989742329e1, 0.0, 1.0],
+    [4.86371970985681366614e1, 3.54937778887819891062e2,
+     5.64189583547755073984e-1, 2.26052863220117276590e0],
+    [1.96520832956077098242e2, 9.75708501743205489753e2,
+     1.27536670759978104416e0, 9.39603524938001434673e0],
+    [5.26445194995477358631e2, 1.82390916687909736289e3,
+     5.01905042251180477414e0, 1.20489539808096656605e1],
+    [9.34528527171957607540e2, 2.24633760818710981792e3,
+     6.16021097993053585195e0, 1.70814450747565897222e1],
+    [1.02755188689515710272e3, 1.65666309194161350182e3,
+     7.40974269950448939160e0, 9.60896809063285878198e0],
+    [5.57535335369399327526e2, 5.57535340817727675546e2,
+     2.97886665372100240670e0, 3.36907645100081516050e0]])
+_MAXLOG = 7.09782712893383996843e2  # Cephes: past x^2 = MAXLOG the tail is 0
 
 
 @dataclass(frozen=True)
@@ -98,48 +123,97 @@ def syndrome_reduce(x):
     return _as_output(x - n * ELL)
 
 
+def _normal_tail(z):
+    """Phi(-z) = erfc(z/sqrt(2))/2 elementwise, for z >= sqrt(2).
+
+    The two branches of Cephes' erfc for arguments x = z/sqrt(2) >= 1, with
+    its arithmetic order; within 6e-16 relative of ``scipy.special.ndtr(-z)``
+    wherever the tail is a normal float.
+    """
+    x = z * np.sqrt(0.5)
+    xp = np.minimum(x, 27.0)  # past sqrt(MAXLOG) ~ 26.6 the tail is 0: keeps the polynomials finite
+    poly = np.zeros((4,) + xp.shape)
+    for coef in _ERFC_PQRS:
+        poly *= xp
+        poly += coef.reshape((4,) + (1,) * xp.ndim)
+    p, q, r, s = poly
+    e = np.exp(-xp * xp)
+    y = np.where(xp < 8.0, e * p / q, e * r / s)
+    return np.where(x * x > _MAXLOG, 0.0, 0.5 * y)
+
+
 def wrapped_moments(var_w, n_cells_boost: int = 0):
     """(E[wrap(w)^2], E[w wrap(w)]) for w ~ N(0, var_w), wrap = mod-ell.
 
-    Exact sum over lattice cells [a, b] = [c - ell/2, c + ell/2], c = n*ell,
-    out to where the neglected Gaussian mass is below 1e-12.  On a cell
-    wrap(w) is u = w - c.  Writing E[g; cell] for the integral of g f over the
-    cell, with f the N(0, var_w) density and P = E[1; cell] the cell mass,
-    the Gaussian identities
+    Broad syndromes (var_w >= 1/2) use the theta series of the wrapped
+    normal (Mardia & Jupp, Directional Statistics, 2000), with q_k =
+    exp(-pi k^2 var_w):
+
+        E[wrap(w)^2] = pi/6 + (2/pi) sum_k (-1)^k q_k / k^2,
+        E[w wrap(w)] = 2 var_w sum_k (-1)^(k+1) q_k,
+
+    summed to k = 5; the neglected terms are below exp(-18 pi) ~ 3e-25.
+    E[wrap(w)^2] is then within 3e-16 relative of the exact value and
+    E[w wrap(w)] within a few ulps times its condition number pi var_w.
+    Any finite variance converges: past var_w ~ 240 every q_k underflows
+    and the moments are the uniform limit (pi/6, 0).
+
+    Narrow syndromes (0 < var_w < 1/2) use an exact sum over lattice cells
+    [a, b] = [c - ell/2, c + ell/2], c = n*ell, out to where the neglected
+    Gaussian mass is below 1e-12 (at most three cells).  On a cell wrap(w)
+    is u = w - c.  Writing E[g; cell] for the integral of g f over the cell,
+    with f the N(0, var_w) density and P = E[1; cell] the cell mass, the
+    Gaussian identities
 
         E[u; cell]   = var_w (f(a) - f(b)) - c P,
         E[w u; cell] = var_w P + var_w ((a - c) f(a) - (b - c) f(b)),
         E[u^2; cell] = E[w u; cell] - c E[u; cell]
 
-    need only Phi differences and the density at the cell edges.  P is a
+    need only normal tails and the density at the cell edges.  P is a
     difference of upper tails, so a far cell's mass keeps its relative
-    accuracy and its c-weighted terms round off by about eps c^2 P, which
-    sums to about eps var_w over all cells.  The integrands are even in w:
-    cell 0 is folded onto [0, ell/2] and the sums are doubled.
+    accuracy.  The integrands are even in w: cell 0 is folded onto
+    [0, ell/2] and the sums are doubled.  Every edge but 0 lies at least
+    sqrt(pi) standard deviations out, where :func:`_normal_tail` applies.
     ``n_cells_boost`` adds lattice cells beyond the truncation (used by the
     truncation-stability check).
 
-    ``var_w`` may be an array; a scalar gives floats.  Elements are summed in
-    groups of equal cell count, so each one's arithmetic is batch-independent.
+    ``var_w`` may be an array; a scalar gives floats.  Each element's
+    arithmetic is independent of its batch: theta terms are summed one k at
+    a time, and cell sums in groups of equal cell count.  A NaN, infinite
+    or negative variance raises ValueError.
     """
     var = np.asarray(var_w, dtype=float)
+    if not np.all(np.isfinite(var)):
+        raise ValueError("variance must be finite")
     if np.any(var < 0):
         raise ValueError("variance must be >= 0")
     flat = var.ravel()
     m2, m11 = np.zeros_like(flat), np.zeros_like(flat)
-    live = np.flatnonzero(flat > 0.0)
-    counts = np.ceil(_TAIL_SIGMA * np.sqrt(flat[live]) / ELL + 0.5).astype(int) + n_cells_boost
-    if np.any(counts > _MAX_CELLS):
-        raise ValueError("lattice sum does not converge: variance too large")
-    for n_cells in np.unique(counts):
-        rows = live[counts == n_cells]
+    broad = np.flatnonzero(flat >= _THETA_MIN_VAR)
+    if broad.size:
+        v = flat[broad]
+        pv = np.pi * np.minimum(v, 300.0)  # every term underflows past 240: keeps pi k^2 v finite
+        s2, s11 = 0.0, 0.0
+        for k in range(_THETA_TERMS, 0, -1):  # smallest term first
+            t = (-1.0) ** k * np.exp(-pv * (k * k))
+            s2, s11 = s2 + t / (k * k), s11 - t
+        m2[broad] = np.pi / 6.0 + (2.0 / np.pi) * s2
+        m11[broad] = v * (2.0 * s11)  # not (2 v) s11, which overflows near the float max
+    narrow = np.flatnonzero((flat > 0.0) & (flat < _THETA_MIN_VAR))
+    counts = np.ceil(_TAIL_SIGMA * np.sqrt(flat[narrow]) / ELL + 0.5).astype(int) + n_cells_boost
+    for n_cells in range(1 + n_cells_boost, 4 + n_cells_boost):  # 1 to 3 cells, plus the boost
+        rows = narrow[counts == n_cells]
+        if not rows.size:
+            continue
         v = flat[rows, None]
         sd = np.sqrt(v)
         c = np.arange(n_cells + 1) * ELL
         edges = (np.arange(n_cells + 2) - 0.5) * ELL
         edges[0] = 0.0
         z = edges / sd
-        tail = ndtr(-z)
+        tail = np.empty_like(z)
+        tail[:, 0] = 0.5
+        tail[:, 1:] = _normal_tail(z[:, 1:])
         vf = sd * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)  # var_w * f(edge)
         p = tail[:, :-1] - tail[:, 1:]
         e_u = vf[:, :-1] - vf[:, 1:] - c * p

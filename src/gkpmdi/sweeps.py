@@ -44,6 +44,14 @@ def _link(cfg: RunConfig, l_a_km):
     return concat_variance(v_seg, cfg.layers), v_seg, r_opt
 
 
+def _squeezing_echo(cfg: RunConfig):
+    """The echoed ``gkp_squeezing_db``: blank for an ideal ancilla and on
+    ``direct``/``preamp`` links, where no code acts on it."""
+    if cfg.ancilla.ideal or cfg.link_mode in ("direct", "preamp"):
+        return ""
+    return cfg.ancilla.squeezing_db
+
+
 @lru_cache(maxsize=4096)
 def link_sigma_r2(cfg: RunConfig, l_a_km: float) -> tuple[float, float, float]:
     """The A link at one length: the memoized scalar case of ``_link``.
@@ -83,7 +91,7 @@ def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True
         "reconciliation_efficiency": params.beta0,
         "attenuation_db_per_km": params.alpha0_db_per_km,
         "thermal_photon_mean": params.n_bar,
-        "gkp_squeezing_db": cfg.ancilla.squeezing_db if not cfg.ancilla.ideal else "",
+        "gkp_squeezing_db": _squeezing_echo(cfg),
         "qt_squeezing_db": cfg.qt_squeezing_db if cfg.link_mode == "qt" else "",
         "layers": cfg.layers,
     }
@@ -177,7 +185,7 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
     alpha0 = cfg.protocol.alpha0_db_per_km
     common = {
         "schema_version": SCHEMA_VERSION,
-        "gkp_squeezing_db": cfg.ancilla.squeezing_db if not cfg.ancilla.ideal else "",
+        "gkp_squeezing_db": _squeezing_echo(cfg),
         "attenuation_db_per_km": alpha0,
         "thermal_photon_mean": cfg.protocol.n_bar,
     }
@@ -216,7 +224,7 @@ def rate_rows(cfg: RunConfig) -> list[dict]:
             "frontier_axis": sweep.axis,
             "max_secure_km": None if np.isnan(value) else value,
             "rate_kind": "composable" if cfg.finite_size is not None else "asymptotic",
-            "gkp_squeezing_db": cfg.ancilla.squeezing_db if not cfg.ancilla.ideal else "",
+            "gkp_squeezing_db": _squeezing_echo(cfg),
             "layers": cfg.layers,
             **axis_echo,
         }]

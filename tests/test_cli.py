@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -495,3 +498,33 @@ def test_composable_frontier_at_zero_length_a_link(tmp_path, capsys):
         "total_pulse = 1e8", "total_pulse = 100")
     assert main(["rate", "--config", write(tmp_path, grid)]) == 2
     assert capsys.readouterr().err.startswith("config error: worst-case state is unphysical")
+
+
+@pytest.mark.parametrize("link", ["direct", "preamp", "gkp", "qt"])
+def test_squeezing_echo_only_where_a_code_acts(tmp_path, link):
+    ini = FIBER_INI.replace("link_mode = gkp", f"link_mode = {link}")
+    for mode in ("grid", "frontier"):
+        out = tmp_path / f"{mode}.csv"
+        cfg = write(tmp_path, ini.replace("mode = grid", f"mode = {mode}"))
+        assert main(["rate", "--config", cfg, "--output", str(out)]) == 0
+        echoed = {r["gkp_squeezing_db"] for r in rows_of(out)}
+        assert echoed == ({""} if link in ("direct", "preamp") else {"20.0"}), mode
+
+
+def test_cli_frontier_run_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: neither the import nor a run may load it
+    fiber = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
+    cfg = write(tmp_path, fiber.read_text().replace("axis = lb_km", "axis = la_km")
+                .replace("mode = grid", "mode = frontier"))
+    out = tmp_path / "front.csv"
+    argv = ["rate", "--config", cfg, "--output", str(out)]
+    script = ("import sys, gkpmdi.cli\n"
+              f"assert gkpmdi.cli.main({argv!r}) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert np.isfinite(float(rows_of(out)[0]["max_secure_km"]))

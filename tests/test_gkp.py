@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtr
 
 from gkpmdi import gkp
 from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, break_even, concat_residual_variance,
@@ -27,6 +28,36 @@ def theta_series_moments(var_w, terms=400):
         if abs(t) < 1e-18:
             break
     return m2, m11
+
+
+def cell_sum_moments(var_w):
+    """Oracle: the lattice-cell sum of the wrapped moments with scipy's ndtr.
+
+    Exact per-cell closed forms in Phi and the normal density over every
+    cell out to 7.5 standard deviations, for any variance (the production
+    code uses it only below var_w = 1/2, with its own normal tail).
+    """
+    var = np.asarray(var_w, dtype=float)
+    flat = var.ravel()
+    m2, m11 = np.zeros_like(flat), np.zeros_like(flat)
+    live = np.flatnonzero(flat > 0.0)
+    counts = np.ceil(7.5 * np.sqrt(flat[live]) / ELL + 0.5).astype(int)
+    for n_cells in np.unique(counts):
+        rows = live[counts == n_cells]
+        v = flat[rows, None]
+        sd = np.sqrt(v)
+        c = np.arange(n_cells + 1) * ELL
+        edges = (np.arange(n_cells + 2) - 0.5) * ELL
+        edges[0] = 0.0
+        z = edges / sd
+        tail = ndtr(-z)
+        vf = sd * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        p = tail[:, :-1] - tail[:, 1:]
+        e_u = vf[:, :-1] - vf[:, 1:] - c * p
+        e_wu = v * p + (edges[:-1] - c) * vf[:, :-1] - (edges[1:] - c) * vf[:, 1:]
+        m2[rows] = 2.0 * np.sum(e_wu - c * e_u, axis=1)
+        m11[rows] = 2.0 * np.sum(e_wu, axis=1)
+    return m2.reshape(var.shape), m11.reshape(var.shape)
 
 
 def test_ancilla_definitions():
@@ -106,12 +137,35 @@ def test_syndrome_reduce():
 
 
 def test_wrapped_moments_against_theta_series():
-    for var_w in (1e-10, 1e-7, 1e-4, 0.02, 0.1, 0.4, 1.5, 6.0, 20.0, 50.0):
+    # narrow syndromes only: from var_w = 1/2 up the production code is this series
+    for var_w in (1e-10, 1e-7, 1e-4, 0.02, 0.1, 0.4, 0.4999):
         m2, m11 = wrapped_moments(var_w)
         # the series needs about sqrt(13 / var_w) terms to converge
         t2, t11 = theta_series_moments(var_w, terms=400_000)
         assert m2 == pytest.approx(t2, rel=1e-9, abs=1e-12)
         assert m11 == pytest.approx(t11, rel=1e-9, abs=1e-9)
+
+
+def test_wrapped_moments_against_cell_sum_oracle():
+    crossover = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.49, 0.51]
+    v = np.concatenate([np.geomspace(1e-10, 1e3, 400), crossover])
+    m2, m11 = wrapped_moments(v)
+    o2, o11 = cell_sum_moments(v)
+    # the oracle's cell sum rounds off by about eps * var_w, so both bounds grow with v
+    scale = 1e-13 * np.maximum(1.0, v)
+    assert np.all(np.abs(m2 - o2) <= scale * o2)
+    assert np.all(np.abs(m11 - o11) <= scale)
+    # the two branches meet at the crossover: the three variances next to 1/2
+    assert np.ptp(m2[-5:-2]) < 1e-15 and np.ptp(m11[-5:-2]) < 1e-15
+
+
+def test_normal_tail_against_ndtr():
+    z = np.linspace(np.sqrt(np.pi), 40.0, 200_001)
+    ref = ndtr(-z)
+    tail = gkp._normal_tail(z)
+    np.testing.assert_allclose(tail, ref, rtol=1e-13, atol=0.0)
+    assert np.array_equal(tail == 0.0, ref == 0.0)  # the same underflow point
+    assert gkp._normal_tail(np.array([1e30, np.inf])).tolist() == [0.0, 0.0]
 
 
 def test_wrapped_moments_narrow_limit():
@@ -303,5 +357,13 @@ def test_residual_variance_rejects_bad_inputs():
         residual_variance(-0.1, 0.1)
     with pytest.raises(ValueError):
         residual_variance(0.1, -0.1)
+    # every finite variance converges: a huge one gives the uniform limit
+    assert wrapped_moments(4e9) == (np.pi / 6.0, 0.0)
+    assert wrapped_moments(np.finfo(float).max) == (np.pi / 6.0, 0.0)
+    for bad in (np.nan, np.inf, -np.inf, [0.3, np.nan]):
+        with pytest.raises(ValueError):
+            wrapped_moments(bad)
     with pytest.raises(ValueError):
-        wrapped_moments(4e9)  # lattice sum would not converge
+        residual_variance(0.4, np.nan)
+    with pytest.raises(ValueError):
+        residual_variance(0.4, np.inf)
