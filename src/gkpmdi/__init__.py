@@ -17,9 +17,8 @@ from .fading import (CodePolicy, FadingConfig, average_composable_rate, fading_c
                      mean_transmittance, pointing_wander_variance, xi_integral)
 from .finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, aep_delta,
                           composable_rate, epsilon_total, kappa_from_eps)
-from .gkp import (GkpAncilla, break_even, concat_residual_variance, concat_variance,
-                  lower_bound_variance, optimize_squeezing, residual_variance,
-                  syndrome_reduce)
+from .gkp import (GkpAncilla, break_even, concat_variance, lower_bound_variance,
+                  optimize_squeezing, residual_variance, syndrome_reduce)
 from .mc import (McMutualInfo, McVariance, RngStream, mc_pe_coverage,
                  mc_protocol_mutual_info, mc_residual_variance)
 from .security import (ConditionedScalars, RateReport, asymptotic_rate,
@@ -30,8 +29,8 @@ __all__ = [
     "ProtocolParams", "awgn_variance_preamp", "awgn_variance_qt", "fiber_transmittance",
     "plob_bound",
     # gkp
-    "GkpAncilla", "break_even", "concat_residual_variance", "concat_variance",
-    "lower_bound_variance", "optimize_squeezing", "residual_variance", "syndrome_reduce",
+    "GkpAncilla", "break_even", "concat_variance", "lower_bound_variance",
+    "optimize_squeezing", "residual_variance", "syndrome_reduce",
     # security
     "ConditionedScalars", "RateReport", "asymptotic_rate", "conditioned_scalars",
     "h_function",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _as_output, awgn_variance_preamp, fiber_transmittance
+from .channels import _as_output
 
 ELL = np.sqrt(2.0 * np.pi)  # square-lattice pitch
 
@@ -270,9 +270,12 @@ def optimize_squeezing(sigma2, ancilla: GkpAncilla = IDEAL):
     (sigma2 = 0) gives (0, 0).
     """
     shape = np.shape(sigma2)
-    s2 = np.asarray(sigma2, dtype=float).ravel()
-    if not np.all(s2 >= 0):
+    noise = np.asarray(sigma2, dtype=float).ravel()
+    if not np.all(noise >= 0):
         raise ValueError("sigma2 must be >= 0")
+    # a subnormal sigma2 keeps no relative precision through the moment sums
+    # (and overflows their z^2): it is searched as 0, which gives no gain
+    s2 = np.where(noise < np.finfo(float).tiny, 0.0, noise)
     lo = np.zeros_like(s2)
     best = np.empty(s2.size, dtype=int)
     todo = np.arange(s2.size)
@@ -303,7 +306,7 @@ def optimize_squeezing(sigma2, ancilla: GkpAncilla = IDEAL):
     r_opt = (a + b) / 2.0
     v_opt = residual_variance(r_opt, s2, ancilla)
     no_gain = v_opt >= s2 * (1.0 - _NO_GAIN_RTOL)
-    r_opt[no_gain], v_opt[no_gain] = 0.0, s2[no_gain]
+    r_opt[no_gain], v_opt[no_gain] = 0.0, noise[no_gain]
     return _as_output(r_opt.reshape(shape)), _as_output(v_opt.reshape(shape))
 
 
@@ -325,15 +328,3 @@ def concat_variance(sigma_r2_single, layers):
         raise ValueError("layer count must be a positive integer")
     return layers * sigma_r2_single
 
-
-def concat_residual_variance(l_a_km: float, layers: int, ancilla: GkpAncilla = IDEAL,
-                             alpha0_db_per_km: float = 0.2) -> tuple[float, float, float]:
-    """Optimized concatenated residual for a link split into equal segments.
-
-    Each segment is compensated and corrected independently; displacement
-    noise accumulates linearly across segments.  Returns
-    (total residual, per-segment residual, per-segment r_opt).
-    """
-    s2 = awgn_variance_preamp(fiber_transmittance(l_a_km / layers, alpha0_db_per_km))
-    r_opt, v_seg = optimize_squeezing(s2, ancilla)
-    return concat_variance(v_seg, layers), v_seg, r_opt

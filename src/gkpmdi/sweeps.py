@@ -27,21 +27,23 @@ _LA_WINDOW_KM = (0.05, 30.0)
 _PDF_ROWS = 1000
 
 
-def _link(cfg: RunConfig, l_a_km):
+def _link(cfg: RunConfig, l_a_km, layers=None):
     """(effective sigma_r2, per-segment sigma_r2, per-segment r_opt) of the A
-    link, elementwise over ``l_a_km`` in one array optimization; zeros for
-    ``direct``/``preamp`` links, which carry no code."""
+    link, elementwise over ``l_a_km`` and ``layers`` (default: the configured
+    count) in one array optimization; zeros for ``direct``/``preamp`` links,
+    which carry no code."""
     if cfg.link_mode in ("direct", "preamp"):
         zero = _as_output(np.zeros(np.shape(l_a_km)))
         return zero, zero, zero
+    layers = cfg.layers if layers is None else layers
     alpha0 = cfg.protocol.alpha0_db_per_km
     if cfg.link_mode == "qt":  # the config allows layers > 1 only on gkp links
         s2_seg = awgn_variance_qt(fiber_transmittance(l_a_km, alpha0), cfg.qt_squeezing_db)
     else:  # one of `layers` equal segments
-        tau_seg = fiber_transmittance(l_a_km / cfg.layers, alpha0)
+        tau_seg = fiber_transmittance(l_a_km / layers, alpha0)
         s2_seg = awgn_variance_preamp(tau_seg, cfg.protocol.n_bar)
     r_opt, v_seg = optimize_squeezing(s2_seg, cfg.ancilla)
-    return concat_variance(v_seg, cfg.layers), v_seg, r_opt
+    return concat_variance(v_seg, layers), v_seg, r_opt
 
 
 def _squeezing_echo(cfg: RunConfig):
@@ -122,12 +124,14 @@ def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True
 def max_secure_distance(rate_fn, lo: float, hi: float) -> float:
     """Largest distance with positive rate, to 0.01 km.
 
-    ``rate_fn`` maps an array of distances to their rates (and a scalar to
-    a scalar).  The secure region can be bounded by a numerically noisy
-    edge, so the frontier is located as the supremum: a coarse 400-point
-    scan, one ``rate_fn`` call, finds the last positive point, then scalar
-    bisection refines inside the bracketing cell, and a guard extends the
-    scan if the edge touches the last cell.
+    ``rate_fn`` maps a 1-D array of distances to their rates.  The secure
+    region can be bounded by a numerically noisy edge, so the frontier is
+    located as the supremum: a coarse 400-point scan, one ``rate_fn`` call,
+    finds the last positive point, and a guard extends the scan if the edge
+    touches the last cell.  One more call refines the bracketing cell: it
+    evaluates the 2^n - 1 points that split the cell into sub-cells no wider
+    than 0.01 km (every point bisection could probe), and the result is the
+    midpoint of the last sub-cell that starts at a positive rate.
     """
     for _ in range(8):
         grid = np.linspace(lo, hi, _FRONTIER_POINTS)
@@ -139,13 +143,11 @@ def max_secure_distance(rate_fn, lo: float, hi: float) -> float:
             lo, hi = grid[-1], hi * 2.0  # guard: secure past the scan window
             continue
         a, b = grid[i], grid[i + 1]
-        while b - a > _FRONTIER_RESOLUTION_KM:
-            mid = (a + b) / 2.0
-            if rate_fn(mid) > 0.0:
-                a = mid
-            else:
-                b = mid
-        return float((a + b) / 2.0)
+        n = max(0, int(np.ceil(np.log2((b - a) / _FRONTIER_RESOLUTION_KM))))  # halvings
+        edges = np.linspace(a, b, 2**n + 1)
+        pos = np.nonzero(rate_fn(edges[1:-1]) > 0.0)[0]
+        j = pos[-1] + 1 if len(pos) else 0  # the last sub-cell starting positive (a is)
+        return float((edges[j] + edges[j + 1]) / 2.0)
     return float("nan")
 
 
@@ -195,14 +197,13 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
     if sweep.axis == "la_km":
         l_a, layers = values, 1
     else:
+        if np.any((values < 1) | (values != np.floor(values))):
+            raise ConfigError("a layers sweep takes integer values >= 1")
         l_a, layers = cfg.protocol.l_a_km, values.astype(int)
-    n_bar = cfg.protocol.n_bar
-    s2 = awgn_variance_preamp(fiber_transmittance(l_a, alpha0), n_bar)
-    s2_seg = awgn_variance_preamp(fiber_transmittance(l_a / layers, alpha0), n_bar)
-    r_opt, v_seg = optimize_squeezing(s2_seg, cfg.ancilla)
-    return [{**common, "la_km": l_a, "layers": layers, "sigma2": s2,
-             "sigma_r2": concat_variance(v_seg, layers), "sigma_be2": break_even(s2),
-             "sigma_lb2": lower_bound_variance(s2), "r_opt": r_opt}]
+    s2 = awgn_variance_preamp(fiber_transmittance(l_a, alpha0), cfg.protocol.n_bar)
+    sigma_r2, _, r_opt = _link(cfg, l_a, layers)
+    return [{**common, "la_km": l_a, "layers": layers, "sigma2": s2, "sigma_r2": sigma_r2,
+             "sigma_be2": break_even(s2), "sigma_lb2": lower_bound_variance(s2), "r_opt": r_opt}]
 
 
 def rate_rows(cfg: RunConfig) -> list[dict]:
@@ -241,7 +242,10 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
     """Transmittance-density samples, summary means, and averaged-rate rows.
 
     Columns a row kind does not use are absent and written as blank cells.
+    The fading link is modelled as one gkp-corrected segment.
     """
+    if cfg.link_mode != "gkp" or cfg.layers != 1:
+        raise ConfigError("fading models a single-layer gkp link")
     fad = cfg.fading
     policy = CodePolicy(ancilla=cfg.ancilla)
     common = {

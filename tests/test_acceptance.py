@@ -3,6 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see every line.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from gkpmdi.channels import ProtocolParams, awgn_variance_preamp, awgn_variance_
 from gkpmdi.config import RunConfig, SweepSpec
 from gkpmdi.fading import CodePolicy, fading_pdf, fading_scalars, mean_residual_variance
 from gkpmdi.finite_size import FiniteSizeParams, composable_rate
-from gkpmdi.gkp import GkpAncilla, IDEAL, concat_residual_variance, lower_bound_variance, \
-    optimize_squeezing, residual_variance
+from gkpmdi.gkp import GkpAncilla, IDEAL, lower_bound_variance, optimize_squeezing, \
+    residual_variance
 from gkpmdi.mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, \
     mc_residual_variance
 from gkpmdi.security import h_function
-from gkpmdi.sweeps import max_secure_la, max_secure_lb
+from gkpmdi.sweeps import max_secure_la, max_secure_lb, residual_rows
 from gkpmdi.config import load_config, reference_fading_config
 from matrix_oracle import conditioned_state, mutual_information, symplectic_eigenvalues, \
     symplectic_form, tms_symplectic
@@ -33,6 +34,12 @@ def _cfg(link_mode, ancilla=DB20, layers=1, finite=True, la=1.0, lb=10.0, qt_db=
                      qt_squeezing_db=qt_db,
                      finite_size=FiniteSizeParams() if finite else None,
                      fading=None, sweep=SweepSpec())
+
+
+def _concat_totals(ancilla):
+    """Total residuals of a 3 km link split into 1..8 corrected segments."""
+    cfg = replace(_cfg("gkp", ancilla, la=3.0), sweep=SweepSpec(axis="layers", start=1, stop=8))
+    return residual_rows(cfg)[0]["sigma_r2"].tolist()
 
 
 def _sigma2(l_a):
@@ -78,7 +85,7 @@ def test_criterion_02_lower_bound_gap():
 
 def test_criterion_03a_concat_optimum_20db():
     t0 = time.time()
-    vals = [concat_residual_variance(3.0, c, DB20)[0] for c in range(1, 9)]
+    vals = _concat_totals(DB20)
     best = int(np.argmin(vals)) + 1
     ok = best == 4
     line = _report("3a", ok, f"argmin C = {best}; totals = "
@@ -88,7 +95,7 @@ def test_criterion_03a_concat_optimum_20db():
 
 def test_criterion_03b_concat_monotone_25db():
     t0 = time.time()
-    vals = [concat_residual_variance(3.0, c, DB25)[0] for c in range(1, 9)]
+    vals = _concat_totals(DB25)
     diffs = np.diff(vals)
     ok = bool(np.all(diffs <= 0.0))
     line = _report("3b", ok, "totals = " + " ".join(f"{v:.5f}" for v in vals), t0)

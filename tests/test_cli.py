@@ -211,6 +211,30 @@ def test_residual_rejects_settings_it_does_not_model(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_residual_layer_sweep_rejects_non_integer_and_zero_layers(tmp_path, capsys):
+    layers_ini = RESIDUAL_INI.replace("axis = la_km", "axis = layers")
+    for start, step in (("1", "0.5"), ("0", "1")):
+        ini = layers_ini.replace("start = 1", f"start = {start}").replace("step = 1", f"step = {step}")
+        out = tmp_path / "layers.csv"
+        assert main(["residual", "--config", write(tmp_path, ini), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "a layers sweep takes integer values >= 1" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_fading_rejects_links_it_does_not_model(tmp_path, capsys):
+    # the fading layer corrects one gkp segment; other links would echo a
+    # setting that does not act on the rows
+    shipped = reference_fading_config(0.1).read_text()
+    rejected = [shipped.replace("link_mode = gkp", f"link_mode = {mode}")
+                for mode in ("direct", "preamp", "qt")]
+    rejected.append(shipped.replace("layers = 1", "layers = 3"))
+    for ini in rejected:
+        assert ini != shipped
+        assert main(["fading", "--config", write(tmp_path, ini)]) == 2
+        assert "fading models a single-layer gkp link" in capsys.readouterr().err
+
+
 def test_thermal_photon_mean_rejected_where_unmodelled(tmp_path, capsys):
     def hot(ini):
         return ini.replace("thermal_photon_mean = 0\n", "").replace(

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.config import RunConfig, SweepSpec
 from gkpmdi.finite_size import FiniteSizeParams
-from gkpmdi.gkp import GkpAncilla
-from gkpmdi.sweeps import (link_sigma_r2, max_secure_distance, max_secure_la,
+from gkpmdi.gkp import GkpAncilla, optimize_squeezing
+from gkpmdi.sweeps import (_link, link_sigma_r2, max_secure_distance, max_secure_la,
                            max_secure_lb, rate_point)
 
 
@@ -17,6 +20,85 @@ def cfg(mode="gkp", ancilla=GkpAncilla(20.0), layers=1, finite=True,
                      qt_squeezing_db=qt_db,
                      finite_size=FiniteSizeParams() if finite else None,
                      fading=None, sweep=SweepSpec())
+
+
+def bisection_reference(rate_fn, lo, hi):
+    """The frontier search with scalar bisection in the bracketing cell: one
+    ``rate_fn`` call per probe."""
+    for _ in range(8):
+        grid = np.linspace(lo, hi, 400)
+        pos = np.nonzero(rate_fn(grid) > 0.0)[0]
+        if len(pos) == 0:
+            return float("nan")
+        i = pos[-1]
+        if i == len(grid) - 1:
+            lo, hi = grid[-1], hi * 2.0
+            continue
+        a, b = grid[i], grid[i + 1]
+        while b - a > 0.01:
+            mid = (a + b) / 2.0
+            if rate_fn(mid) > 0.0:
+                a = mid
+            else:
+                b = mid
+        return float((a + b) / 2.0)
+    return float("nan")
+
+
+# rate functions of distance x with their one sign change at x = edge
+_SHAPES = {
+    "linear": lambda x, edge: edge - x,
+    "cubic": lambda x, edge: (edge - x) ** 3,  # flat through the edge
+    "decay": lambda x, edge: np.exp(-x / edge) - np.exp(-1.0),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.floats(0.0, 50.0), st.floats(0.5, 2000.0), st.floats(1e-3, 3.0),
+       st.sampled_from(sorted(_SHAPES)))
+def test_frontier_matches_bisection(lo, width, where, shape):
+    # edges past hi (where > 1) take the guard's extended windows
+    edge = lo + where * width
+    calls = []
+
+    def rate_fn(x):
+        calls.append(np.ndim(x))
+        return _SHAPES[shape](x, edge)
+
+    found = max_secure_distance(rate_fn, lo, lo + width)
+    reference = bisection_reference(lambda x: _SHAPES[shape](x, edge), lo, lo + width)
+    # the two form the same probe points by different float sums, a few ulp
+    # apart: more than 1e-12 km only for edges past ~2,000 km
+    assert found == pytest.approx(reference, abs=max(1e-12, 4 * np.spacing(reference)),
+                                  nan_ok=True)
+    assert set(calls) == {1} and len(calls) <= 8 + 1  # scan windows, one refinement
+
+
+def test_max_secure_distance_passes_only_arrays():
+    # one scan call and one refinement call, each on a 1-D array
+    calls = []
+
+    def rate_fn(x):
+        if np.ndim(x) != 1:
+            raise TypeError("rate_fn takes 1-D arrays")
+        calls.append(len(x))
+        return 5.0 - x
+
+    assert max_secure_distance(rate_fn, 0.1, 100.0) == pytest.approx(5.0, abs=0.01)
+    assert calls == [400, 31]  # a 0.25 km cell in 32 sub-cells of 0.0078 km
+
+
+def test_refinement_finds_the_supremum_past_a_noisy_probe():
+    # a false negative at the centre of the bracketing cell, where bisection
+    # probes first, hides the edge from bisection but not from the supremum
+    grid = np.linspace(0.1, 100.0, 400)
+    centre, edge = (grid[39] + grid[40]) / 2.0, grid[40] - 0.005
+
+    def noisy(x):
+        return np.where(np.abs(x - centre) < 1e-3, -1e-18, edge - x)
+
+    assert max_secure_distance(noisy, 0.1, 100.0) == pytest.approx(edge, abs=0.01)
+    assert bisection_reference(noisy, 0.1, 100.0) < centre
 
 
 def test_max_secure_distance_simple_root():
@@ -48,6 +130,52 @@ def test_link_sigma_r2_modes():
     assert total4 == pytest.approx(4 * per4)
     qt_total, _, _ = link_sigma_r2(cfg("qt"), 1.0)
     assert 0 < qt_total < total  # teleportation leaves less noise to correct
+
+
+def test_link_segments_match_single_layer_links():
+    # a layer-count array is one optimization over per-segment noises, each
+    # element the configured-layers link bit for bit
+    layers = np.arange(1, 9)
+    total, per, r_opt = _link(cfg("gkp", la=3.0), 3.0, layers)
+    singles = np.array([link_sigma_r2(cfg("gkp", layers=int(k), la=3.0), 3.0) for k in layers])
+    assert np.array_equal(np.stack([total, per, r_opt], axis=1), singles)
+    # each of the four 0.75 km segments is corrected on its own compensated noise
+    assert per[3] == optimize_squeezing(1.0 - 10 ** (-0.2 * 0.75 / 10), GkpAncilla(20.0))[1]
+    assert np.array_equal(total, layers * per) and np.all(r_opt > 0)
+
+
+_LINKS = st.tuples(st.sampled_from(("direct", "preamp", "gkp", "qt")),
+                   st.sampled_from((GkpAncilla(None), GkpAncilla(15.0), GkpAncilla(20.0))),
+                   st.floats(0.0, 2.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_LINKS, st.lists(st.floats(0.0, 100.0), min_size=2, max_size=40),
+       st.floats(1e7, 1e12))
+def test_rate_does_not_increase_with_lb(link, lbs, n_total):
+    mode, ancilla, la = link
+    lb = np.sort(np.array(lbs))
+    for finite in (False, True):
+        c = replace(cfg(mode, ancilla, la=la),
+                    finite_size=FiniteSizeParams(n_total=n_total) if finite else None)
+        rate = rate_point(c, la, lb)["rate_bits"]
+        # a negative value is no key: past its minimum it climbs back toward 0
+        # as both information terms vanish with the loss
+        assert np.all(np.diff(np.maximum(rate, 0.0)) <= 0.0), (finite, lb, rate)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_LINKS, st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40),
+       st.floats(1e7, 1e12), st.floats(0.01, 0.5), st.floats(0.5, 1.0))
+def test_composable_rate_below_scaled_asymptotic(link, lbs, n_total, pe_fraction, p_ec):
+    # composable <= p_ec (1 - m/N) asymptotic: the worst-case PE rate is at
+    # most the asymptotic one and the other finite-size terms are penalties
+    mode, ancilla, la = link
+    lb = np.array(lbs)
+    fs = FiniteSizeParams(n_total=n_total, m_pe=pe_fraction * n_total, p_ec=p_ec)
+    asym = rate_point(cfg(mode, ancilla, finite=False, la=la), la, lb)["rate_bits"]
+    comp = rate_point(replace(cfg(mode, ancilla, la=la), finite_size=fs), la, lb)["rate_bits"]
+    assert np.all(comp <= p_ec * (1.0 - pe_fraction) * asym)
 
 
 def test_rate_point_row_contents():
