@@ -14,12 +14,14 @@ model is: data noise a and pre-wrap syndrome w are jointly Gaussian with
     Var(w) = sigma^2 cosh(2r) + delta_syn^2,
 
 where delta_syn^2 is the syndrome broadening of a finitely squeezed ancilla
-(zero for an ideal one).  The corrected output is a - phi * wrap(w), and its
-variance follows from the wrapped-Gaussian moments E[wrap(w)^2], E[w wrap(w)],
-evaluated without quadrature in one of two exact forms: for a broad syndrome
-(Var(w) >= 1/2) the Fourier (theta) series of the wrapped normal, five terms
-of exponentials; for a narrow one, sums of per-cell closed forms in the normal
-tail Phi(-z) and density over at most three lattice cells.
+(zero for an ideal one).  The corrected output is a - phi * wrap(w).  With
+D = w - wrap(w) the lattice shift (n ell on lattice cell n), that output is
+(a - phi w) + phi D, the first part independent of w, so its variance is a
+sum of two non-negative terms.  The only non-Gaussian one, E[D^2], is
+evaluated without quadrature in one of two exact forms: for a narrow
+syndrome (Var(w) < 1/2) a sum of normal tails over three lattice cells, for
+a broad one the Fourier (theta) series of the wrapped normal, five terms of
+exponentials.
 """
 from __future__ import annotations
 
@@ -31,11 +33,10 @@ from .channels import _as_output
 
 ELL = np.sqrt(2.0 * np.pi)  # square-lattice pitch
 
-# Neglected Gaussian tail mass below 1e-12 -> sum whole cells past 7.5 sigma.
-_TAIL_SIGMA = 7.5
-# Var(w) from which the theta series replaces the cell sum.  Below it the
-# sum needs at most three cells, and every cell edge but 0 has z >= sqrt(pi).
+# Var(w) from which the theta series replaces the cell sum.  Below it three
+# cells suffice, and every cell edge but 0 has z >= sqrt(pi).
 _THETA_MIN_VAR = 0.5
+_HALF_CELLS = np.array([[0.5], [1.5], [2.5]])  # upper edges of cells 0 to 2, in ell
 _THETA_TERMS = 5  # first neglected term: exp(-36 pi var_w) <= exp(-18 pi) ~ 3e-25
 
 # erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and exp(-x^2) R(x)/S(x) for
@@ -91,12 +92,6 @@ class GkpAncilla:
     def syndrome_noise_variance(self) -> float:
         return 2.0 * self.delta2
 
-    @classmethod
-    def parse(cls, spec: str | float | None) -> "GkpAncilla":
-        if spec is None or (isinstance(spec, str) and spec.lower() == "ideal"):
-            return cls(None)
-        return cls(float(spec))
-
 
 IDEAL = GkpAncilla(None)
 
@@ -139,48 +134,35 @@ def _normal_tail(z):
     p, q, r, s = poly
     e = np.exp(-xp * xp)
     y = np.where(xp < 8.0, e * p / q, e * r / s)
-    return np.where(x * x > _MAXLOG, 0.0, 0.5 * y)
+    return np.where(xp * xp > _MAXLOG, 0.0, 0.5 * y)
 
 
-def wrapped_moments(var_w, n_cells_boost: int = 0):
-    """(E[wrap(w)^2], E[w wrap(w)]) for w ~ N(0, var_w), wrap = mod-ell.
+def lattice_shift_variance(var_w):
+    """E[D^2] for the lattice shift D = w - wrap(w) of w ~ N(0, var_w).
+
+    D = n ell on lattice cell n, where w lies in [(n - 1/2) ell, (n + 1/2) ell].
+    Narrow syndromes (0 < var_w < 1/2) sum n^2 ell^2 P(cell n) by parts into
+    positive terms, with sd = sqrt(var_w):
+
+        E[D^2] = 2 ell^2 sum_{n >= 1} (2n - 1) Phi(-(n - 1/2) ell / sd),
+
+    kept to n = 3; the n = 4 term is below 1e-32 of the first.  Every
+    argument is at least sqrt(pi) standard deviations out, where
+    :func:`_normal_tail` applies.
 
     Broad syndromes (var_w >= 1/2) use the theta series of the wrapped
     normal (Mardia & Jupp, Directional Statistics, 2000), with q_k =
     exp(-pi k^2 var_w):
 
-        E[wrap(w)^2] = pi/6 + (2/pi) sum_k (-1)^k q_k / k^2,
-        E[w wrap(w)] = 2 var_w sum_k (-1)^(k+1) q_k,
+        E[D^2] = var_w + pi/6 + sum_k (-1)^k q_k (2 / (pi k^2) + 4 var_w),
 
     summed to k = 5; the neglected terms are below exp(-18 pi) ~ 3e-25.
-    E[wrap(w)^2] is then within 3e-16 relative of the exact value and
-    E[w wrap(w)] within a few ulps times its condition number pi var_w.
     Any finite variance converges: past var_w ~ 240 every q_k underflows
-    and the moments are the uniform limit (pi/6, 0).
+    and E[D^2] is var_w + pi/6.
 
-    Narrow syndromes (0 < var_w < 1/2) use an exact sum over lattice cells
-    [a, b] = [c - ell/2, c + ell/2], c = n*ell, out to where the neglected
-    Gaussian mass is below 1e-12 (at most three cells).  On a cell wrap(w)
-    is u = w - c.  Writing E[g; cell] for the integral of g f over the cell,
-    with f the N(0, var_w) density and P = E[1; cell] the cell mass, the
-    Gaussian identities
-
-        E[u; cell]   = var_w (f(a) - f(b)) - c P,
-        E[w u; cell] = var_w P + var_w ((a - c) f(a) - (b - c) f(b)),
-        E[u^2; cell] = E[w u; cell] - c E[u; cell]
-
-    need only normal tails and the density at the cell edges.  P is a
-    difference of upper tails, so a far cell's mass keeps its relative
-    accuracy.  The integrands are even in w: cell 0 is folded onto
-    [0, ell/2] and the sums are doubled.  Every edge but 0 lies at least
-    sqrt(pi) standard deviations out, where :func:`_normal_tail` applies.
-    ``n_cells_boost`` adds lattice cells beyond the truncation (used by the
-    truncation-stability check).
-
-    ``var_w`` may be an array; a scalar gives floats.  Each element's
-    arithmetic is independent of its batch: theta terms are summed one k at
-    a time, and cell sums in groups of equal cell count.  A NaN, infinite
-    or negative variance raises ValueError.
+    ``var_w`` may be an array; a scalar gives a float.  Each element's
+    arithmetic is independent of its batch.  A NaN, infinite or negative
+    variance raises ValueError.
     """
     var = np.asarray(var_w, dtype=float)
     if not np.all(np.isfinite(var)):
@@ -188,107 +170,87 @@ def wrapped_moments(var_w, n_cells_boost: int = 0):
     if np.any(var < 0):
         raise ValueError("variance must be >= 0")
     flat = var.ravel()
-    m2, m11 = np.zeros_like(flat), np.zeros_like(flat)
-    broad = np.flatnonzero(flat >= _THETA_MIN_VAR)
-    if broad.size:
+    out = np.zeros_like(flat)
+    broad = flat >= _THETA_MIN_VAR
+    if np.any(broad):
         v = flat[broad]
-        pv = np.pi * np.minimum(v, 300.0)  # every term underflows past 240: keeps pi k^2 v finite
-        s2, s11 = 0.0, 0.0
+        vc = np.minimum(v, 300.0)  # every q_k underflows past 240: keeps 4 vc finite
+        s = 0.0
         for k in range(_THETA_TERMS, 0, -1):  # smallest term first
-            t = (-1.0) ** k * np.exp(-pv * (k * k))
-            s2, s11 = s2 + t / (k * k), s11 - t
-        m2[broad] = np.pi / 6.0 + (2.0 / np.pi) * s2
-        m11[broad] = v * (2.0 * s11)  # not (2 v) s11, which overflows near the float max
-    narrow = np.flatnonzero((flat > 0.0) & (flat < _THETA_MIN_VAR))
-    counts = np.ceil(_TAIL_SIGMA * np.sqrt(flat[narrow]) / ELL + 0.5).astype(int) + n_cells_boost
-    for n_cells in range(1 + n_cells_boost, 4 + n_cells_boost):  # 1 to 3 cells, plus the boost
-        rows = narrow[counts == n_cells]
-        if not rows.size:
-            continue
-        v = flat[rows, None]
-        sd = np.sqrt(v)
-        c = np.arange(n_cells + 1) * ELL
-        edges = (np.arange(n_cells + 2) - 0.5) * ELL
-        edges[0] = 0.0
-        z = edges / sd
-        tail = np.empty_like(z)
-        tail[:, 0] = 0.5
-        tail[:, 1:] = _normal_tail(z[:, 1:])
-        vf = sd * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)  # var_w * f(edge)
-        p = tail[:, :-1] - tail[:, 1:]
-        e_u = vf[:, :-1] - vf[:, 1:] - c * p
-        e_wu = v * p + (edges[:-1] - c) * vf[:, :-1] - (edges[1:] - c) * vf[:, 1:]
-        m2[rows] = 2.0 * np.sum(e_wu - c * e_u, axis=1)
-        m11[rows] = 2.0 * np.sum(e_wu, axis=1)
-    return _as_output(m2.reshape(var.shape)), _as_output(m11.reshape(var.shape))
+            s = s + (-1.0) ** k * np.exp(-np.pi * vc * (k * k)) * (2.0 / (np.pi * k * k) + 4.0 * vc)
+        out[broad] = v + np.pi / 6.0 + s
+    narrow = (flat > 0.0) & ~broad
+    if np.any(narrow):
+        t1, t3, t5 = _normal_tail(_HALF_CELLS * ELL / np.sqrt(flat[narrow]))
+        out[narrow] = 2.0 * ELL**2 * ((5.0 * t5 + 3.0 * t3) + t1)
+    return _as_output(out.reshape(var.shape))
 
 
-def residual_variance(r, sigma2, ancilla: GkpAncilla = IDEAL, n_cells_boost: int = 0):
+def residual_variance(r, sigma2, ancilla: GkpAncilla = IDEAL):
     """Per-quadrature variance of the data noise after the corrective shift.
 
-    Exact second-moment decomposition of a - phi*wrap(w):
+    With phi = Cov(a, w)/Var(w) the regression gain of the data noise on the
+    pre-wrap syndrome and D = w - wrap(w) the lattice shift, the corrected
+    noise is a - phi wrap(w) = (a - phi w) + phi D, and a - phi w is
+    independent of w.  The variance is therefore a sum of two non-negative
+    terms, neither formed by cancellation:
 
-        Var(a) - 2 phi Cov(a, w)/Var(w) E[w wrap(w)] + phi^2 E[wrap(w)^2]
+        sigma^2 (sigma^2 + delta_syn^2 cosh 2r) / Var(w) + phi^2 E[D^2],
 
-    with phi the regression gain of the data noise on the pre-wrap syndrome.
-    At r = 0 the gain vanishes and the channel noise is returned unchanged.
-    ``r`` and ``sigma2`` broadcast together; scalars give a float.
+    the first being Var(a) - Cov(a, w)^2 / Var(w) and the second
+    :func:`lattice_shift_variance`.  At r = 0 the gain vanishes and the
+    channel noise is returned unchanged.  ``r`` and ``sigma2`` broadcast
+    together; scalars give a float.
     """
     r, sigma2 = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(sigma2, dtype=float))
     if np.any(r < 0) or np.any(sigma2 < 0):
         raise ValueError("r and sigma2 must be >= 0")
-    out = np.asarray(sigma2 * np.cosh(2.0 * r))  # Var(a): the result where phi = 0
+    c2r = np.cosh(2.0 * r)
+    out = np.asarray(sigma2 * c2r)  # Var(a): the result where phi = 0
     cov = sigma2 * np.sinh(2.0 * r)
     live = cov != 0.0
     if np.any(live):
-        var_d, cov = out[live], cov[live]
-        var_w = var_d + ancilla.syndrome_noise_variance
-        m2, m11 = wrapped_moments(var_w, n_cells_boost=n_cells_boost)
+        s2, c2r, cov = sigma2[live], c2r[live], cov[live]
+        noise = ancilla.syndrome_noise_variance
+        var_w = out[live] + noise
+        shift = lattice_shift_variance(var_w)  # raises first on a NaN or infinite var_w
         phi = cov / var_w
-        out[live] = var_d - 2.0 * phi * (cov / var_w) * m11 + phi * phi * m2
+        out[live] = s2 * ((s2 + noise * c2r) / var_w) + phi * phi * shift
     return _as_output(out)
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_R_MAX = 3.0
-_COARSE_POINTS = 200
-_GRID = np.linspace(0.0, _R_MAX, _COARSE_POINTS)
-_SCAN_BLOCK = 2**14  # grid points per scan call: bounds the working memory
-# The moment sums neglect Gaussian mass below 1e-12, so a relative gain
-# smaller than that is rounding, not coding gain.
+_R_MAX = 3.0  # the initial search window is [0, _R_MAX]
+# A gain below this fraction of sigma2 is a few thousand ulps: it is reported
+# as no gain rather than as an optimum.
 _NO_GAIN_RTOL = 1e-12
 
 
 def optimize_squeezing(sigma2, ancilla: GkpAncilla = IDEAL):
     """Minimize residual_variance over r >= 0, elementwise over ``sigma2``.
 
-    A 200-point grid scan over [0, 3], moved up wherever its best point is
-    the last one, brackets each minimum; golden-section steps shrink each
-    bracket to 1e-10.  Returns (r_opt, minimum variance) shaped like
-    ``sigma2`` (floats for a scalar); where coding gains less than the
-    moment sums resolve, that is (0, sigma2), so a noiseless channel
-    (sigma2 = 0) gives (0, 0).
+    The residual is unimodal in r, so a window [0, b] whose end value
+    V(b) is no lower than V(b/2) brackets the minimum.  Starting from
+    b = 3, b doubles wherever V(b) < V(b/2) (and V(b) > 0: a zero is
+    already minimal); golden-section steps then shrink each window to
+    1e-10.  Returns (r_opt, minimum variance) shaped like ``sigma2``
+    (floats for a scalar); where coding gains less than 1e-12 of sigma2,
+    that is (0, sigma2), so a noiseless channel (sigma2 = 0) gives (0, 0).
     """
     shape = np.shape(sigma2)
     noise = np.asarray(sigma2, dtype=float).ravel()
     if not np.all(noise >= 0):
         raise ValueError("sigma2 must be >= 0")
-    # a subnormal sigma2 keeps no relative precision through the moment sums
-    # (and overflows their z^2): it is searched as 0, which gives no gain
+    # a subnormal sigma2 keeps no relative precision through the residual:
+    # it is searched as 0, which gives no gain
     s2 = np.where(noise < np.finfo(float).tiny, 0.0, noise)
-    lo = np.zeros_like(s2)
-    best = np.empty(s2.size, dtype=int)
+    b = np.full_like(s2, _R_MAX)
     todo = np.arange(s2.size)
-    rows = _SCAN_BLOCK // _COARSE_POINTS
     while todo.size:
-        for k in range(0, todo.size, rows):
-            blk = todo[k:k + rows]
-            vals = residual_variance(lo[blk, None] + _GRID, s2[blk, None], ancilla)
-            best[blk] = np.argmin(vals, axis=1)
-        todo = todo[best[todo] == _COARSE_POINTS - 1]
-        lo[todo] += _GRID[-2]
-    a = lo + _GRID[np.maximum(best - 1, 0)]
-    b = lo + _GRID[np.minimum(best + 1, _COARSE_POINTS - 1)]
+        fb, fh = residual_variance(np.stack([b[todo], b[todo] / 2.0]), s2[todo], ancilla)
+        todo = todo[(fb < fh) & (fb > 0.0)]
+        b[todo] *= 2.0
+    a = np.zeros_like(s2)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = residual_variance(np.stack([c, d]), s2, ancilla)

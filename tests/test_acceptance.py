@@ -13,7 +13,7 @@ from gkpmdi.channels import ProtocolParams, awgn_variance_preamp, awgn_variance_
 from gkpmdi.config import RunConfig, SweepSpec
 from gkpmdi.fading import CodePolicy, fading_pdf, fading_scalars, mean_residual_variance
 from gkpmdi.finite_size import FiniteSizeParams, composable_rate
-from gkpmdi.gkp import GkpAncilla, IDEAL, lower_bound_variance, optimize_squeezing, \
+from gkpmdi.gkp import ELL, GkpAncilla, IDEAL, lower_bound_variance, optimize_squeezing, \
     residual_variance
 from gkpmdi.mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, \
     mc_residual_variance
@@ -260,9 +260,16 @@ def test_criterion_10_invariant_suite():
     checks["point-mass fading == fiber"] = float(np.max(np.abs(fad.cm - fib.cm))) < 1e-9
 
     checks["r=0 recovery"] = abs(residual_variance(0.0, 0.129, DB20) - 0.129) / 0.129 < 1e-9
-    base = residual_variance(0.46, 0.129, DB20)
-    boost = residual_variance(0.46, 0.129, DB20, n_cells_boost=4)
-    checks["truncation doubling"] = abs(base - boost) / base < 1e-9
+    # the kernel's three lattice cells against six, summed with scipy's ndtr
+    from scipy.special import ndtr
+    r, s2 = 0.46, 0.129
+    var_w = s2 * np.cosh(2.0 * r) + DB20.syndrome_noise_variance
+    phi = s2 * np.sinh(2.0 * r) / var_w
+    n = np.arange(1, 7)
+    six_cells = 2.0 * ELL**2 * np.sum((2 * n - 1) * ndtr(-(n - 0.5) * ELL / np.sqrt(var_w)))
+    six = s2 * np.cosh(2.0 * r) - phi * phi * (var_w - six_cells)
+    base = residual_variance(r, s2, DB20)
+    checks["truncation doubling"] = abs(base - six) / base < 1e-9
 
     ok = all(checks.values())
     line = _report(10, ok, "; ".join(f"{k}: {'ok' if v else 'BAD'}"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,14 +7,15 @@ from scipy.special import ndtr
 
 from gkpmdi import gkp
 from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, break_even, concat_variance,
-                        effective_estimator_gain, lower_bound_variance, optimize_squeezing,
-                        residual_variance, syndrome_reduce, wrapped_moments)
+                        effective_estimator_gain, lattice_shift_variance, lower_bound_variance,
+                        optimize_squeezing, residual_variance, syndrome_reduce)
 from gkpmdi.mc import RngStream, mc_residual_variance
 from matrix_oracle import (conditioning_blocks, linear_estimator, mu_tilde,
                            reshaped_noise_cm, symplectic_form)
 
 DB20 = GkpAncilla(20.0)
 ANCILLAS = [IDEAL, GkpAncilla(15.0), DB20, GkpAncilla(25.0)]
+TINY = np.finfo(float).tiny
 
 
 def theta_series_moments(var_w, terms=400):
@@ -33,8 +36,8 @@ def cell_sum_moments(var_w):
     """Oracle: the lattice-cell sum of the wrapped moments with scipy's ndtr.
 
     Exact per-cell closed forms in Phi and the normal density over every
-    cell out to 7.5 standard deviations, for any variance (the production
-    code uses it only below var_w = 1/2, with its own normal tail).
+    cell out to 7.5 standard deviations, for any variance; the moments of
+    the second-moment decomposition the production kernel replaced.
     """
     var = np.asarray(var_w, dtype=float)
     flat = var.ravel()
@@ -59,12 +62,25 @@ def cell_sum_moments(var_w):
     return m2.reshape(var.shape), m11.reshape(var.shape)
 
 
+def cell_mass_shift_variance(var_w, n_cells=None):
+    """Oracle: E[D^2] = sum over lattice cells of (n ell)^2 P(cell n), with ndtr.
+
+    Sums the cells out past 12 standard deviations, or cells 1 to
+    ``n_cells`` on each side when that is given.
+    """
+    out = []
+    for v in np.atleast_1d(np.asarray(var_w, dtype=float)):
+        sd = np.sqrt(v)
+        n = np.arange(1, n_cells + 1 if n_cells else int(12.0 * sd / ELL) + 4)
+        mass = ndtr(-(n - 0.5) * ELL / sd) - ndtr(-(n + 0.5) * ELL / sd)
+        out.append(2.0 * np.sum((n * ELL) ** 2 * mass))
+    return np.array(out)
+
+
 def test_ancilla_definitions():
     assert IDEAL.ideal and IDEAL.delta2 == 0.0
     assert abs(DB20.delta2 - 0.005) < 1e-15
     assert abs(DB20.syndrome_noise_variance - 0.01) < 1e-15
-    assert GkpAncilla.parse("ideal").ideal
-    assert GkpAncilla.parse(25.0).squeezing_db == 25.0
     with pytest.raises(ValueError):
         GkpAncilla(-3.0)
 
@@ -135,27 +151,22 @@ def test_syndrome_reduce():
     assert abs(syndrome_reduce(ELL / 2.0)) <= ELL / 2.0 + 1e-15
 
 
-def test_wrapped_moments_against_theta_series():
-    # narrow syndromes only: from var_w = 1/2 up the production code is this series
-    for var_w in (1e-10, 1e-7, 1e-4, 0.02, 0.1, 0.4, 0.4999):
-        m2, m11 = wrapped_moments(var_w)
-        # the series needs about sqrt(13 / var_w) terms to converge
-        t2, t11 = theta_series_moments(var_w, terms=400_000)
-        assert m2 == pytest.approx(t2, rel=1e-9, abs=1e-12)
-        assert m11 == pytest.approx(t11, rel=1e-9, abs=1e-9)
+def test_lattice_shift_variance_against_theta_series():
+    # broad syndromes: E[D^2] = E[(w - wrap(w))^2] = v - 2 E[w wrap(w)] + E[wrap(w)^2]
+    v = np.array([0.5, np.nextafter(0.5, 1.0), 0.51, 0.8, 1.5, 6.0, 20.0, 50.0, 200.0])
+    ref = np.array([x - 2.0 * m11 + m2 for x in v for m2, m11 in [theta_series_moments(x)]])
+    shift = lattice_shift_variance(v)
+    assert np.all(np.abs(shift - ref) <= 4e-15 * ref)
 
 
-def test_wrapped_moments_against_cell_sum_oracle():
+def test_lattice_shift_variance_against_cell_mass_oracle():
     crossover = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.49, 0.51]
-    v = np.concatenate([np.geomspace(1e-10, 1e3, 400), crossover])
-    m2, m11 = wrapped_moments(v)
-    o2, o11 = cell_sum_moments(v)
-    # the oracle's cell sum rounds off by about eps * var_w, so both bounds grow with v
-    scale = 1e-13 * np.maximum(1.0, v)
-    assert np.all(np.abs(m2 - o2) <= scale * o2)
-    assert np.all(np.abs(m11 - o11) <= scale)
+    v = np.concatenate([np.geomspace(1e-3, 1e3, 400), crossover])
+    shift = lattice_shift_variance(v)
+    ref = cell_mass_shift_variance(v)
+    assert np.all(np.abs(shift - ref) <= 4e-15 * ref)
     # the two branches meet at the crossover: the three variances next to 1/2
-    assert np.ptp(m2[-5:-2]) < 1e-15 and np.ptp(m11[-5:-2]) < 1e-15
+    assert np.ptp(shift[-5:-2]) < 1e-15
 
 
 def test_normal_tail_against_ndtr():
@@ -164,13 +175,31 @@ def test_normal_tail_against_ndtr():
     tail = gkp._normal_tail(z)
     np.testing.assert_allclose(tail, ref, rtol=1e-13, atol=0.0)
     assert np.array_equal(tail == 0.0, ref == 0.0)  # the same underflow point
-    assert gkp._normal_tail(np.array([1e30, np.inf])).tolist() == [0.0, 0.0]
+    assert gkp._normal_tail(np.array([1e30, 1e200, np.inf])).tolist() == [0.0, 0.0, 0.0]
 
 
-def test_wrapped_moments_narrow_limit():
-    m2, m11 = wrapped_moments(1e-10)
-    assert m2 == pytest.approx(1e-10, rel=1e-9)
-    assert m11 == pytest.approx(1e-10, rel=1e-9)
+def test_residual_variance_narrow_limit():
+    # with an ideal ancilla and Var(w) = 0.01 a shift has probability ~1e-35:
+    # the residual is the regression residual sigma^2 / cosh(2r), to rounding
+    for r in (0.5, 1.0, 2.0, 5.0, 7.0):
+        s2 = 1e-2 / np.cosh(2.0 * r)
+        assert residual_variance(r, s2) == pytest.approx(s2 / np.cosh(2.0 * r), rel=1e-15)
+
+
+def test_residual_variance_against_moment_decomposition():
+    # the second-moment decomposition Var(a) - 2 phi Cov(a, w)/Var(w) E[w wrap(w)]
+    # + phi^2 E[wrap(w)^2], with the cell-sum moments; it cancels, and most
+    # where the syndrome is narrow and the ancilla ideal
+    r = np.linspace(0.0, 4.0, 81)[:, None]
+    s2 = np.geomspace(1e-4, 0.999, 60)[None, :]
+    for ancilla, rtol in ((GkpAncilla(12.0), 1e-13), (DB20, 1e-13), (GkpAncilla(30.0), 1e-13),
+                          (IDEAL, 1e-10)):
+        var_a, cov = s2 * np.cosh(2.0 * r), s2 * np.sinh(2.0 * r)
+        var_w = var_a + ancilla.syndrome_noise_variance
+        m2, m11 = cell_sum_moments(var_w)
+        phi = cov / var_w
+        ref = var_a - 2.0 * phi * (cov / var_w) * m11 + phi * phi * m2
+        assert np.all(np.abs(residual_variance(r, s2, ancilla) - ref) <= rtol * ref)
 
 
 def test_residual_variance_no_correction_recovers_channel():
@@ -181,9 +210,13 @@ def test_residual_variance_no_correction_recovers_channel():
 
 
 def test_residual_variance_truncation_stability():
-    base = residual_variance(0.46, 0.129, DB20)
-    boosted = residual_variance(0.46, 0.129, DB20, n_cells_boost=4)
-    assert abs(base - boosted) / base < 1e-9
+    # six lattice cells with scipy's ndtr against the kernel's three
+    r, s2 = 0.46, 0.129
+    var_w = s2 * np.cosh(2.0 * r) + DB20.syndrome_noise_variance
+    phi = s2 * np.sinh(2.0 * r) / var_w
+    six = s2 * np.cosh(2.0 * r) - phi * phi * (var_w - cell_mass_shift_variance(var_w, 6)[0])
+    base = residual_variance(r, s2, DB20)
+    assert abs(base - six) / base < 1e-9
 
 
 def test_residual_variance_matches_monte_carlo():
@@ -230,12 +263,12 @@ def test_optimized_residual_never_exceeds_channel_noise(drawn, ancilla):
 @example(1e-5, IDEAL)
 @example(1.7e-4, IDEAL)
 def test_optimum_is_interior_to_its_bracket(s2, ancilla):
-    # a coarse-grid step either way raises the residual: the optimum is not
-    # pinned to the end of a search window
+    # a step of the old 200-point grid either way raises the residual: the
+    # optimum is not pinned to the end of a search window
     r_opt, v = optimize_squeezing(s2, ancilla)
     if r_opt == 0.0:
         return  # no coding gain
-    step = gkp._GRID[1]
+    step = 3.0 / 199.0
     assert residual_variance(max(r_opt - step, 0.0), s2, ancilla) > v
     assert residual_variance(r_opt + step, s2, ancilla) > v
 
@@ -267,14 +300,8 @@ def scalar_reference_optimize(s2, ancilla):
     return (0.0, s2) if v >= s2 * (1.0 - 1e-12) else (r, v)
 
 
-# More elements than one block of the coarse scan holds.
-_BEYOND_ONE_BLOCK = gkp._SCAN_BLOCK // gkp._COARSE_POINTS + 1
-
-
 @settings(derandomize=True, deadline=None, max_examples=4)
-@given(st.lists(st.floats(1e-6, 0.9), min_size=_BEYOND_ONE_BLOCK - 6,
-                max_size=_BEYOND_ONE_BLOCK + 10),
-       st.sampled_from(ANCILLAS))
+@given(st.lists(st.floats(1e-6, 0.9), min_size=1, max_size=90), st.sampled_from(ANCILLAS))
 def test_optimize_batch_matches_single_calls(drawn, ancilla):
     # window-extended (1e-6 .. 1.7e-4 ideal) and no-gain (0.9) elements always ride along
     fixed = [1e-6, 1e-5, 1.7e-4, 0.01, 0.5, 0.9]
@@ -282,8 +309,10 @@ def test_optimize_batch_matches_single_calls(drawn, ancilla):
     r_opt, v = optimize_squeezing(s2, ancilla)
     single = np.array([optimize_squeezing(float(x), ancilla) for x in s2])
     assert np.array_equal(r_opt, single[:, 0]) and np.array_equal(v, single[:, 1])
+    # the scan-free search finds the scan's minimum, not its bits
     reference = np.array([scalar_reference_optimize(x, ancilla) for x in fixed])
-    assert np.array_equal(single[:len(fixed)], reference)
+    np.testing.assert_allclose(v[:len(fixed)], reference[:, 1], rtol=1e-12, atol=0.0)
+    assert np.array_equal(r_opt[:len(fixed)] == 0.0, reference[:, 0] == 0.0)
     assert np.any(r_opt == 0.0)
     assert not ancilla.ideal or np.any(r_opt > gkp._R_MAX)
     assert isinstance(optimize_squeezing(0.1, ancilla)[0], float)
@@ -299,10 +328,9 @@ def test_residual_batch_matches_single_calls(pairs, ancilla):
     batch = residual_variance(r, s2, ancilla)
     single = [residual_variance(float(a), float(b), ancilla) for a, b in pairs]
     assert np.array_equal(batch, single)
-    m2, m11 = wrapped_moments(s2 * 1e3)  # 0 .. 1000: many cell counts
-    single = np.array([wrapped_moments(float(x)) for x in s2 * 1e3])
-    assert np.array_equal(m2, single[:, 0]) and np.array_equal(m11, single[:, 1])
-    assert isinstance(wrapped_moments(0.3)[0], float)
+    shift = lattice_shift_variance(s2 * 1e3)  # 0 .. 1000: both branches
+    assert np.array_equal(shift, [lattice_shift_variance(float(x)) for x in s2 * 1e3])
+    assert isinstance(lattice_shift_variance(0.3), float)
     assert isinstance(residual_variance(0.4, 0.1, ancilla), float)
 
 
@@ -312,7 +340,7 @@ def test_negative_element_anywhere_raises(values, data):
     bad = np.array(values)
     bad[data.draw(st.integers(0, len(values) - 1))] = -1e-3
     with pytest.raises(ValueError):
-        wrapped_moments(bad)
+        lattice_shift_variance(bad)
     with pytest.raises(ValueError):
         residual_variance(bad, 0.1)
     with pytest.raises(ValueError):
@@ -324,6 +352,56 @@ def test_negative_element_anywhere_raises(values, data):
 def test_optimize_tiny_noise_ideal():
     _, v = optimize_squeezing(1e-9, IDEAL)
     assert v <= 1e-9
+
+
+def test_tiny_variances_run_clean():
+    r = np.linspace(0.0, 3.0, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = residual_variance(r, 5e-324)
+        r_opt, v_opt = optimize_squeezing(3e-308, IDEAL)
+    assert np.all((0.0 <= v) & (v <= 5e-324 * np.cosh(2.0 * r)))
+    assert 0.0 <= v_opt <= 3e-308 * np.cosh(2.0 * r_opt)
+
+
+_NOISE = (st.floats(0.0, 1.0, exclude_max=True)
+          | st.sampled_from([0.0, 5e-324, 1e-310, TINY, 3e-308, 1e-200, 1e-12]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.floats(0.0, 16.0), _NOISE, st.sampled_from(ANCILLAS))
+@example(11.4, 1e-12, IDEAL)
+@example(2.0, 5e-324, IDEAL)
+def test_residual_variance_is_bounded(r, s2, ancilla):
+    # 0 <= V <= Var(a) + phi^2 pi/6: the lattice shift adds at most the
+    # variance of a uniform wrap (E[D^2] <= Var(w) + pi/6, theta series)
+    v = residual_variance(r, s2, ancilla)
+    phi = effective_estimator_gain(r, s2, ancilla)
+    assert 0.0 <= v <= (s2 * np.cosh(2.0 * r) + phi * phi * np.pi / 6.0) * (1.0 + 2e-15)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.floats(1e-12, 0.999),
+       st.just(IDEAL) | st.floats(5.0, 40.0).map(GkpAncilla))
+@example(1e-12, IDEAL)
+@example(1.7e-4, IDEAL)
+def test_residual_variance_is_unimodal_in_r(s2, ancilla):
+    # the scan-free search relies on it: V does not rise before its
+    # minimum and does not fall after it
+    v = residual_variance(np.linspace(0.0, 16.0, 16_001), s2, ancilla)
+    k = int(np.argmin(v))
+    assert np.all(np.diff(v[:k + 1]) <= 0.0) and np.all(np.diff(v[k:]) >= 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_NOISE, st.sampled_from(ANCILLAS))
+@example(1e-200, IDEAL)
+@example(1e-160, IDEAL)
+def test_optimize_terminates_without_warnings(s2, ancilla):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r_opt, v = optimize_squeezing(s2, ancilla)
+    assert 0.0 <= v <= s2 and r_opt >= 0.0
 
 
 def test_optimize_matches_dense_grid():
@@ -360,11 +438,12 @@ def test_residual_variance_rejects_bad_inputs():
     with pytest.raises(ValueError):
         residual_variance(0.1, -0.1)
     # every finite variance converges: a huge one gives the uniform limit
-    assert wrapped_moments(4e9) == (np.pi / 6.0, 0.0)
-    assert wrapped_moments(np.finfo(float).max) == (np.pi / 6.0, 0.0)
+    assert lattice_shift_variance(4e9) == 4e9 + np.pi / 6.0
+    assert lattice_shift_variance(np.finfo(float).max) == np.finfo(float).max
+    assert lattice_shift_variance(0.0) == 0.0
     for bad in (np.nan, np.inf, -np.inf, [0.3, np.nan]):
         with pytest.raises(ValueError):
-            wrapped_moments(bad)
+            lattice_shift_variance(bad)
     with pytest.raises(ValueError):
         residual_variance(0.4, np.nan)
     with pytest.raises(ValueError):
