@@ -18,8 +18,8 @@ class ProtocolParams:
     """Protocol-level parameters; defaults follow the reference configuration.
 
     Variances are dimensionless (shot-noise units), lengths in km,
-    attenuation in dB/km.  ``wavelength_nm`` is metadata only.  The link
-    lengths may be arrays (one rate evaluation per element).
+    attenuation in dB/km.  The link lengths may be arrays (one rate
+    evaluation per element).
     """
 
     sigma2_a: float = 20.0
@@ -29,7 +29,6 @@ class ProtocolParams:
     n_bar: float = 0.0
     beta0: float = 1.0
     alpha0_db_per_km: float = 0.2
-    wavelength_nm: float = 1550.0
 
     def __post_init__(self):
         if self.sigma2_a < 0 or self.sigma2_b < 0:

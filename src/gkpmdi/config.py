@@ -1,14 +1,20 @@
-"""Run configuration: INI-style files with sections mirroring the parameter tables."""
+"""Run configuration: INI files whose sections mirror the parameter tables.
+
+``_KEYS`` is the file format: every accepted key, the object keyword it sets
+and its cast.  A key the file leaves out keeps that keyword's default, stated
+once on the object; a section or key not in the table is a ConfigError.
+"""
 from __future__ import annotations
 
 import configparser
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channels import ProtocolParams
 from .fading import FadingConfig, pointing_wander_variance
 from .finite_size import FiniteSizeParams
-from .gkp import GkpAncilla
+from .gkp import IDEAL, GkpAncilla
 
 LINK_MODES = ("direct", "preamp", "gkp", "qt")
 SWEEP_AXES = ("lb_km", "la_km", "total_pulse", "layers")
@@ -41,7 +47,6 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario: str = "fiber"
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
     link_mode: str = "gkp"
     ancilla: GkpAncilla = field(default_factory=lambda: GkpAncilla(20.0))
@@ -56,12 +61,8 @@ class RunConfig:
     def __post_init__(self):
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
-        if self.scenario not in ("fiber", "free_space"):
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.link_mode not in LINK_MODES:
             raise ConfigError(f"unknown link_mode {self.link_mode!r}")
-        if self.scenario == "free_space" and self.fading is None:
-            raise ConfigError("free_space scenario requires a [fading] section")
         if self.sweep.axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.sweep.axis!r}")
         if self.sweep.mode not in SWEEP_MODES:
@@ -79,127 +80,122 @@ class RunConfig:
                               "direct, preamp and gkp fiber links")
 
 
-def _get(section, key, cast, default):
-    if section is None or key not in section:
-        return default
-    raw = section[key]
+# (section, key) -> (object the key configures, its keyword, cast of the raw
+# value).  The keyword of modulation_variance, ancilla and pe_fraction is the
+# key itself: load_config resolves those three after the table.
+_KEYS = {
+    ("protocol", "modulation_variance"): (ProtocolParams, "modulation_variance", float),
+    ("protocol", "modulation_variance_a"): (ProtocolParams, "sigma2_a", float),
+    ("protocol", "modulation_variance_b"): (ProtocolParams, "sigma2_b", float),
+    ("protocol", "la_km"): (ProtocolParams, "l_a_km", float),
+    ("protocol", "lb_km"): (ProtocolParams, "l_b_km", float),
+    ("protocol", "thermal_photon_mean"): (ProtocolParams, "n_bar", float),
+    ("protocol", "reconciliation_efficiency"): (ProtocolParams, "beta0", float),
+    ("protocol", "attenuation_db_per_km"): (ProtocolParams, "alpha0_db_per_km", float),
+    ("protocol", "link_mode"): (RunConfig, "link_mode", str.lower),
+    ("code", "ancilla"): (GkpAncilla, "ancilla", str.lower),
+    ("code", "gkp_squeezing_db"): (GkpAncilla, "squeezing_db", float),
+    ("code", "layers"): (RunConfig, "layers", int),
+    ("code", "qt_squeezing_db"): (RunConfig, "qt_squeezing_db", float),
+    ("finite_size", "total_pulse"): (FiniteSizeParams, "n_total", float),
+    ("finite_size", "pe_signals"): (FiniteSizeParams, "m_pe", float),
+    ("finite_size", "pe_fraction"): (FiniteSizeParams, "pe_fraction", float),
+    ("finite_size", "digitalization"): (FiniteSizeParams, "d", int),
+    ("finite_size", "ec_success_probability"): (FiniteSizeParams, "p_ec", float),
+    ("finite_size", "eps_correctness"): (FiniteSizeParams, "eps_cor", float),
+    ("finite_size", "eps_smoothing"): (FiniteSizeParams, "eps_s", float),
+    ("finite_size", "eps_hashing"): (FiniteSizeParams, "eps_h", float),
+    ("finite_size", "eps_pe"): (FiniteSizeParams, "eps_pe", float),
+    ("fading", "tau0"): (FadingConfig, "tau0", float),
+    ("fading", "gamma0"): (FadingConfig, "gamma0", float),
+    ("fading", "r0_m"): (FadingConfig, "r0_m", float),
+    ("fading", "sigma_bw2_m2"): (FadingConfig, "sigma_bw2_m2", float),
+    ("fading", "receiver_aperture_m"): (FadingConfig, "a_r_m", float),
+    ("fading", "link_length_km"): (pointing_wander_variance, "l_km", float),
+    ("fading", "pointing_error_urad"): (pointing_wander_variance, "pointing_urad", float),
+    ("sweep", "axis"): (SweepSpec, "axis", str.lower),
+    ("sweep", "start"): (SweepSpec, "start", float),
+    ("sweep", "stop"): (SweepSpec, "stop", float),
+    ("sweep", "step"): (SweepSpec, "step", float),
+    ("sweep", "mode"): (SweepSpec, "mode", str.lower),
+    ("output", "path"): (RunConfig, "output_path", str),
+    ("output", "format"): (RunConfig, "output_format", str.lower),
+}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
+def _build(make, kw: dict, keys: dict):
+    """``make(**kw[make])``, a ValueError reported with the keys behind it."""
     try:
-        return cast(raw)
+        return make(**kw[make])
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        raise ConfigError(f"{exc} (from {', '.join(keys[make])})") from exc
 
 
 def load_config(path: str | Path | None) -> RunConfig:
-    """Parse an INI run configuration; missing keys fall back to the
-    reference defaults."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            parser.read(path)
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config: {exc}") from exc
-
-    prot = parser["protocol"] if parser.has_section("protocol") else None
-    sigma2 = _get(prot, "modulation_variance", float, 20.0)
+    """Parse an INI run configuration against ``_KEYS``; a key the file
+    leaves out keeps its object's default."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    if path is not None and not Path(path).exists():
+        raise ConfigError(f"config file not found: {path}")
     try:
-        protocol = ProtocolParams(
-            sigma2_a=_get(prot, "modulation_variance_a", float, sigma2),
-            sigma2_b=_get(prot, "modulation_variance_b", float, sigma2),
-            l_a_km=_get(prot, "la_km", float, 1.0),
-            l_b_km=_get(prot, "lb_km", float, 10.0),
-            n_bar=_get(prot, "thermal_photon_mean", float, 0.0),
-            beta0=_get(prot, "reconciliation_efficiency", float, 1.0),
-            alpha0_db_per_km=_get(prot, "attenuation_db_per_km", float, 0.2),
-            wavelength_nm=_get(prot, "signal_wavelength_nm", float, 1550.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    link_mode = _get(prot, "link_mode", str, "gkp").strip().lower()
+        parser.read([] if path is None else path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config: {exc}") from exc
 
-    code = parser["code"] if parser.has_section("code") else None
-    anc_raw = _get(code, "ancilla", str, "finite").strip().lower()
-    if anc_raw == "ideal":
-        ancilla = GkpAncilla(None)
-    else:
-        try:
-            ancilla = GkpAncilla(_get(code, "gkp_squeezing_db", float, 20.0))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    layers = _get(code, "layers", int, 1)
-    qt_db = _get(code, "qt_squeezing_db", float, 20.0)
+    if parser.defaults():  # configparser would copy [DEFAULT] into every section
+        raise ConfigError("unknown section [DEFAULT]")
+    kw, keys = defaultdict(dict), defaultdict(list)
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, raw in parser.items(section):
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"unknown key {key} in [{section}]")
+            make, name, cast = _KEYS[section, key]
+            try:
+                kw[make][name] = cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+            keys[make].append(key)
+    run = kw[RunConfig]
 
-    fs = None
-    if parser.has_section("finite_size"):
-        sec = parser["finite_size"]
-        n_total = _get(sec, "total_pulse", float, 1e8)
-        m_pe = _get(sec, "pe_signals", float, None)
-        if m_pe is None:
-            m_pe = _get(sec, "pe_fraction", float, 0.1) * n_total
-        try:
-            fs = FiniteSizeParams(
-                n_total=n_total,
-                m_pe=m_pe,
-                d=_get(sec, "digitalization", int, 32),
-                p_ec=_get(sec, "ec_success_probability", float, 0.9),
-                eps_cor=_get(sec, "eps_correctness", float, 1e-10),
-                eps_s=_get(sec, "eps_smoothing", float, 1e-10),
-                eps_h=_get(sec, "eps_hashing", float, 1e-10),
-                eps_pe=_get(sec, "eps_pe", float, 1e-10),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    if "modulation_variance" in kw[ProtocolParams]:  # sets both; the _a/_b keys override it
+        both = kw[ProtocolParams].pop("modulation_variance")
+        kw[ProtocolParams] = {"sigma2_a": both, "sigma2_b": both, **kw[ProtocolParams]}
+    run["protocol"] = _build(ProtocolParams, kw, keys)
 
-    fading = None
-    scenario = "fiber"
+    kind = kw[GkpAncilla].pop("ancilla", None)
+    if kind not in (None, "finite", "ideal"):
+        raise ConfigError(f"bad value for ancilla: {kind!r} (finite | ideal)")
+    if kind == "ideal":
+        run["ancilla"] = IDEAL
+    elif kw[GkpAncilla]:
+        run["ancilla"] = _build(GkpAncilla, kw, keys)
+
+    fs = kw[FiniteSizeParams]
+    if "pe_fraction" in fs and "m_pe" in fs:
+        raise ConfigError("pe_signals and pe_fraction exclude each other")
+    if "pe_fraction" in fs:
+        fs["m_pe"] = fs.pop("pe_fraction") * fs.get("n_total", FiniteSizeParams.n_total)
+    run["finite_size"] = (_build(FiniteSizeParams, kw, keys)  # no section: asymptotic rates
+                          if parser.has_section("finite_size") else None)
+
     if parser.has_section("fading"):
-        scenario = "free_space"
-        sec = parser["fading"]
-        l_km = _get(sec, "link_length_km", float, 1.0)
-        pointing = _get(sec, "pointing_error_urad", float, 1.0)
-        sbw2 = _get(sec, "sigma_bw2_m2", float, None)
-        if sbw2 is None:
-            sbw2 = pointing_wander_variance(l_km, pointing)
-        for key in ("tau0", "gamma0", "r0_m"):
-            if key not in sec:
-                raise ConfigError(f"[fading] section is missing {key}")
-        try:
-            fading = FadingConfig(
-                tau0=float(sec["tau0"]),
-                gamma0=float(sec["gamma0"]),
-                r0_m=float(sec["r0_m"]),
-                sigma_bw2_m2=sbw2,
-                a_r_m=_get(sec, "receiver_aperture_m", float, 0.1),
-                w0_m=_get(sec, "beam_waist_m", float, 0.05),
-                l_a_km=l_km,
-                pointing_urad=pointing,
-                wavelength_nm=_get(sec, "signal_wavelength_nm", float, 800.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        fading, geometry = kw[FadingConfig], keys[pointing_wander_variance]
+        missing = [key for key in ("tau0", "gamma0", "r0_m") if key not in fading]
+        if missing:
+            raise ConfigError(f"[fading] section is missing {', '.join(missing)}")
+        if "sigma_bw2_m2" in fading and geometry:
+            raise ConfigError(f"sigma_bw2_m2 excludes {' and '.join(geometry)}: "
+                              "give the wander variance or the link geometry")
+        if "sigma_bw2_m2" not in fading:
+            fading["sigma_bw2_m2"] = _build(pointing_wander_variance, kw, keys)
+            keys[FadingConfig] += geometry
+        run["fading"] = _build(FadingConfig, kw, keys)
 
-    sw = parser["sweep"] if parser.has_section("sweep") else None
-    sweep = SweepSpec(
-        axis=_get(sw, "axis", str, "lb_km").strip().lower(),
-        start=_get(sw, "start", float, 1.0),
-        stop=_get(sw, "stop", float, 10.0),
-        step=_get(sw, "step", float, 1.0),
-        mode=_get(sw, "mode", str, "grid").strip().lower(),
-    )
-
-    out = parser["output"] if parser.has_section("output") else None
-    out_path = _get(out, "path", str, None)
-    out_format = _get(out, "format", str, "csv").strip().lower()
-
-    try:
-        return RunConfig(scenario=scenario, protocol=protocol, link_mode=link_mode,
-                         ancilla=ancilla, layers=layers, qt_squeezing_db=qt_db,
-                         finite_size=fs, fading=fading, sweep=sweep,
-                         output_path=out_path, output_format=out_format)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    run["sweep"] = SweepSpec(**kw[SweepSpec])
+    return RunConfig(**run)
 
 
 def reference_fading_config(aperture_m: float) -> Path:

@@ -31,7 +31,7 @@ _XI_PANELS = 64
 _XI_ORDER = 16
 
 
-def pointing_wander_variance(l_km: float, pointing_urad: float = 1.0) -> float:
+def pointing_wander_variance(l_km: float = 1.0, pointing_urad: float = 1.0) -> float:
     """Beam-wandering variance (m^2) from a transmitter pointing jitter."""
     if l_km < 0 or pointing_urad < 0:
         raise ValueError("inputs must be >= 0")
@@ -45,8 +45,8 @@ class FadingConfig:
     ``tau0`` is the perfectly aligned transmittance (extinction already
     folded in multiplicatively); ``gamma0``/``r0_m`` are the shape and scale
     of the deflection-to-transmittance map; ``sigma_bw2_m2`` the centroid
-    wander variance.  Aperture, spot size, wavelength and pointing error are
-    carried as metadata.
+    wander variance.  ``a_r_m`` is the receiver aperture the parameters
+    were fitted for: it labels the output rows and enters no computation.
     """
 
     tau0: float
@@ -54,10 +54,6 @@ class FadingConfig:
     r0_m: float
     sigma_bw2_m2: float
     a_r_m: float = 0.1
-    w0_m: float = 0.05
-    l_a_km: float = 1.0
-    pointing_urad: float = 1.0
-    wavelength_nm: float = 800.0
 
     def __post_init__(self):
         if not 0.0 < self.tau0 <= 1.0:

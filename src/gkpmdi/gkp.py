@@ -60,6 +60,7 @@ _ERFC_PQRS = np.array([
     [5.57535335369399327526e2, 5.57535340817727675546e2,
      2.97886665372100240670e0, 3.36907645100081516050e0]])
 _MAXLOG = 7.09782712893383996843e2  # Cephes: past x^2 = MAXLOG the tail is 0
+_R_LIMIT = _MAXLOG / 2.0  # largest squeezing r with a finite exp(2r), and so cosh 2r
 
 
 @dataclass(frozen=True)
@@ -96,16 +97,17 @@ class GkpAncilla:
 IDEAL = GkpAncilla(None)
 
 
-def effective_estimator_gain(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL) -> float:
+def effective_estimator_gain(r, sigma2, ancilla: GkpAncilla = IDEAL):
     """Per-quadrature regression gain of data noise on the pre-wrap syndrome.
 
     Equals tanh(2r) for an ideal ancilla and is reduced by the syndrome
-    broadening of a finitely squeezed one.
+    broadening of a finitely squeezed one; 0 where Var(w) = 0.  ``r`` and
+    ``sigma2`` broadcast together; scalars give a float.
     """
+    r, sigma2 = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(sigma2, dtype=float))
     var_w = sigma2 * np.cosh(2.0 * r) + ancilla.syndrome_noise_variance
-    if var_w <= 0.0:
-        return 0.0
-    return sigma2 * np.sinh(2.0 * r) / var_w
+    return _as_output(np.divide(sigma2 * np.sinh(2.0 * r), var_w, out=np.zeros_like(var_w),
+                                where=var_w > 0.0))
 
 
 def syndrome_reduce(x):
@@ -200,11 +202,14 @@ def residual_variance(r, sigma2, ancilla: GkpAncilla = IDEAL):
     the first being Var(a) - Cov(a, w)^2 / Var(w) and the second
     :func:`lattice_shift_variance`.  At r = 0 the gain vanishes and the
     channel noise is returned unchanged.  ``r`` and ``sigma2`` broadcast
-    together; scalars give a float.
+    together; scalars give a float.  An r outside [0, _R_LIMIT], where
+    cosh 2r is finite, raises ValueError.
     """
     r, sigma2 = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(sigma2, dtype=float))
-    if np.any(r < 0) or np.any(sigma2 < 0):
-        raise ValueError("r and sigma2 must be >= 0")
+    if not np.all((r >= 0) & (r <= _R_LIMIT)):
+        raise ValueError(f"r must be in [0, {_R_LIMIT:.1f}]: cosh 2r overflows past it")
+    if np.any(sigma2 < 0):
+        raise ValueError("sigma2 must be >= 0")
     c2r = np.cosh(2.0 * r)
     out = np.asarray(sigma2 * c2r)  # Var(a): the result where phi = 0
     cov = sigma2 * np.sinh(2.0 * r)
@@ -231,9 +236,9 @@ def optimize_squeezing(sigma2, ancilla: GkpAncilla = IDEAL):
 
     The residual is unimodal in r, so a window [0, b] whose end value
     V(b) is no lower than V(b/2) brackets the minimum.  Starting from
-    b = 3, b doubles wherever V(b) < V(b/2) (and V(b) > 0: a zero is
-    already minimal); golden-section steps then shrink each window to
-    1e-10.  Returns (r_opt, minimum variance) shaped like ``sigma2``
+    b = 3, b doubles (up to _R_LIMIT) wherever V(b) < V(b/2) and V(b) > 0,
+    as a zero is already minimal; golden-section steps then shrink each
+    window to 1e-10.  Returns (r_opt, minimum variance) shaped like ``sigma2``
     (floats for a scalar); where coding gains less than 1e-12 of sigma2,
     that is (0, sigma2), so a noiseless channel (sigma2 = 0) gives (0, 0).
     """
@@ -248,8 +253,8 @@ def optimize_squeezing(sigma2, ancilla: GkpAncilla = IDEAL):
     todo = np.arange(s2.size)
     while todo.size:
         fb, fh = residual_variance(np.stack([b[todo], b[todo] / 2.0]), s2[todo], ancilla)
-        todo = todo[(fb < fh) & (fb > 0.0)]
-        b[todo] *= 2.0
+        todo = todo[(fb < fh) & (fb > 0.0) & (b[todo] < _R_LIMIT)]
+        b[todo] = np.minimum(2.0 * b[todo], _R_LIMIT)
     a = np.zeros_like(s2)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)

@@ -28,8 +28,7 @@ DB25 = GkpAncilla(25.0)
 
 
 def _cfg(link_mode, ancilla=DB20, layers=1, finite=True, la=1.0, lb=10.0, qt_db=20.0):
-    return RunConfig(scenario="fiber",
-                     protocol=ProtocolParams(l_a_km=la, l_b_km=lb),
+    return RunConfig(protocol=ProtocolParams(l_a_km=la, l_b_km=lb),
                      link_mode=link_mode, ancilla=ancilla, layers=layers,
                      qt_squeezing_db=qt_db,
                      finite_size=FiniteSizeParams() if finite else None,

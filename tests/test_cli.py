@@ -370,7 +370,6 @@ def test_load_config_defaults():
 def test_shipped_configs_parse():
     for aperture in (0.1, 0.05):
         cfg = load_config(reference_fading_config(aperture))
-        assert cfg.scenario == "free_space"
         assert cfg.fading is not None
         assert cfg.ancilla.squeezing_db == 25.0
 

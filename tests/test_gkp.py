@@ -140,6 +140,20 @@ def test_effective_gain_reduces_with_ancilla_noise():
     assert effective_estimator_gain(0.0, 0.1, DB20) == 0.0
 
 
+def test_effective_gain_broadcasts():
+    r = np.array([[0.0], [0.3], [1.1]])
+    s2 = np.array([0.0, 1e-3, 0.1, 0.5])
+    for ancilla in (IDEAL, DB20):
+        batch = effective_estimator_gain(r, s2, ancilla)  # Var(w) = 0 in one cell: no warning
+        single = [[effective_estimator_gain(float(a), float(b), ancilla) for b in s2]
+                  for a in r[:, 0]]
+        assert batch.shape == (3, 4) and np.array_equal(batch, single)
+    assert isinstance(effective_estimator_gain(0.4, 0.1), float)
+    ideal = effective_estimator_gain(r, s2[1:], IDEAL)
+    assert ideal == pytest.approx(np.tanh(2.0 * r) * np.ones(3), rel=1e-14)
+    assert np.all(effective_estimator_gain(r, 0.0, IDEAL) == 0.0)
+
+
 def test_syndrome_reduce():
     assert syndrome_reduce(0.0) == 0.0
     assert abs(syndrome_reduce(3.0 * ELL)) < 1e-12
@@ -402,6 +416,20 @@ def test_optimize_terminates_without_warnings(s2, ancilla):
         warnings.simplefilter("error")
         r_opt, v = optimize_squeezing(s2, ancilla)
     assert 0.0 <= v <= s2 and r_opt >= 0.0
+
+
+def test_r_past_cosh_overflow_is_rejected_by_name():
+    # cosh 2r overflows past r ~ 355: the error names r, not the variance it spoils
+    for bad in (400.0, np.array([0.5, np.nan]), np.inf):
+        with pytest.raises(ValueError, match="r must be in"):
+            residual_variance(bad, 0.1)
+    assert np.isfinite(residual_variance(gkp._R_LIMIT, 0.1))
+    # an ideal ancilla at this noise doubles its search window past r = 192,
+    # which without the limit reached r = 384 and overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r_opt, v = optimize_squeezing(3.94e-170, IDEAL)
+    assert 0.0 < r_opt < gkp._R_LIMIT and 0.0 <= v <= 3.94e-170
 
 
 def test_optimize_matches_dense_grid():

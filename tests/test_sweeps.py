@@ -14,8 +14,7 @@ from gkpmdi.sweeps import (_link, link_sigma_r2, max_secure_distance, max_secure
 
 def cfg(mode="gkp", ancilla=GkpAncilla(20.0), layers=1, finite=True,
         la=1.0, lb=10.0, qt_db=20.0):
-    return RunConfig(scenario="fiber",
-                     protocol=ProtocolParams(l_a_km=la, l_b_km=lb),
+    return RunConfig(protocol=ProtocolParams(l_a_km=la, l_b_km=lb),
                      link_mode=mode, ancilla=ancilla, layers=layers,
                      qt_squeezing_db=qt_db,
                      finite_size=FiniteSizeParams() if finite else None,
