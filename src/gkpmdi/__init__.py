@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .channels import (ProtocolParams, awgn_variance_preamp, awgn_variance_qt,
                        fiber_transmittance, plob_bound)
-from .fading import (CodePolicy, FadingConfig, average_composable_rate, fading_cdf,
-                     fading_pdf, fading_quantile, fading_scalars, mean_residual_variance,
-                     mean_transmittance, pointing_wander_variance, xi_integral)
+from .fading import (FadingConfig, fading_cdf, fading_pdf, fading_quantile, fading_scalars,
+                     pointing_wander_variance, residual_nodes, xi_integral)
 from .finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, aep_delta,
                           composable_rate, epsilon_total, kappa_from_eps)
 from .gkp import (GkpAncilla, break_even, concat_variance, lower_bound_variance,
@@ -38,9 +37,8 @@ __all__ = [
     "FiniteSizeParams", "UnphysicalWorstCaseError", "aep_delta", "composable_rate",
     "epsilon_total", "kappa_from_eps",
     # fading
-    "CodePolicy", "FadingConfig", "average_composable_rate", "fading_cdf", "fading_pdf",
-    "fading_quantile", "fading_scalars", "mean_residual_variance", "mean_transmittance",
-    "pointing_wander_variance", "xi_integral",
+    "FadingConfig", "fading_cdf", "fading_pdf", "fading_quantile", "fading_scalars",
+    "pointing_wander_variance", "residual_nodes", "xi_integral",
     # mc
     "McMutualInfo", "McVariance", "RngStream", "mc_pe_coverage",
     "mc_protocol_mutual_info", "mc_residual_variance",

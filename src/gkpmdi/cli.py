@@ -142,8 +142,6 @@ def cmd_rate(args) -> int:
 
 def cmd_fading(args) -> int:
     cfg = load_config(args.config)
-    if cfg.fading is None:
-        raise ConfigError("fading command requires a [fading] section")
     path, fmt = _destination(args, cfg)
     write_rows(fading_rows(cfg), FADING_COLUMNS, path, fmt, "fading")
     return 0

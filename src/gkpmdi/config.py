@@ -2,7 +2,8 @@
 
 ``_KEYS`` is the file format: every accepted key, the object keyword it sets
 and its cast.  A key the file leaves out keeps that keyword's default, stated
-once on the object; a section or key not in the table is a ConfigError.
+once on the object; a section or key not in the table is a ConfigError, and
+so is a key that cannot act beside the others the file gives.
 """
 from __future__ import annotations
 
@@ -169,6 +170,9 @@ def load_config(path: str | Path | None) -> RunConfig:
     if kind not in (None, "finite", "ideal"):
         raise ConfigError(f"bad value for ancilla: {kind!r} (finite | ideal)")
     if kind == "ideal":
+        if kw[GkpAncilla]:
+            raise ConfigError("gkp_squeezing_db does nothing with ancilla = ideal: "
+                              "drop one of the two keys")
         run["ancilla"] = IDEAL
     elif kw[GkpAncilla]:
         run["ancilla"] = _build(GkpAncilla, kw, keys)
@@ -195,7 +199,10 @@ def load_config(path: str | Path | None) -> RunConfig:
         run["fading"] = _build(FadingConfig, kw, keys)
 
     run["sweep"] = SweepSpec(**kw[SweepSpec])
-    return RunConfig(**run)
+    cfg = RunConfig(**run)
+    if "qt_squeezing_db" in run and cfg.link_mode != "qt":
+        raise ConfigError("qt_squeezing_db acts only with link_mode = qt")
+    return cfg
 
 
 def reference_fading_config(aperture_m: float) -> Path:

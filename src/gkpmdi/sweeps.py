@@ -13,8 +13,8 @@ import numpy as np
 
 from .channels import _as_output, awgn_variance_preamp, awgn_variance_qt, fiber_transmittance
 from .config import ConfigError, RunConfig
-from .fading import CodePolicy, _composable_at, _mean_at, _residual_nodes, _xi_at, \
-    mean_transmittance, sigma_r2_of_tau, fading_quantile, fading_pdf
+from .fading import fading_pdf, fading_quantile, fading_scalars, residual_nodes, \
+    sigma_r2_of_tau, xi_integral
 from .finite_size import composable_rate_from_pe, pe_rate_from_scalars
 from .gkp import break_even, concat_variance, lower_bound_variance, optimize_squeezing
 from .security import _rate_pieces, conditioned_scalars
@@ -244,10 +244,11 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
     Columns a row kind does not use are absent and written as blank cells.
     The fading link is modelled as one gkp-corrected segment.
     """
+    if cfg.fading is None:
+        raise ConfigError("fading command requires a [fading] section")
     if cfg.link_mode != "gkp" or cfg.layers != 1:
         raise ConfigError("fading models a single-layer gkp link")
     fad = cfg.fading
-    policy = CodePolicy(ancilla=cfg.ancilla)
     common = {
         "schema_version": SCHEMA_VERSION,
         "receiver_aperture_m": fad.a_r_m,
@@ -255,17 +256,20 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
         "gamma0": fad.gamma0,
         "r0_m": fad.r0_m,
         "sigma_bw2_m2": fad.sigma_bw2_m2,
-        "gkp_squeezing_db": cfg.ancilla.squeezing_db if not cfg.ancilla.ideal else "",
+        "gkp_squeezing_db": _squeezing_echo(cfg),
     }
     taus = np.linspace(fading_quantile(1e-7, fad), fad.tau0, _PDF_ROWS)
     blocks = [{**common, "row_kind": "pdf", "tau_a": taus, "pdf_density": fading_pdf(taus, fad),
-               "sigma_r2_of_tau": sigma_r2_of_tau(fad, policy, taus)}]
-    nodes = _residual_nodes(fad, policy)  # shared by the summary and every rate row
-    blocks.append({**common, "row_kind": "summary", "mean_sigma_r2": _mean_at(nodes),
-                   "mean_tau": mean_transmittance(fad), "xi": _xi_at(nodes, cfg.protocol)})
+               "sigma_r2_of_tau": sigma_r2_of_tau(cfg.ancilla, taus)}]
+    nodes = residual_nodes(fad, cfg.ancilla)  # shared by the summary and every rate row
+    w, tau, sigma_r2 = nodes
+    blocks.append({**common, "row_kind": "summary", "mean_sigma_r2": float(np.sum(w * sigma_r2)),
+                   "mean_tau": float(np.sum(w * tau)), "xi": xi_integral(nodes, cfg.protocol)})
     if cfg.sweep.axis == "lb_km" and cfg.finite_size is not None:
         lbs = np.array(cfg.sweep.values(), dtype=float)
         params = replace(cfg.protocol, l_b_km=lbs)
+        sc = fading_scalars(nodes, params)
+        r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, cfg.finite_size)
         blocks.append({**common, "row_kind": "rate", "lb_km": lbs,
-                       "rate_bits": _composable_at(nodes, params, cfg.finite_size)})
+                       "rate_bits": composable_rate_from_pe(r_pe, cfg.finite_size)})
     return blocks

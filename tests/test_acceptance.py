@@ -11,7 +11,7 @@ import pytest
 from gkpmdi.channels import ProtocolParams, awgn_variance_preamp, awgn_variance_qt, \
     fiber_transmittance
 from gkpmdi.config import RunConfig, SweepSpec
-from gkpmdi.fading import CodePolicy, fading_pdf, fading_scalars, mean_residual_variance
+from gkpmdi.fading import fading_pdf, fading_scalars, residual_nodes
 from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import ELL, GkpAncilla, IDEAL, lower_bound_variance, optimize_squeezing, \
     residual_variance
@@ -250,12 +250,11 @@ def test_criterion_10_invariant_suite():
     checks["fading pdf normalization"] = abs(total - 1.0) < 1e-6
 
     point = FadingConfig(tau0=0.92, gamma0=2.0, r0_m=0.02, sigma_bw2_m2=1e-30)
-    policy = CodePolicy(ancilla=DB20)
     params = ProtocolParams(l_a_km=1.0, l_b_km=8.0)
     _, sr2 = optimize_squeezing(1.0 - point.tau0, DB20)
     l_a_eq = -10.0 * np.log10(point.tau0) / 0.2
     fib = conditioned_state(ProtocolParams(l_a_km=l_a_eq, l_b_km=8.0), sr2, "gkp")
-    fad = fading_scalars(point, params, policy)
+    fad = fading_scalars(residual_nodes(point, DB20), params)
     checks["point-mass fading == fiber"] = float(np.max(np.abs(fad.cm - fib.cm))) < 1e-9
 
     checks["r=0 recovery"] = abs(residual_variance(0.0, 0.129, DB20) - 0.129) / 0.129 < 1e-9
@@ -282,8 +281,8 @@ def test_criterion_11_fading_means():
     ok = True
     for aperture, target in ((0.1, 0.0182), (0.05, 0.1726)):
         cfg = load_config(reference_fading_config(aperture))
-        policy = CodePolicy(ancilla=cfg.ancilla)
-        mean = mean_residual_variance(cfg.fading, policy)
+        w, _, sigma_r2 = residual_nodes(cfg.fading, cfg.ancilla)
+        mean = float(np.sum(w * sigma_r2))
         rel = abs(mean - target) / target
         details.append(f"a_R={aperture}: mean={mean:.5f} target={target} rel={rel:.3%}")
         ok = ok and rel < 0.05

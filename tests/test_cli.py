@@ -490,7 +490,7 @@ def test_rate_grid_csv_bytes_match_per_cell_writer(tmp_path, link):
     ini = FIBER_INI.replace("stop = 10", "stop = 8").replace("step = 2", "step = 0.001")
     if link == "qt":
         ini = ini.replace("link_mode = gkp", "link_mode = qt").replace(
-            "ancilla = finite", "ancilla = ideal")
+            "ancilla = finite", "ancilla = ideal").replace("gkp_squeezing_db = 20\n", "")
     cfg = write(tmp_path, ini)
     out, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
     assert main(["rate", "--config", cfg, "--output", str(out)]) == 0

@@ -70,11 +70,14 @@ def test_defaults_are_the_dataclass_defaults():
 
 @pytest.mark.parametrize("section,key", list(_KEYS))
 def test_every_key_acts(tmp_path, section, key):
-    base = dict(FADING_BASE) if section == "fading" else {}
-    without = load_config(write(tmp_path, {section: base}, "without.ini"))
-    if section not in ("finite_size", "fading"):  # an empty section changes nothing
-        assert without == load_config(None)
-    with_key = load_config(write(tmp_path, {section: {**base, key: VALUES[section, key]}}))
+    base = {section: dict(FADING_BASE) if section == "fading" else {}}
+    if key == "qt_squeezing_db":  # acts only on a qt link
+        base["protocol"] = {"link_mode": "qt"}
+    without = load_config(write(tmp_path, base, "without.ini"))
+    if section not in ("finite_size", "fading") and key != "qt_squeezing_db":
+        assert without == load_config(None)  # an empty section changes nothing
+    with_key = load_config(write(tmp_path, {**base, section: {**base[section],
+                                                              key: VALUES[section, key]}}))
     assert with_key != without
 
 
@@ -92,6 +95,11 @@ def test_every_key_acts(tmp_path, section, key):
     ({"fading": {"tau0": "0.9", "gamma0": "1.2"}}, ["r0_m"]),
     ({"code": {"gkp_squeezing_db": "-5"}}, ["gkp_squeezing_db"]),
     ({"fading": {**FADING_BASE, "pointing_error_urad": "-1"}}, ["pointing_error_urad"]),
+    # keys that could not act beside the others given
+    ({"code": {"ancilla": "ideal", "gkp_squeezing_db": "20"}}, ["ancilla", "gkp_squeezing_db"]),
+    ({"code": {"qt_squeezing_db": "15"}}, ["qt_squeezing_db", "link_mode"]),
+    ({"protocol": {"link_mode": "preamp"}, "code": {"qt_squeezing_db": "15"}},
+     ["qt_squeezing_db", "link_mode"]),
 ])
 def test_bad_config_exits_2_naming_the_cause(tmp_path, capsys, sections, named):
     assert main(["rate", "--config", write(tmp_path, sections)]) == 2

@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from gkpmdi import fading
 from gkpmdi.channels import ProtocolParams
-from gkpmdi.fading import (CodePolicy, FadingConfig, average_composable_rate,
-                           fading_cdf, fading_pdf, fading_quantile, fading_scalars,
-                           mean_residual_variance, mean_transmittance,
-                           pointing_wander_variance, sample_transmittance,
+from gkpmdi.fading import (FadingConfig, fading_cdf, fading_pdf, fading_quantile,
+                           fading_scalars, pointing_wander_variance, residual_nodes,
                            sigma_r2_of_tau, xi_integral)
-from gkpmdi.finite_size import FiniteSizeParams, composable_rate
-from gkpmdi.gkp import GkpAncilla, optimize_squeezing, residual_variance
+from gkpmdi.finite_size import (FiniteSizeParams, composable_rate, composable_rate_from_pe,
+                                pe_rate_from_scalars)
+from gkpmdi.gkp import IDEAL, GkpAncilla, optimize_squeezing, residual_variance
 from gkpmdi.mc import RngStream
 from matrix_oracle import conditioned_state, symplectic_eigenvalues
 
 CFG = FadingConfig(tau0=0.95, gamma0=1.5, r0_m=0.02, sigma_bw2_m2=1e-6)
-POLICY = CodePolicy(ancilla=GkpAncilla(20.0))
+ANC = GkpAncilla(20.0)
 PARAMS = ProtocolParams(l_a_km=1.0, l_b_km=8.0)
+
+
+@pytest.fixture(scope="module")
+def nodes():
+    return residual_nodes(CFG, ANC)
 
 
 def test_pointing_wander_variance():
@@ -60,7 +66,7 @@ def test_quantile_inverts_cdf():
 
 def test_sampling_matches_cdf():
     gen = RngStream(11).generator()
-    taus = sample_transmittance(CFG, 200_000, gen)
+    taus = fading_quantile(gen.uniform(size=200_000), CFG)
     assert np.all((taus > 0) & (taus <= CFG.tau0))
     emp = np.mean(taus <= 0.9)
     assert emp == pytest.approx(fading_cdf(0.9, CFG), abs=3.0 * np.sqrt(0.25 / 200_000) + 1e-3)
@@ -71,20 +77,34 @@ def _point_mass(tau_star):
     return FadingConfig(tau0=tau_star, gamma0=2.0, r0_m=0.02, sigma_bw2_m2=1e-30)
 
 
-def test_xi_point_mass_limit():
-    cfg = _point_mass(0.92)
-    s2 = 1.0 - cfg.tau0
-    _, sr2 = optimize_squeezing(s2, POLICY.ancilla)
-    xi = xi_integral(cfg, PARAMS, POLICY)
-    expected = 1.0 / (PARAMS.sigma2_a + 2.0 * sr2 + PARAMS.tau_b * PARAMS.sigma2_b + 2.0)
-    assert xi == pytest.approx(expected, rel=1e-9)
+@given(tau0=st.floats(0.5, 0.9999), l_b=st.floats(0.0, 30.0),
+       ancilla=st.sampled_from([IDEAL, GkpAncilla(12.0), GkpAncilla(20.0), GkpAncilla(30.0)]))
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_point_mass_averages_equal_the_fiber_path(tau0, l_b, ancilla):
+    # a point-mass law at tau0 averages to the fiber link of that transmittance
+    nodes = residual_nodes(_point_mass(tau0), ancilla)
+    w, _, sr2_nodes = nodes
+    _, sr2 = optimize_squeezing(1.0 - tau0, ancilla)
+    params = ProtocolParams(l_a_km=1.0, l_b_km=l_b)
+    fiber = ProtocolParams(l_a_km=-10.0 * np.log10(tau0) / 0.2, l_b_km=l_b)
+
+    xi = 1.0 / (params.sigma2_a + 2.0 * sr2 + params.tau_b * params.sigma2_b + 2.0)
+    assert xi_integral(nodes, params) == pytest.approx(xi, rel=1e-9)
+    assert float(np.sum(w * sr2_nodes)) == pytest.approx(sr2, rel=1e-6)
+    sc = fading_scalars(nodes, params)
+    assert np.max(np.abs(sc.cm - conditioned_state(fiber, sr2, "gkp").cm)) < 1e-9
+    fs = FiniteSizeParams()
+    r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs)
+    assert composable_rate_from_pe(r_pe, fs) == pytest.approx(
+        composable_rate(fiber, sr2, fs, "gkp"), abs=1e-9)
 
 
-def test_xi_dynamic_beats_fixed():
-    xi_dyn = xi_integral(CFG, PARAMS, POLICY)
+def test_xi_dynamic_beats_fixed(nodes):
+    w, tau, _ = nodes
+    xi_dyn = xi_integral(nodes, PARAMS)
     for r in (0.1, 0.4, 0.8):
-        xi_fix = xi_integral(CFG, PARAMS, CodePolicy(ancilla=POLICY.ancilla, fixed_r=r))
-        assert xi_dyn >= xi_fix - 1e-12
+        fixed = (w, tau, residual_variance(r, 1.0 - tau, ANC))
+        assert xi_dyn >= xi_integral(fixed, PARAMS) - 1e-12
 
 
 def _expect_by_quad(integrand):
@@ -95,32 +115,21 @@ def _expect_by_quad(integrand):
     return total
 
 
-def test_xi_against_quad():
+def test_xi_against_quad(nodes):
     denom = PARAMS.sigma2_a + PARAMS.tau_b * PARAMS.sigma2_b + 2.0
-    expected = _expect_by_quad(lambda t: 1.0 / (denom + 2.0 * sigma_r2_of_tau(CFG, POLICY, t)))
-    assert xi_integral(CFG, PARAMS, POLICY) == pytest.approx(expected, rel=1e-7)
+    expected = _expect_by_quad(lambda t: 1.0 / (denom + 2.0 * sigma_r2_of_tau(ANC, t)))
+    assert xi_integral(nodes, PARAMS) == pytest.approx(expected, rel=1e-7)
 
 
-def test_xi_node_doubling_stability():
-    a = xi_integral(CFG, PARAMS, POLICY, n_panels=64)
-    b = xi_integral(CFG, PARAMS, POLICY, n_panels=128)
+def test_xi_node_doubling_stability(nodes, monkeypatch):
+    a = xi_integral(nodes, PARAMS)
+    monkeypatch.setattr(fading, "_XI_PANELS", 2 * fading._XI_PANELS)
+    b = xi_integral(residual_nodes(CFG, ANC), PARAMS)
     assert abs(a - b) / a < 1e-8
 
 
-def test_fading_cm_point_mass_matches_fiber_path():
-    cfg = _point_mass(0.92)
-    s2 = 1.0 - cfg.tau0
-    _, sr2 = optimize_squeezing(s2, POLICY.ancilla)
-    state_fad = fading_scalars(cfg, PARAMS, POLICY)
-    # fiber path at the matched transmittance and residual noise
-    l_a = -10.0 * np.log10(cfg.tau0) / PARAMS.alpha0_db_per_km
-    p = ProtocolParams(l_a_km=l_a, l_b_km=PARAMS.l_b_km)
-    state_fib = conditioned_state(p, sr2, "gkp")
-    assert np.max(np.abs(state_fad.cm - state_fib.cm)) < 1e-9
-
-
-def test_fading_cm_structure():
-    v = fading_scalars(CFG, PARAMS, POLICY).cm
+def test_fading_cm_structure(nodes):
+    v = fading_scalars(nodes, PARAMS).cm
     assert min(symplectic_eigenvalues(v)) >= 1.0  # the averaged state is physical
     assert np.allclose(v, v.T)
     assert v[0, 0] == pytest.approx(v[1, 1])
@@ -128,36 +137,20 @@ def test_fading_cm_structure():
     assert v[0, 3] == 0.0 and v[1, 2] == 0.0
 
 
-def test_mean_residual_point_mass():
-    cfg = _point_mass(0.9)
-    _, sr2 = optimize_squeezing(0.1, POLICY.ancilla)
-    assert mean_residual_variance(cfg, POLICY) == pytest.approx(sr2, rel=1e-6)
-
-
-def test_mean_residual_against_quad():
+def test_mean_residual_against_quad(nodes):
     # the quantile-variable rule converges only as O(1/n) for this mean
     # (tau(u) -> 0 slower than any power of u), hence the looser tolerance
-    expected = _expect_by_quad(lambda t: sigma_r2_of_tau(CFG, POLICY, t))
-    assert mean_residual_variance(CFG, POLICY) == pytest.approx(expected, rel=1e-4)
+    w, _, sr2 = nodes
+    expected = _expect_by_quad(lambda t: sigma_r2_of_tau(ANC, t))
+    assert float(np.sum(w * sr2)) == pytest.approx(expected, rel=1e-4)
 
 
-def test_mean_transmittance_against_sampling():
+def test_mean_transmittance_against_sampling(nodes):
     gen = RngStream(14).generator()
-    taus = sample_transmittance(CFG, 300_000, gen)
+    taus = fading_quantile(gen.uniform(size=300_000), CFG)
     se = taus.std(ddof=1) / np.sqrt(len(taus))
-    assert abs(mean_transmittance(CFG) - taus.mean()) < 3.0 * se
-
-
-def test_average_composable_point_mass_matches_fiber():
-    cfg = _point_mass(0.92)
-    fs = FiniteSizeParams()
-    s2 = 1.0 - cfg.tau0
-    _, sr2 = optimize_squeezing(s2, POLICY.ancilla)
-    l_a = -10.0 * np.log10(cfg.tau0) / PARAMS.alpha0_db_per_km
-    p = ProtocolParams(l_a_km=l_a, l_b_km=PARAMS.l_b_km)
-    r_fib = composable_rate(p, sr2, fs, "gkp")
-    r_fad = average_composable_rate(cfg, PARAMS, fs, POLICY)
-    assert r_fad == pytest.approx(r_fib, abs=1e-9)
+    w, tau, _ = nodes
+    assert abs(float(np.sum(w * tau)) - taus.mean()) < 3.0 * se
 
 
 def test_config_validation():
