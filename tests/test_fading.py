@@ -77,22 +77,50 @@ def _point_mass(tau_star):
     return FadingConfig(tau0=tau_star, gamma0=2.0, r0_m=0.02, sigma_bw2_m2=1e-30)
 
 
-@given(tau0=st.floats(0.5, 0.9999), l_b=st.floats(0.0, 30.0),
-       ancilla=st.sampled_from([IDEAL, GkpAncilla(12.0), GkpAncilla(20.0), GkpAncilla(30.0)]))
-@settings(derandomize=True, deadline=None, max_examples=60)
-def test_point_mass_averages_equal_the_fiber_path(tau0, l_b, ancilla):
-    # a point-mass law at tau0 averages to the fiber link of that transmittance
+# a point-mass law at tau0 averages to the fiber link of that transmittance;
+# each property below checks one averaged quantity against the fiber path
+point_mass_cases = given(
+    tau0=st.floats(0.5, 0.9999), l_b=st.floats(0.0, 30.0),
+    ancilla=st.sampled_from([IDEAL, GkpAncilla(12.0), GkpAncilla(20.0), GkpAncilla(30.0)]))
+point_mass_settings = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def _point_mass_case(tau0, l_b, ancilla):
     nodes = residual_nodes(_point_mass(tau0), ancilla)
-    w, _, sr2_nodes = nodes
     _, sr2 = optimize_squeezing(1.0 - tau0, ancilla)
     params = ProtocolParams(l_a_km=1.0, l_b_km=l_b)
     fiber = ProtocolParams(l_a_km=-10.0 * np.log10(tau0) / 0.2, l_b_km=l_b)
+    return nodes, sr2, params, fiber
 
+
+@point_mass_cases
+@point_mass_settings
+def test_xi_point_mass_limit(tau0, l_b, ancilla):
+    nodes, sr2, params, _ = _point_mass_case(tau0, l_b, ancilla)
     xi = 1.0 / (params.sigma2_a + 2.0 * sr2 + params.tau_b * params.sigma2_b + 2.0)
     assert xi_integral(nodes, params) == pytest.approx(xi, rel=1e-9)
+
+
+@point_mass_cases
+@point_mass_settings
+def test_mean_residual_point_mass(tau0, l_b, ancilla):
+    (w, _, sr2_nodes), sr2, _, _ = _point_mass_case(tau0, l_b, ancilla)
     assert float(np.sum(w * sr2_nodes)) == pytest.approx(sr2, rel=1e-6)
+
+
+@point_mass_cases
+@point_mass_settings
+def test_fading_cm_point_mass_matches_fiber_path(tau0, l_b, ancilla):
+    nodes, sr2, params, fiber = _point_mass_case(tau0, l_b, ancilla)
     sc = fading_scalars(nodes, params)
     assert np.max(np.abs(sc.cm - conditioned_state(fiber, sr2, "gkp").cm)) < 1e-9
+
+
+@point_mass_cases
+@point_mass_settings
+def test_average_composable_point_mass_matches_fiber(tau0, l_b, ancilla):
+    nodes, sr2, params, fiber = _point_mass_case(tau0, l_b, ancilla)
+    sc = fading_scalars(nodes, params)
     fs = FiniteSizeParams()
     r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs)
     assert composable_rate_from_pe(r_pe, fs) == pytest.approx(
