@@ -89,8 +89,9 @@ def awgn_variance_qt(tau_a, s0_db: float):
     return root * 10.0 ** (-s0_db / 10.0) + 1.0 - root
 
 
-def plob_bound(tau: float) -> float:
+def plob_bound(tau):
     """Repeaterless secret-key capacity ceiling -log2(1 - tau), bits per use."""
-    if not 0.0 <= tau < 1.0:
+    tau = np.asarray(tau, dtype=float)
+    if not np.all((0.0 <= tau) & (tau < 1.0)):
         raise ValueError("transmittance must be in [0, 1)")
-    return -np.log2(1.0 - tau)
+    return _as_output(-np.log2(1.0 - tau))

@@ -171,17 +171,17 @@ def _validate_checks(seed: int, samples: int) -> list[dict]:
     params = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
     s2 = awgn_variance_preamp(params.tau_a)
     _, sr2 = optimize_squeezing(s2, anc)
+    sc = conditioned_scalars(params, sr2, "gkp")
     est = mc_protocol_mutual_info(params, sr2, max(samples, 160), RngStream(seed, 20))
-    ref = asymptotic_rate(params, sr2, "gkp").mutual_info
+    ref = asymptotic_rate(sc, params.beta0).mutual_info
     band = max(3.0 * est.stderr, 0.01 * ref)
     add("protocol_mi_mc", est.mutual_info - ref, band,
         abs(est.mutual_info - ref) <= band, f"analytic={ref:.6g} mc={est.mutual_info:.6g}")
     add("key_relay_decorrelated", est.corr_key_relay, 0.01,
         est.corr_key_relay <= 0.01, "optimal displacement leaves no relay correlation")
 
-    cm = conditioned_scalars(params, sr2, "gkp").cm
     n_trials = max(200, min(samples // 10, 20000))
-    frac = mc_pe_coverage(cm, 10000, 1e-2, n_trials, RngStream(seed, 30))
+    frac = mc_pe_coverage(sc.cm, 10000, 1e-2, n_trials, RngStream(seed, 30))
     bound = 1e-2 + 3.0 * np.sqrt(1e-2 * (1 - 1e-2) / n_trials)
     add("pe_coverage", frac, bound, frac <= bound, f"trials={n_trials}")
 
@@ -199,8 +199,9 @@ def _validate_checks(seed: int, samples: int) -> list[dict]:
 
 
 def cmd_validate(args) -> int:
-    if args.seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    for name in ("seed", "samples"):
+        if getattr(args, name) < 0:
+            raise ConfigError(f"{name} must be a nonnegative integer")
     checks = _validate_checks(args.seed, args.samples)
     lines = [f"{c['status']} {c['name']} value={c['value']:.6g} band={c['band']:.6g}"
              + (f" ({c['detail']})" if c["detail"] else "") for c in checks]

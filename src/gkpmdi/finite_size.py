@@ -4,11 +4,11 @@ Parameter estimation on m_pe signals bounds each cross correlation of the
 conditioned state by a chi-squared tail bound: the worst case lowers the q
 correlation psi and raises the p correlation -psi by the same shift, so the
 worst-case state is again of the closed form [[phi_a I, psi' Z],
-[psi' Z, phi_b I]] with psi' = psi - shift.  The composable rate evaluates
-the asymptotic rate functional on (phi_a, psi', phi_b).  A block so small
-that the shift leaves the physical cone is reported as
-:class:`UnphysicalWorstCaseError`, never clamped; a frontier scan reads such
-a point as not secure.
+[psi' Z, phi_b I]] with psi' = psi - shift.  :func:`composable_rate` takes
+the conditioned scalars and evaluates the asymptotic rate functional on
+(phi_a, psi', phi_b).  A block so small that the shift leaves the physical
+cone is reported as :class:`UnphysicalWorstCaseError`, never clamped; a
+frontier scan reads such a point as not secure.
 The rates broadcast over arrays, block sizes (``n_total``, ``m_pe``) included.
 """
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ProtocolParams, _as_output
-from .security import PHYSICALITY_TOL, _rate_pieces, conditioned_scalars
+from .channels import _as_output
+from .security import PHYSICALITY_TOL, ConditionedScalars, asymptotic_rate
 
 
 class UnphysicalWorstCaseError(ValueError):
@@ -90,16 +90,12 @@ def epsilon_total(fs: FiniteSizeParams) -> float:
     return fs.eps_cor + fs.eps_s + fs.eps_h + fs.p_ec * fs.eps_pe
 
 
-def pe_rate_from_scalars(phi_a, psi, phi_b, beta0: float, fs: FiniteSizeParams,
-                         strict: bool = True):
-    """Asymptotic rate functional evaluated on the worst-case correlations.
-
-    A shifted state is unphysical where its smaller symplectic eigenvalue
+def _worst_case(sc: ConditionedScalars, fs: FiniteSizeParams, strict: bool):
+    """The worst-case state (phi_a, psi - shift, phi_b) and the mask where
+    it is unphysical: its smaller symplectic eigenvalue
     (sqrt((phi_a + phi_b)^2 - 4 psi'^2) - |phi_b - phi_a|)/2 is below 1.
-    Raises :class:`UnphysicalWorstCaseError`, naming the first such element,
-    unless every shifted state is physical; with ``strict=False`` such
-    elements are NaN instead, which a frontier scan counts as not secure.
-    """
+    A separate function, so its temporaries are freed before the rate runs."""
+    phi_a, psi, phi_b = sc.phi_a, sc.psi, sc.phi_b
     m_pe = fs.pe_signals
     shift = correlation_shift(phi_a, phi_b, kappa_from_eps(fs.eps_pe), m_pe)
     psi_wc = psi - shift
@@ -114,23 +110,21 @@ def pe_rate_from_scalars(phi_a, psi, phi_b, beta0: float, fs: FiniteSizeParams,
             f"worst-case state is unphysical at m_pe = {m_pe:g} (correlation "
             f"shift {shift:.6g} against psi {psi:.6g}): enlarge the parameter-estimation block")
     # the unshifted state is physical: it stands in where the shifted one is not
-    rate = _rate_pieces(phi_a, np.where(bad, psi, psi_wc), phi_b, beta0).rate
-    return _as_output(np.where(bad, np.nan, rate))
+    return ConditionedScalars(phi_a, np.where(bad, psi, psi_wc), phi_b), bad
 
 
-def composable_rate(params: ProtocolParams, sigma_r2, fs: FiniteSizeParams,
-                    mode: str = "gkp"):
+def composable_rate(sc: ConditionedScalars, beta0: float, fs: FiniteSizeParams, *,
+                    strict: bool = True):
     """Composable finite-size key rate, bits per protocol use.
 
     p_ec * [l * R_pe - sqrt(l) * Delta_aep + log2(eps_h^2 eps_cor)] / N with
-    l = N - m_pe and R_pe the worst-case asymptotic rate.
+    l = N - m_pe and R_pe the asymptotic rate of the worst-case state.
+    Raises :class:`UnphysicalWorstCaseError`, naming the first element whose
+    worst-case state is unphysical; with ``strict=False`` such elements are
+    NaN instead, which a frontier scan counts as not secure.
     """
-    sc = conditioned_scalars(params, sigma_r2, mode)
-    r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs)
-    return composable_rate_from_pe(r_pe, fs)
-
-
-def composable_rate_from_pe(r_pe, fs: FiniteSizeParams):
+    wc, bad = _worst_case(sc, fs, strict)
+    r_pe = np.where(bad, np.nan, asymptotic_rate(wc, beta0).rate)
     ell = fs.key_signals
     bracket = ell * r_pe - np.sqrt(ell) * aep_delta(fs.d, fs.eps_s) \
         + np.log2(fs.eps_h**2 * fs.eps_cor)

@@ -16,7 +16,8 @@ tau_b sigma_b^2 (sigma_b^2 + 2) and xi the conditioning scalar, they are
 On a fixed link xi = 1/(v_A' + v_B') is the inverse sum of the travelling
 mode variances; a fading link averages it over the transmittance
 (:func:`gkpmdi.fading.xi_integral`).  Mutual information, the eavesdropper's
-Holevo bound and the key rate follow from the scalars in closed form.
+Holevo bound and the key rate follow from the scalars in closed form:
+:func:`asymptotic_rate` is the one rate functional on them.
 
 Three A-side link configurations are supported:
 
@@ -63,7 +64,7 @@ class ConditionedScalars:
 
     ``phi_a_m1`` is phi_a minus one, computed without cancellation; it feeds
     the deep-loss evaluation path and is ``None`` where no such form is
-    available (fading averages).
+    available (fading averages, worst-case states).
     """
 
     phi_a: float
@@ -145,20 +146,19 @@ def conditioned_scalars(params: ProtocolParams, sigma_r2=0.0,
                               phi_b=_as_output(phi_b), phi_a_m1=_as_output(phi_a_m1))
 
 
-def _rate_pieces(phi_a, psi, phi_b, beta0: float, phi_a_m1=None) -> RateReport:
-    """Mutual information, Holevo bound and rate from the conditioned scalars.
+def asymptotic_rate(sc: ConditionedScalars, beta0: float) -> RateReport:
+    """Mutual information, Holevo bound and rate beta0*I - chi (may be < 0).
 
     The reverse-reconciliation mutual information compares Bob's conditional
     variance before and after heterodyne conditioning on mode a.  For
     strongly attenuated links (psi^2 far below the variances) the Holevo
     terms are evaluated through exact small-difference algebra so that the
     bound stays positive instead of drowning in rounding noise; this path
-    needs the cancellation-free ``phi_a_m1`` and is skipped when the scalars
-    have been shifted away from their closed forms (e.g. worst-case states).
-    Each element takes its own branch.
+    needs the cancellation-free ``sc.phi_a_m1`` and is skipped where that is
+    None (worst-case and fading states).  Each element takes its own branch.
     """
     phi_a, psi, phi_b = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                              for x in (phi_a, psi, phi_b)))
+                                              for x in (sc.phi_a, sc.psi, sc.phi_b)))
     psi2 = psi * psi
     v3 = phi_b - psi2 / (phi_a + 1.0)
     mutual = np.log2((1.0 + phi_b) / (1.0 + v3))
@@ -167,7 +167,7 @@ def _rate_pieces(phi_a, psi, phi_b, beta0: float, phi_a_m1=None) -> RateReport:
     v1 = np.array((disc + (phi_b - phi_a)) / 2.0)
     v2 = np.array((disc - (phi_b - phi_a)) / 2.0)
     holevo = np.empty(s.shape)
-    tail = (phi_a_m1 is not None) & ~(psi2 / (s * s) > _TAIL_THRESHOLD)
+    tail = (sc.phi_a_m1 is not None) & ~(psi2 / (s * s) > _TAIL_THRESHOLD)
     full = ~tail
     holevo[full] = h_function(v1[full]) + h_function(v2[full]) - h_function(v3[full])
     if np.any(tail):
@@ -175,7 +175,7 @@ def _rate_pieces(phi_a, psi, phi_b, beta0: float, phi_a_m1=None) -> RateReport:
         p2, pa, pb, ss = psi2[tail], phi_a[tail], phi_b[tail], s[tail]
         d13 = p2 * (1.0 / (pa + 1.0) - 2.0 / (disc[tail] + ss))
         dh13 = 0.5 * d13 * np.log2((pb + 1.0) / (pb - 1.0))
-        m1 = np.broadcast_to(np.asarray(phi_a_m1, dtype=float), s.shape)[tail]
+        m1 = np.broadcast_to(np.asarray(sc.phi_a_m1, dtype=float), s.shape)[tail]
         e2 = np.maximum(m1 - 2.0 * p2 / (disc[tail] + ss), 0.0)
         holevo[tail] = dh13 + h_function_1p(e2)
         v1[tail] = v3[tail] + d13
@@ -184,10 +184,3 @@ def _rate_pieces(phi_a, psi, phi_b, beta0: float, phi_a_m1=None) -> RateReport:
     return RateReport(mutual_info=_as_output(mutual), holevo=_as_output(holevo),
                       rate=_as_output(beta0 * mutual - holevo),
                       spectrum=(_as_output(v1), _as_output(v2), _as_output(v3)))
-
-
-def asymptotic_rate(params: ProtocolParams, sigma_r2=0.0,
-                    mode: str = "gkp") -> RateReport:
-    """Asymptotic reverse-reconciliation key rate beta0*I - chi (may be < 0)."""
-    sc = conditioned_scalars(params, sigma_r2, mode)
-    return _rate_pieces(sc.phi_a, sc.psi, sc.phi_b, params.beta0, sc.phi_a_m1)

@@ -15,9 +15,9 @@ from .channels import _as_output, awgn_variance_preamp, awgn_variance_qt, fiber_
 from .config import ConfigError, RunConfig
 from .fading import fading_pdf, fading_quantile, fading_scalars, residual_nodes, \
     sigma_r2_of_tau, xi_integral
-from .finite_size import composable_rate_from_pe, pe_rate_from_scalars
+from .finite_size import composable_rate
 from .gkp import break_even, concat_variance, lower_bound_variance, optimize_squeezing
-from .security import _rate_pieces, conditioned_scalars
+from .security import asymptotic_rate, conditioned_scalars
 
 SCHEMA_VERSION = "1"
 _FRONTIER_POINTS = 400
@@ -70,13 +70,13 @@ def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True
     ``l_a_km``, ``l_b_km`` and ``n_total`` (None keeps the configured block
     size) are scalars or equal-length 1-D arrays.  The conditioned scalars
     are formed once and feed both the asymptotic and the composable columns.
-    ``strict`` is passed to :func:`pe_rate_from_scalars`: when False, an
+    ``strict`` is passed to :func:`composable_rate`: when False, an
     unphysical worst-case state gives a NaN composable rate, not an error.
     """
     sigma_r2 = (link_sigma_r2 if np.ndim(l_a_km) == 0 else _link)(cfg, l_a_km)[0]
     params = replace(cfg.protocol, l_a_km=l_a_km, l_b_km=l_b_km)
     sc = conditioned_scalars(params, sigma_r2, "gkp" if cfg.link_mode == "qt" else cfg.link_mode)
-    report = _rate_pieces(sc.phi_a, sc.psi, sc.phi_b, params.beta0, sc.phi_a_m1)
+    report = asymptotic_rate(sc, params.beta0)
     block = {
         "schema_version": SCHEMA_VERSION,
         "link_mode": cfg.link_mode,
@@ -105,7 +105,6 @@ def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True
     if n_total is not None:  # block-size sweeps keep the configured PE fraction
         ratio = fs.pe_signals / fs.n_total
         fs = replace(fs, n_total=n_total, m_pe=ratio * n_total)
-    r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs, strict)
     block.update({
         "rate_kind": "composable",
         "total_pulse": fs.n_total,
@@ -116,7 +115,7 @@ def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True
         "eps_smoothing": fs.eps_s,
         "eps_hashing": fs.eps_h,
         "eps_pe": fs.eps_pe,
-        "rate_bits": composable_rate_from_pe(r_pe, fs),
+        "rate_bits": composable_rate(sc, params.beta0, fs, strict=strict),
     })
     return block
 
@@ -182,6 +181,8 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
     sweep = cfg.sweep
     if cfg.link_mode != "gkp":
         raise ConfigError("residual sweeps model the gkp link")
+    if sweep.mode != "grid":
+        raise ConfigError("residual sweeps run in grid mode: mode = frontier is a rate sweep")
     if sweep.axis == "la_km" and cfg.layers != 1:
         raise ConfigError("use axis = layers for concatenation")
     alpha0 = cfg.protocol.alpha0_db_per_km
@@ -239,7 +240,8 @@ def rate_rows(cfg: RunConfig) -> list[dict]:
 
 
 def fading_rows(cfg: RunConfig) -> list[dict]:
-    """Transmittance-density samples, summary means, and averaged-rate rows.
+    """Transmittance-density samples, summary means, and averaged composable
+    rates on an ``lb_km`` grid.
 
     Columns a row kind does not use are absent and written as blank cells.
     The fading link is modelled as one gkp-corrected segment.
@@ -248,6 +250,9 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
         raise ConfigError("fading command requires a [fading] section")
     if cfg.link_mode != "gkp" or cfg.layers != 1:
         raise ConfigError("fading models a single-layer gkp link")
+    if cfg.sweep.axis != "lb_km" or cfg.sweep.mode != "grid":
+        raise ConfigError(f"fading rate rows run on an lb_km grid, not on axis = "
+                          f"{cfg.sweep.axis} with mode = {cfg.sweep.mode}")
     fad = cfg.fading
     common = {
         "schema_version": SCHEMA_VERSION,
@@ -265,11 +270,9 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
     w, tau, sigma_r2 = nodes
     blocks.append({**common, "row_kind": "summary", "mean_sigma_r2": float(np.sum(w * sigma_r2)),
                    "mean_tau": float(np.sum(w * tau)), "xi": xi_integral(nodes, cfg.protocol)})
-    if cfg.sweep.axis == "lb_km" and cfg.finite_size is not None:
+    if cfg.finite_size is not None:
         lbs = np.array(cfg.sweep.values(), dtype=float)
         params = replace(cfg.protocol, l_b_km=lbs)
-        sc = fading_scalars(nodes, params)
-        r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, cfg.finite_size)
-        blocks.append({**common, "row_kind": "rate", "lb_km": lbs,
-                       "rate_bits": composable_rate_from_pe(r_pe, cfg.finite_size)})
+        rate = composable_rate(fading_scalars(nodes, params), params.beta0, cfg.finite_size)
+        blocks.append({**common, "row_kind": "rate", "lb_km": lbs, "rate_bits": rate})
     return blocks

@@ -17,7 +17,7 @@ from gkpmdi.gkp import ELL, GkpAncilla, IDEAL, lower_bound_variance, optimize_sq
     residual_variance
 from gkpmdi.mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, \
     mc_residual_variance
-from gkpmdi.security import h_function
+from gkpmdi.security import conditioned_scalars, h_function
 from gkpmdi.sweeps import max_secure_la, max_secure_lb, residual_rows
 from gkpmdi.config import load_config, reference_fading_config
 from matrix_oracle import conditioned_state, mutual_information, symplectic_eigenvalues, \
@@ -159,8 +159,9 @@ def test_criterion_06_block_size_threshold():
     t0 = time.time()
     p = ProtocolParams(l_a_km=3.0, l_b_km=5.0)
     _, sr2 = optimize_squeezing(_sigma2(3.0), DB20)
-    r_small = composable_rate(p, sr2, FiniteSizeParams(n_total=1e8), "gkp")
-    r_large = composable_rate(p, sr2, FiniteSizeParams(n_total=2e9), "gkp")
+    sc = conditioned_scalars(p, sr2, "gkp")
+    r_small = composable_rate(sc, p.beta0, FiniteSizeParams(n_total=1e8))
+    r_large = composable_rate(sc, p.beta0, FiniteSizeParams(n_total=2e9))
     ok = (r_small <= 0.0) and (r_large > 0.0)
     line = _report(6, ok, f"R(1e8)={r_small:.4e} R(2e9)={r_large:.4e}", t0)
     assert ok, line

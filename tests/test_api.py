@@ -1,12 +1,16 @@
+import ast
 import inspect
 import math
 import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import gkpmdi
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(gkpmdi.__file__).resolve().parent
 
 
 def test_public_surface_resolves_and_readme_snippet_runs():
@@ -36,3 +40,24 @@ def test_benchmark_contract():
     for fn in (mc.mc_residual_variance, mc.mc_protocol_mutual_info):
         assert "n_samples" in inspect.signature(fn).parameters, fn.__name__
     assert callable(gkpmdi.cli.main)
+
+
+def test_rate_layers_import_no_private_security_names():
+    # one rate route: sweeps and finite_size reach the rate functionals
+    # through the public names of security only
+    for module in ("sweeps", "finite_size"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "security":
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (module, private)
+
+
+def test_params_level_rate_calls_fail():
+    # the rate functions take conditioned scalars: an old-style call with
+    # link parameters raises instead of computing a number
+    p = gkpmdi.ProtocolParams()
+    with pytest.raises(TypeError):
+        gkpmdi.asymptotic_rate(p, 0.02, "gkp")
+    with pytest.raises(TypeError):
+        gkpmdi.composable_rate(p, 0.02, gkpmdi.FiniteSizeParams(), "gkp")

@@ -56,6 +56,10 @@ def test_plob_bound():
     taus = np.linspace(0.0, 0.99, 40)
     vals = [plob_bound(t) for t in taus]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+    # an array gives the elementwise bound; a value out of range anywhere raises
+    assert np.array_equal(plob_bound(taus), np.array(vals))
+    with pytest.raises(ValueError):
+        plob_bound(np.array([0.5, 1.0]))
 
 
 def test_protocol_params_validation():

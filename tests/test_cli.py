@@ -205,10 +205,13 @@ def test_residual_rejects_settings_it_does_not_model(tmp_path, capsys):
          "residual sweeps model the gkp link"),
         (RESIDUAL_INI.replace("gkp_squeezing_db = 20", "gkp_squeezing_db = 20\nlayers = 3"),
          "use axis = layers for concatenation"),
+        (RESIDUAL_INI.replace("mode = grid", "mode = frontier"),
+         "residual sweeps run in grid mode: mode = frontier"),
     ]
     for ini, message in rejected:
         assert main(["residual", "--config", write(tmp_path, ini)]) == 2, message
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
 
 
 def test_residual_layer_sweep_rejects_non_integer_and_zero_layers(tmp_path, capsys):
@@ -233,6 +236,21 @@ def test_fading_rejects_links_it_does_not_model(tmp_path, capsys):
         assert ini != shipped
         assert main(["fading", "--config", write(tmp_path, ini)]) == 2
         assert "fading models a single-layer gkp link" in capsys.readouterr().err
+
+
+def test_fading_rejects_sweeps_it_does_not_run(tmp_path, capsys):
+    # the rate rows are an lb_km grid: another axis or frontier mode would
+    # write the density and summary rows and drop the sweep without a word
+    shipped = reference_fading_config(0.1).read_text()
+    rejected = [(shipped.replace("axis = lb_km", f"axis = {axis}"), f"axis = {axis}")
+                for axis in ("la_km", "total_pulse", "layers")]
+    rejected.append((shipped.replace("mode = grid", "mode = frontier"), "mode = frontier"))
+    for ini, key in rejected:
+        out = tmp_path / "fading.csv"
+        assert main(["fading", "--config", write(tmp_path, ini), "--output", str(out)]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_thermal_photon_mean_rejected_where_unmodelled(tmp_path, capsys):
@@ -328,6 +346,14 @@ def test_output_section_and_flag_override(tmp_path):
 
 def test_negative_seed_rejected():
     assert main(["validate", "--samples", "0", "--seed", "-1"]) == 2
+
+
+def test_negative_samples_rejected(capsys):
+    for samples in ("-1", "-5"):
+        assert main(["validate", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: samples must be a nonnegative integer" in captured.err
 
 
 def test_total_pulse_sweep_keeps_pe_fraction(tmp_path):

@@ -8,10 +8,10 @@ from gkpmdi.channels import ProtocolParams
 from gkpmdi.fading import (FadingConfig, fading_cdf, fading_pdf, fading_quantile,
                            fading_scalars, pointing_wander_variance, residual_nodes,
                            sigma_r2_of_tau, xi_integral)
-from gkpmdi.finite_size import (FiniteSizeParams, composable_rate, composable_rate_from_pe,
-                                pe_rate_from_scalars)
+from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import IDEAL, GkpAncilla, optimize_squeezing, residual_variance
 from gkpmdi.mc import RngStream
+from gkpmdi.security import conditioned_scalars
 from matrix_oracle import conditioned_state, symplectic_eigenvalues
 
 CFG = FadingConfig(tau0=0.95, gamma0=1.5, r0_m=0.02, sigma_bw2_m2=1e-6)
@@ -120,11 +120,9 @@ def test_fading_cm_point_mass_matches_fiber_path(tau0, l_b, ancilla):
 @point_mass_settings
 def test_average_composable_point_mass_matches_fiber(tau0, l_b, ancilla):
     nodes, sr2, params, fiber = _point_mass_case(tau0, l_b, ancilla)
-    sc = fading_scalars(nodes, params)
     fs = FiniteSizeParams()
-    r_pe = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, params.beta0, fs)
-    assert composable_rate_from_pe(r_pe, fs) == pytest.approx(
-        composable_rate(fiber, sr2, fs, "gkp"), abs=1e-9)
+    assert composable_rate(fading_scalars(nodes, params), params.beta0, fs) == pytest.approx(
+        composable_rate(conditioned_scalars(fiber, sr2, "gkp"), fiber.beta0, fs), abs=1e-9)
 
 
 def test_xi_dynamic_beats_fixed(nodes):

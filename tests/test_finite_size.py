@@ -3,9 +3,9 @@ import pytest
 
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, aep_delta,
-                                composable_rate, composable_rate_from_pe, correlation_shift,
-                                epsilon_total, kappa_from_eps)
-from gkpmdi.security import asymptotic_rate
+                                composable_rate, correlation_shift, epsilon_total,
+                                kappa_from_eps)
+from gkpmdi.security import ConditionedScalars, asymptotic_rate, conditioned_scalars
 from matrix_oracle import (ConditionedState, conditioned_state, holevo_bound,
                            mutual_information, worst_case_cm)
 
@@ -47,6 +47,12 @@ def _state():
     return conditioned_state(ProtocolParams(l_a_km=1.0, l_b_km=10.0), 0.02, "gkp")
 
 
+def _worst_case_scalars(sc, fs):
+    """The worst-case state: psi lowered by the tail-bound correlation shift."""
+    shift = correlation_shift(sc.phi_a, sc.phi_b, kappa_from_eps(fs.eps_pe), fs.pe_signals)
+    return ConditionedScalars(sc.phi_a, sc.psi - shift, sc.phi_b)
+
+
 def test_worst_case_shift_signs():
     state = _state()
     wc = worst_case_cm(state.cm, FS)
@@ -73,7 +79,8 @@ def test_worst_case_unphysical_is_flagged():
     assert wc.v_wc[0, 2] < -abs(state.cm[0, 2])  # overshoot left in place
     # the production path flags the same state instead of evaluating it
     with pytest.raises(UnphysicalWorstCaseError, match="m_pe = 20"):
-        composable_rate(ProtocolParams(l_a_km=1.0, l_b_km=10.0), 0.02, fs_small, "gkp")
+        p = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
+        composable_rate(conditioned_scalars(p, 0.02, "gkp"), p.beta0, fs_small)
 
 
 def test_epsilon_total():
@@ -84,37 +91,40 @@ def test_epsilon_total():
 
 def test_composable_below_scaled_asymptotic():
     p = ProtocolParams(l_a_km=1.0, l_b_km=8.0)
-    r_asy = asymptotic_rate(p, 0.02, "gkp").rate
-    r_com = composable_rate(p, 0.02, FS, "gkp")
+    sc = conditioned_scalars(p, 0.02, "gkp")
+    r_asy = asymptotic_rate(sc, p.beta0).rate
+    r_com = composable_rate(sc, p.beta0, FS)
     assert r_com <= FS.p_ec * r_asy
 
 
 def test_composable_recovers_asymptotic_in_the_large_block_limit():
     p = ProtocolParams(l_a_km=1.0, l_b_km=8.0)
-    r_asy = asymptotic_rate(p, 0.02, "gkp").rate
+    sc = conditioned_scalars(p, 0.02, "gkp")
+    r_asy = asymptotic_rate(sc, p.beta0).rate
     fs = FiniteSizeParams(n_total=1e20, m_pe=1e15)
-    r_com = composable_rate(p, 0.02, fs, "gkp")
+    r_com = composable_rate(sc, p.beta0, fs)
     assert r_com == pytest.approx(fs.p_ec * r_asy, rel=1e-4)
 
 
 def test_composable_monotone_in_block_size():
     p = ProtocolParams(l_a_km=1.0, l_b_km=12.0)
-    rates = [composable_rate(p, 0.02, FiniteSizeParams(n_total=n), "gkp")
+    sc = conditioned_scalars(p, 0.02, "gkp")
+    rates = [composable_rate(sc, p.beta0, FiniteSizeParams(n_total=n))
              for n in (1e7, 1e8, 1e9, 1e10)]
     assert all(b >= a for a, b in zip(rates, rates[1:]))
 
 
 def test_composable_dual_path():
-    # scalar pipeline versus explicit worst-case matrix pipeline
+    # worst-case rate of the shifted scalars versus explicit worst-case matrix pipeline
     for (l_a, l_b, sr2) in [(1.0, 8.0, 0.02), (2.0, 5.0, 0.08), (0.5, 15.0, 0.0)]:
         p = ProtocolParams(l_a_km=l_a, l_b_km=l_b)
         state = conditioned_state(p, sr2, "gkp")
-        direct = composable_rate(p, sr2, FS, "gkp")
+        direct = asymptotic_rate(_worst_case_scalars(conditioned_scalars(p, sr2, "gkp"), FS),
+                                 p.beta0).rate
         wc = worst_case_cm(state.cm, FS)
         wc_state = ConditionedState(cm=wc.v_wc, theta=state.theta)
         r_pe = p.beta0 * mutual_information(wc_state) - holevo_bound(wc_state)
-        via_state = composable_rate_from_pe(r_pe, FS)
-        assert via_state == pytest.approx(direct, rel=1e-9, abs=1e-12)
+        assert r_pe == pytest.approx(direct, rel=1e-9, abs=1e-12)
         # the matrix worst case equals the scalar correlation shift
         shift = correlation_shift(state.cm[0, 0], state.cm[2, 2],
                                   wc.kappa, FS.pe_signals)
@@ -124,9 +134,12 @@ def test_composable_dual_path():
 
 def test_worst_case_rate_below_nominal():
     p = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
-    from gkpmdi.finite_size import pe_rate_from_scalars
-    from gkpmdi.security import conditioned_scalars
-
     sc = conditioned_scalars(p, 0.02, "gkp")
-    r_wc = pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, p.beta0, FS)
-    assert r_wc < asymptotic_rate(p, 0.02, "gkp").rate
+    r_wc = asymptotic_rate(_worst_case_scalars(sc, FS), p.beta0).rate
+    assert r_wc < asymptotic_rate(sc, p.beta0).rate
+    # the composable rate is the finite-size bracket around that worst-case rate
+    ell = FS.key_signals
+    bracket = ell * r_wc - np.sqrt(ell) * aep_delta(FS.d, FS.eps_s) \
+        + np.log2(FS.eps_h**2 * FS.eps_cor)
+    assert composable_rate(sc, p.beta0, FS) == pytest.approx(FS.p_ec * bracket / FS.n_total,
+                                                             rel=1e-12)

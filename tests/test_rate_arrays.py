@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams
-from gkpmdi.finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, composable_rate,
-                                composable_rate_from_pe, pe_rate_from_scalars)
-from gkpmdi.security import _TAIL_THRESHOLD, _rate_pieces, asymptotic_rate, conditioned_scalars
+from gkpmdi.finite_size import FiniteSizeParams, UnphysicalWorstCaseError, composable_rate
+from gkpmdi.security import (_TAIL_THRESHOLD, ConditionedScalars, asymptotic_rate,
+                             conditioned_scalars)
 
 _POINT = st.tuples(st.sampled_from(("direct", "preamp", "gkp")), st.floats(0.0, 5.0),
                    st.one_of(st.floats(0.0, 40.0), st.floats(400.0, 800.0)),
@@ -47,39 +47,35 @@ def test_array_rate_layer_matches_length1_calls(points):
         sc = conditioned_scalars(_params(la[idx], lb[idx]), sr2[idx], mode)
         for field in ("phi_a", "psi", "phi_b", "phi_a_m1"):
             _same(getattr(sc, field), [getattr(one[k], field) for k in idx])
-        _same_report(asymptotic_rate(_params(la[idx], lb[idx]), sr2[idx], mode),
-                     [asymptotic_rate(_params(la[k], lb[k]), sr2[k], mode) for k in idx])
+        _same_report(asymptotic_rate(sc, 0.95), [asymptotic_rate(one[k], 0.95) for k in idx])
 
-    # the scalar functionals take one batch across link modes
-    pa, psi, pb, m1 = (np.array([getattr(s, f) for s in one])
-                       for f in ("phi_a", "psi", "phi_b", "phi_a_m1"))
-    assert np.any(psi * psi / (pa + pb) ** 2 <= _TAIL_THRESHOLD)
-    _same_report(_rate_pieces(pa, psi, pb, 0.95, m1),
-                 [_rate_pieces(pa[k], psi[k], pb[k], 0.95, m1[k]) for k in range(len(one))])
+    # the rate functionals take one batch across link modes
+    batch = ConditionedScalars(*(np.array([getattr(s, f) for s in one])
+                                 for f in ("phi_a", "psi", "phi_b", "phi_a_m1")))
+    assert np.any(batch.psi ** 2 / (batch.phi_a + batch.phi_b) ** 2 <= _TAIL_THRESHOLD)
+    _same_report(asymptotic_rate(batch, 0.95), [asymptotic_rate(sc, 0.95) for sc in one])
 
-    single_pe = []
+    single = []
     for k in range(len(one)):
         try:
-            single_pe.append(pe_rate_from_scalars(pa[k], psi[k], pb[k], 0.95, _fs(n_total[k])))
+            single.append(composable_rate(one[k], 0.95, _fs(n_total[k])))
         except UnphysicalWorstCaseError:
-            single_pe.append(None)
-    ok = np.array([r is not None for r in single_pe])
+            single.append(None)
+    ok = np.array([r is not None for r in single])
     assert not ok[-1]
     with pytest.raises(UnphysicalWorstCaseError):
-        pe_rate_from_scalars(pa, psi, pb, 0.95, _fs(n_total))
-    r_pe = pe_rate_from_scalars(pa[ok], psi[ok], pb[ok], 0.95, _fs(n_total[ok]))
-    _same(r_pe, [r for r in single_pe if r is not None])
+        composable_rate(batch, 0.95, _fs(n_total))
+    physical = ConditionedScalars(batch.phi_a[ok], batch.psi[ok], batch.phi_b[ok],
+                                  batch.phi_a_m1[ok])
+    _same(composable_rate(physical, 0.95, _fs(n_total[ok])), [r for r in single if r is not None])
     # a frontier scan's lenient call: unphysical elements are NaN, the rest unchanged
-    lenient = pe_rate_from_scalars(pa, psi, pb, 0.95, _fs(n_total), strict=False)
+    lenient = composable_rate(batch, 0.95, _fs(n_total), strict=False)
     assert np.all(np.isnan(lenient[~ok]))
-    _same(lenient[ok], [r for r in single_pe if r is not None])
-    _same(composable_rate_from_pe(r_pe, _fs(n_total[ok])),
-          [composable_rate_from_pe(r, _fs(n)) for r, n in zip(r_pe.tolist(), n_total[ok])])
+    _same(lenient[ok], [r for r in single if r is not None])
     for mode in set(modes[ok].tolist()):
         idx = np.flatnonzero(ok & (modes == mode))
-        _same(composable_rate(_params(la[idx], lb[idx]), sr2[idx], _fs(n_total[idx]), mode),
-              [composable_rate(_params(la[k], lb[k]), sr2[k], _fs(n_total[k]), mode)
-               for k in idx])
+        sc = conditioned_scalars(_params(la[idx], lb[idx]), sr2[idx], mode)
+        _same(composable_rate(sc, 0.95, _fs(n_total[idx])), [single[k] for k in idx])
 
 
 def test_one_unphysical_element_raises_naming_its_block():
@@ -87,4 +83,4 @@ def test_one_unphysical_element_raises_naming_its_block():
                              0.02, "gkp")
     fs = _fs(np.array([1e8, 100.0, 1e9]))
     with pytest.raises(UnphysicalWorstCaseError, match="m_pe = 10 "):
-        pe_rate_from_scalars(sc.phi_a, sc.psi, sc.phi_b, 0.95, fs)
+        composable_rate(sc, 0.95, fs)

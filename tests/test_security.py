@@ -18,6 +18,11 @@ def params(l_a=1.0, l_b=10.0, **kw):
     return ProtocolParams(l_a_km=l_a, l_b_km=l_b, **kw)
 
 
+def link_rate(p, sigma_r2, mode):
+    """The asymptotic rate of a fixed link: its conditioned scalars, then the rate."""
+    return asymptotic_rate(conditioned_scalars(p, sigma_r2, mode), p.beta0)
+
+
 def test_global_cm_vacuum_limit():
     p = ProtocolParams(sigma2_a=0.0, sigma2_b=0.0, l_a_km=0.0, l_b_km=0.0)
     v = assemble_global_cm(p, 0.0, "gkp")
@@ -141,18 +146,18 @@ def test_holevo_dual_path():
     for (l_a, l_b, sr2) in [(1.0, 10.0, 0.02), (2.0, 5.0, 0.08), (0.5, 20.0, 0.0)]:
         p = params(l_a, l_b)
         state = conditioned_state(p, sr2, "gkp")
-        report = asymptotic_rate(p, sr2, "gkp")
+        report = link_rate(p, sr2, "gkp")
         assert holevo_bound(state) == pytest.approx(report.holevo, rel=1e-9, abs=1e-12)
         assert mutual_information(state) == pytest.approx(report.mutual_info, rel=1e-9)
 
 
 def test_rate_negative_when_bob_channel_dies():
     p = params(1.0, 120.0)
-    assert asymptotic_rate(p, 0.02, "gkp").rate < 0.0
+    assert link_rate(p, 0.02, "gkp").rate < 0.0
 
 
 def test_rate_monotone_in_bob_distance():
-    rates = [asymptotic_rate(params(1.0, lb), 0.02, "gkp").rate
+    rates = [link_rate(params(1.0, lb), 0.02, "gkp").rate
              for lb in np.linspace(1.0, 40.0, 25)]
     assert all(a >= b for a, b in zip(rates, rates[1:]))
 
@@ -162,7 +167,7 @@ def test_gkp_improves_over_break_even_substitution():
         p = params(l_a, 8.0)
         s2 = awgn_variance_preamp(p.tau_a)
         _, sr2 = optimize_squeezing(s2, GkpAncilla(20.0))
-        assert asymptotic_rate(p, sr2, "gkp").rate >= asymptotic_rate(p, s2, "gkp").rate
+        assert link_rate(p, sr2, "gkp").rate >= link_rate(p, s2, "gkp").rate
 
 
 def test_ci_rci_symmetric_state():
@@ -191,9 +196,9 @@ def test_rci_lossless_first_principles():
 
 
 def test_thermal_background_lowers_the_rate():
-    clean = asymptotic_rate(params(1.0, 8.0), 0.0, "preamp").rate
+    clean = link_rate(params(1.0, 8.0), 0.0, "preamp").rate
     for n_bar in (0.05, 0.2):
-        warm = asymptotic_rate(params(1.0, 8.0, n_bar=n_bar), 0.0, "preamp").rate
+        warm = link_rate(params(1.0, 8.0, n_bar=n_bar), 0.0, "preamp").rate
         assert warm < clean
         clean = warm
     # scalar and matrix paths stay consistent with a thermal background
@@ -207,8 +212,8 @@ def test_thermal_background_lowers_the_rate():
 def test_thermal_background_vanishes_on_a_lossless_link():
     # thermal noise enters through the loss, so a zero-length A link is clean
     for mode in ("direct", "preamp", "gkp"):
-        clean = asymptotic_rate(params(0.0, 5.0), 0.0, mode)
-        warm = asymptotic_rate(params(0.0, 5.0, n_bar=0.1), 0.0, mode)
+        clean = link_rate(params(0.0, 5.0), 0.0, mode)
+        warm = link_rate(params(0.0, 5.0, n_bar=0.1), 0.0, mode)
         assert warm.rate == clean.rate == pytest.approx(1.0497, abs=1e-4), mode
     s2 = awgn_variance_preamp(params(0.0, 5.0).tau_a, 0.1)
     assert s2 == 0.0 and optimize_squeezing(s2, GkpAncilla(20.0)) == (0.0, 0.0)

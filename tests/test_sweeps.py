@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.config import RunConfig, SweepSpec
-from gkpmdi.finite_size import FiniteSizeParams
+from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import GkpAncilla, optimize_squeezing
+from gkpmdi.security import asymptotic_rate, conditioned_scalars
 from gkpmdi.sweeps import (_link, link_sigma_r2, max_secure_distance, max_secure_la,
                            max_secure_lb, rate_point)
 
@@ -175,6 +176,28 @@ def test_composable_rate_below_scaled_asymptotic(link, lbs, n_total, pe_fraction
     asym = rate_point(cfg(mode, ancilla, finite=False, la=la), la, lb)["rate_bits"]
     comp = rate_point(replace(cfg(mode, ancilla, la=la), finite_size=fs), la, lb)["rate_bits"]
     assert np.all(comp <= p_ec * (1.0 - pe_fraction) * asym)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_LINKS, st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20),
+       st.one_of(st.none(), st.floats(1e7, 1e12)))
+def test_rate_point_is_the_public_rate_functions(link, lbs, n_total):
+    # every rate row goes through asymptotic_rate and composable_rate on the
+    # conditioned scalars of its link, bit for bit
+    mode, ancilla, la = link
+    lb = np.array(lbs)
+    fs = None if n_total is None else FiniteSizeParams(n_total=n_total)
+    c = replace(cfg(mode, ancilla, la=la), finite_size=fs)
+    row = rate_point(c, la, lb, strict=False)
+    params = replace(c.protocol, l_b_km=lb)
+    sc = conditioned_scalars(params, _link(c, la)[0], "gkp" if mode == "qt" else mode)
+    report = asymptotic_rate(sc, params.beta0)
+    expected = {"mutual_info_bits": report.mutual_info, "holevo_bits": report.holevo,
+                "v1": report.spectrum[0], "v2": report.spectrum[1], "v3": report.spectrum[2],
+                "rate_bits": report.rate if fs is None
+                else composable_rate(sc, params.beta0, fs, strict=False)}
+    for column, value in expected.items():
+        assert np.array_equal(row[column], value, equal_nan=True), column
 
 
 def test_rate_point_row_contents():
