@@ -34,8 +34,8 @@ RATE_COLUMNS = ["schema_version", "link_mode", "rate_kind", "la_km", "lb_km",
 FRONTIER_COLUMNS = ["schema_version", "link_mode", "rate_kind", "frontier_axis",
                     "max_secure_km", "la_km", "lb_km", "gkp_squeezing_db", "layers"]
 FADING_COLUMNS = ["schema_version", "row_kind", "tau_a", "pdf_density",
-                  "sigma_r2_of_tau", "mean_sigma_r2", "mean_tau", "xi", "lb_km",
-                  "rate_bits", "receiver_aperture_m", "tau0", "gamma0", "r0_m",
+                  "sigma_r2_of_tau", "mean_sigma_r2", "mean_tau", "xi", "rate_kind",
+                  "lb_km", "rate_bits", "receiver_aperture_m", "tau0", "gamma0", "r0_m",
                   "sigma_bw2_m2", "gkp_squeezing_db"]
 
 

@@ -8,11 +8,12 @@ so is a key that cannot act beside the others the file gives.
 from __future__ import annotations
 
 import configparser
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channels import ProtocolParams
+from .channels import ProtocolParams, fiber_transmittance
 from .fading import FadingConfig, pointing_wander_variance
 from .finite_size import FiniteSizeParams
 from .gkp import IDEAL, GkpAncilla
@@ -34,9 +35,20 @@ class SweepSpec:
     step: float = 1.0
     mode: str = "grid"
 
-    def values(self) -> list[float]:
+    def __post_init__(self):
+        for key in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"sweep {key} must be finite, got {getattr(self, key)!r}")
         if self.step <= 0:
             raise ConfigError("sweep step must be > 0")
+        if self.stop < self.start:
+            raise ConfigError(f"sweep stop = {self.stop!r} is below start = {self.start!r}")
+        if self.axis in ("la_km", "lb_km") and self.start < 0:
+            raise ConfigError(f"sweep start = {self.start!r}: {self.axis} must be >= 0")
+        if self.axis == "total_pulse" and self.start <= 0:
+            raise ConfigError(f"sweep start = {self.start!r}: total_pulse must be > 0")
+
+    def values(self) -> list[float]:
         out = []
         x = self.start
         # half-step slack keeps the endpoint when start/stop/step are round
@@ -74,6 +86,17 @@ class RunConfig:
             raise ConfigError("layers must be >= 1")
         if self.layers > 1 and self.link_mode != "gkp":
             raise ConfigError("concatenation layers require link_mode = gkp")
+        if self.fading is not None and (self.link_mode != "gkp" or self.layers != 1):
+            raise ConfigError("fading models a single-layer gkp link")
+        p = self.protocol
+        if p.sigma2_a == 0.0 or p.sigma2_b == 0.0:  # psi = 0: nothing correlates the users
+            raise ConfigError(f"modulation_variance must be > 0 for both users, got _a = "
+                              f"{p.sigma2_a!r} and _b = {p.sigma2_b!r}")
+        if self.fading is None:  # a fiber A link: its longest length must not underflow
+            key, l_a = (("stop", self.sweep.stop) if self.sweep.axis == "la_km"
+                        else ("la_km", p.l_a_km))
+            if fiber_transmittance(l_a, p.alpha0_db_per_km) == 0.0:
+                raise ConfigError(f"{key} = {l_a!r} km: the A-link transmittance underflows to 0")
         if self.protocol.n_bar > 0.0 and (self.link_mode == "qt" or self.layers > 1
                                            or self.fading is not None
                                            or self.sweep.axis == "layers"):

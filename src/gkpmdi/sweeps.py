@@ -64,18 +64,30 @@ def link_sigma_r2(cfg: RunConfig, l_a_km: float) -> tuple[float, float, float]:
     return _link(cfg, l_a_km)
 
 
-def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True) -> dict:
-    """Secret-key rates as one block of output columns.
+def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True,
+               nodes=None) -> dict:
+    """Secret-key rates of a fiber or ``[fading]`` A link as one block of
+    output columns.
 
     ``l_a_km``, ``l_b_km`` and ``n_total`` (None keeps the configured block
-    size) are scalars or equal-length 1-D arrays.  The conditioned scalars
-    are formed once and feed both the asymptotic and the composable columns.
-    ``strict`` is passed to :func:`composable_rate`: when False, an
-    unphysical worst-case state gives a NaN composable rate, not an error.
+    size) are scalars or equal-length 1-D arrays.  A ``[fading]`` link's
+    scalars are averaged over ``nodes``, its ``residual_nodes`` (built here
+    when None).  The conditioned scalars are formed once and feed both the
+    asymptotic and the composable columns.  ``strict`` is passed to
+    :func:`composable_rate`: when False, an unphysical worst-case state
+    gives a NaN composable rate, not an error.
     """
-    sigma_r2 = (link_sigma_r2 if np.ndim(l_a_km) == 0 else _link)(cfg, l_a_km)[0]
-    params = replace(cfg.protocol, l_a_km=l_a_km, l_b_km=l_b_km)
-    sc = conditioned_scalars(params, sigma_r2, "gkp" if cfg.link_mode == "qt" else cfg.link_mode)
+    if cfg.fading is None:
+        sigma_r2 = (link_sigma_r2 if np.ndim(l_a_km) == 0 else _link)(cfg, l_a_km)[0]
+        params = replace(cfg.protocol, l_a_km=l_a_km, l_b_km=l_b_km)
+        sc = conditioned_scalars(params, sigma_r2,
+                                 "gkp" if cfg.link_mode == "qt" else cfg.link_mode)
+    else:  # the fading law, not l_a_km, sets the link: la_km is blank, sigma_r2 the mean
+        nodes = residual_nodes(cfg.fading, cfg.ancilla) if nodes is None else nodes
+        w, _, node_sigma_r2 = nodes
+        sigma_r2, l_a_km = float(np.sum(w * node_sigma_r2)), ""
+        params = replace(cfg.protocol, l_b_km=l_b_km)
+        sc = fading_scalars(nodes, params)
     report = asymptotic_rate(sc, params.beta0)
     block = {
         "schema_version": SCHEMA_VERSION,
@@ -155,11 +167,14 @@ def _frontier(cfg: RunConfig, l_a_km, l_b_km, lo: float, hi: float) -> tuple[flo
     number of scanned points whose worst-case state was unphysical: their
     NaN rate counts as not secure."""
     unphysical = 0
+    # a [fading] link's nodes serve every probe
+    nodes = None if cfg.fading is None else residual_nodes(cfg.fading, cfg.ancilla)
 
     def rate_fn(x):
         nonlocal unphysical
         rate = rate_point(cfg, x if l_a_km is None else l_a_km,
-                          x if l_b_km is None else l_b_km, strict=False)["rate_bits"]
+                          x if l_b_km is None else l_b_km, strict=False,
+                          nodes=nodes)["rate_bits"]
         unphysical += int(np.count_nonzero(np.isnan(rate)))
         return rate
 
@@ -179,8 +194,9 @@ def max_secure_la(cfg: RunConfig, l_b_km: float, lo: float = _LA_WINDOW_KM[0],
 def residual_rows(cfg: RunConfig) -> list[dict]:
     """Residual-error sweep: distance axis or concatenation-layer axis."""
     sweep = cfg.sweep
-    if cfg.link_mode != "gkp":
-        raise ConfigError("residual sweeps model the gkp link")
+    if cfg.link_mode != "gkp" or cfg.fading is not None:
+        raise ConfigError("residual sweeps model the gkp link over fiber "
+                          "(gkpmdi fading gives a [fading] link's residuals)")
     if sweep.mode != "grid":
         raise ConfigError("residual sweeps run in grid mode: mode = frontier is a rate sweep")
     if sweep.axis == "la_km" and cfg.layers != 1:
@@ -208,12 +224,16 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
 
 
 def rate_rows(cfg: RunConfig) -> list[dict]:
-    """Key-rate sweep (grid mode) or secure-distance frontier (frontier mode)."""
+    """Key-rate sweep (grid mode) or secure-distance frontier (frontier mode)
+    of a fiber or ``[fading]`` A link."""
     sweep = cfg.sweep
+    if cfg.fading is not None and sweep.axis == "la_km":
+        raise ConfigError("axis = la_km does not act on a [fading] link: "
+                          "the fading law, not a fiber length, sets its A link")
     if sweep.mode == "frontier":
         if sweep.axis == "lb_km":
             value, unphysical = _frontier(cfg, cfg.protocol.l_a_km, None, *_LB_WINDOW_KM)
-            axis_echo = {"la_km": cfg.protocol.l_a_km}
+            axis_echo = {"la_km": cfg.protocol.l_a_km if cfg.fading is None else ""}
         elif sweep.axis == "la_km":
             value, unphysical = _frontier(cfg, None, cfg.protocol.l_b_km, *_LA_WINDOW_KM)
             axis_echo = {"lb_km": cfg.protocol.l_b_km}
@@ -240,16 +260,15 @@ def rate_rows(cfg: RunConfig) -> list[dict]:
 
 
 def fading_rows(cfg: RunConfig) -> list[dict]:
-    """Transmittance-density samples, summary means, and averaged composable
-    rates on an ``lb_km`` grid.
+    """Transmittance-density samples, summary means, and the averaged rates
+    of :func:`rate_point` on an ``lb_km`` grid (composable with a
+    ``[finite_size]`` section, asymptotic without).
 
     Columns a row kind does not use are absent and written as blank cells.
     The fading link is modelled as one gkp-corrected segment.
     """
     if cfg.fading is None:
         raise ConfigError("fading command requires a [fading] section")
-    if cfg.link_mode != "gkp" or cfg.layers != 1:
-        raise ConfigError("fading models a single-layer gkp link")
     if cfg.sweep.axis != "lb_km" or cfg.sweep.mode != "grid":
         raise ConfigError(f"fading rate rows run on an lb_km grid, not on axis = "
                           f"{cfg.sweep.axis} with mode = {cfg.sweep.mode}")
@@ -267,12 +286,11 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
     blocks = [{**common, "row_kind": "pdf", "tau_a": taus, "pdf_density": fading_pdf(taus, fad),
                "sigma_r2_of_tau": sigma_r2_of_tau(cfg.ancilla, taus)}]
     nodes = residual_nodes(fad, cfg.ancilla)  # shared by the summary and every rate row
-    w, tau, sigma_r2 = nodes
-    blocks.append({**common, "row_kind": "summary", "mean_sigma_r2": float(np.sum(w * sigma_r2)),
+    rate = rate_point(cfg, cfg.protocol.l_a_km, np.array(cfg.sweep.values(), dtype=float),
+                      nodes=nodes)
+    w, tau, _ = nodes
+    blocks.append({**common, "row_kind": "summary", "mean_sigma_r2": rate["sigma_r2"],
                    "mean_tau": float(np.sum(w * tau)), "xi": xi_integral(nodes, cfg.protocol)})
-    if cfg.finite_size is not None:
-        lbs = np.array(cfg.sweep.values(), dtype=float)
-        params = replace(cfg.protocol, l_b_km=lbs)
-        rate = composable_rate(fading_scalars(nodes, params), params.beta0, cfg.finite_size)
-        blocks.append({**common, "row_kind": "rate", "lb_km": lbs, "rate_bits": rate})
+    blocks.append({**common, "row_kind": "rate",
+                   **{c: rate[c] for c in ("rate_kind", "lb_km", "rate_bits")}})
     return blocks

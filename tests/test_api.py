@@ -53,6 +53,25 @@ def test_rate_layers_import_no_private_security_names():
                 assert not private, (module, private)
 
 
+def test_rate_functions_called_only_in_rate_point():
+    # one rate route: every A link, fiber or [fading], becomes rate columns
+    # in sweeps.rate_point, and fading_rows reaches the rates through it
+    callers = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            scope = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            callers.setdefault(name, set()).add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse((SRC / "sweeps.py").read_text(encoding="utf-8")), "<module>")
+    assert callers["asymptotic_rate"] == callers["composable_rate"] == {"rate_point"}
+    assert "fading_rows" in callers["rate_point"]
+
+
 def test_params_level_rate_calls_fail():
     # the rate functions take conditioned scalars: an old-style call with
     # link parameters raises instead of computing a number

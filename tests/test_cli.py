@@ -207,6 +207,8 @@ def test_residual_rejects_settings_it_does_not_model(tmp_path, capsys):
          "use axis = layers for concatenation"),
         (RESIDUAL_INI.replace("mode = grid", "mode = frontier"),
          "residual sweeps run in grid mode: mode = frontier"),
+        (reference_fading_config(0.1).read_text().replace("axis = lb_km", "axis = la_km"),
+         "residual sweeps model the gkp link over fiber"),
     ]
     for ini, message in rejected:
         assert main(["residual", "--config", write(tmp_path, ini)]) == 2, message
@@ -274,13 +276,46 @@ def test_thermal_photon_mean_rejected_where_unmodelled(tmp_path, capsys):
     assert float(rows_of(out1)[0]["sigma_r2"]) > float(rows_of(out0)[0]["sigma_r2"])
 
 
-def test_empty_sweep_header_only(tmp_path):
-    ini = FIBER_INI.replace("start = 6", "start = 12").replace("stop = 10", "stop = 11")
-    cfg = write(tmp_path, ini)
-    out = str(tmp_path / "empty.csv")
-    assert main(["rate", "--config", cfg, "--output", out]) == 0
-    lines = Path(out).read_text().strip().splitlines()
-    assert len(lines) == 1  # header only
+FIBER_DEFAULT = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
+LA_AXIS = {"axis = lb_km": "axis = la_km"}
+PULSE_AXIS = {"axis = lb_km": "axis = total_pulse", "stop = 20": "stop = 1e9",
+              "step = 1\n": "step = 1e8\n"}
+
+
+@pytest.mark.parametrize("command, edits, key", [
+    pytest.param("rate", {"stop = 20": "stop = inf"}, "stop", id="stop-inf"),
+    pytest.param("rate", {"step = 1\n": "step = nan\n"}, "step", id="step-nan"),
+    pytest.param("rate", {"start = 2": "start = -inf"}, "start", id="start-minus-inf"),
+    pytest.param("rate", {"start = 2": "start = 30", "stop = 20": "stop = 2"}, "stop",
+                 id="reversed-sweep"),
+    pytest.param("rate", {"start = 2": "start = -2"}, "start", id="negative-lb-start"),
+    pytest.param("residual", {**LA_AXIS, "start = 2": "start = -1"}, "start",
+                 id="negative-la-start"),
+    pytest.param("rate", {**PULSE_AXIS, "start = 2": "start = -1"}, "start",
+                 id="negative-pulse-start"),
+    pytest.param("rate", {"la_km = 1.0": "la_km = 20000"}, "la_km", id="la-key-underflow"),
+    pytest.param("rate", {**LA_AXIS, "stop = 20": "stop = 20000"}, "stop",
+                 id="la-sweep-underflow"),
+    pytest.param("residual", {**LA_AXIS, "stop = 20": "stop = 20000"}, "stop",
+                 id="residual-la-sweep-underflow"),
+    pytest.param("rate", {"modulation_variance = 20": "modulation_variance = 0"},
+                 "modulation_variance", id="zero-modulation"),
+])
+def test_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, command, edits, key):
+    # each was a traceback, a silent header-only file (step = nan, stop below
+    # start), an endless sweep or a message blaming another key; no probe may
+    # reach the sweep loop
+    monkeypatch.setattr("gkpmdi.config.SweepSpec.values", lambda self: pytest.fail("sweep ran"))
+    ini = FIBER_DEFAULT.read_text()
+    for old, new in edits.items():
+        assert old in ini
+        ini = ini.replace(old, new)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", write(tmp_path, ini), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -309,6 +344,77 @@ def test_fading_command(tmp_path):
 
     total = np.trapezoid(dens, taus)
     assert abs(total - 1.0) < 1e-4
+
+
+def _without_finite_size(ini):
+    return "\n\n".join(b for b in ini.split("\n\n") if not b.startswith("[finite_size]"))
+
+
+@pytest.mark.parametrize("finite", [True, False], ids=["composable", "asymptotic"])
+@pytest.mark.parametrize("aperture", [0.1, 0.05])
+def test_rate_on_fading_config_matches_fading_rate_rows(tmp_path, aperture, finite):
+    # one rate route: `rate` on a [fading] config and the fading command's
+    # rate rows are the same rate_point block; without [finite_size] both
+    # write asymptotic rows (the fading command used to write none)
+    ini = reference_fading_config(aperture).read_text()
+    cfg = write(tmp_path, ini if finite else _without_finite_size(ini))
+    fad, rate = tmp_path / "fading.csv", tmp_path / "rate.csv"
+    assert main(["fading", "--config", cfg, "--output", str(fad)]) == 0
+    assert main(["rate", "--config", cfg, "--output", str(rate)]) == 0
+    fading, rows = rows_of(fad), rows_of(rate)
+    summary = [r for r in fading if r["row_kind"] == "summary"]
+    fading_rate = [r for r in fading if r["row_kind"] == "rate"]
+    assert len(rows) == len(fading_rate) > 0
+    assert [(r["lb_km"], r["rate_bits"]) for r in rows] == \
+        [(r["lb_km"], r["rate_bits"]) for r in fading_rate]
+    kind = "composable" if finite else "asymptotic"
+    assert {r["rate_kind"] for r in rows} == {r["rate_kind"] for r in fading_rate} == {kind}
+    assert {r["rate_kind"] for r in fading if r["row_kind"] != "rate"} == {""}
+    # la_km does not act on a fading link; sigma_r2 is the mean residual
+    assert {r["la_km"] for r in rows} == {""}
+    assert {r["sigma_r2"] for r in rows} == {summary[0]["mean_sigma_r2"]}
+
+
+@pytest.mark.parametrize("aperture, finite, km", [
+    (0.1, True, 21.37), (0.1, False, 35.07), (0.05, False, 0.19), (0.05, True, None)])
+def test_rate_frontier_on_fading_config(tmp_path, capsys, aperture, finite, km):
+    ini = reference_fading_config(aperture).read_text().replace("mode = grid", "mode = frontier")
+    cfg = write(tmp_path, ini if finite else _without_finite_size(ini))
+    out = tmp_path / "front.csv"
+    assert main(["rate", "--config", cfg, "--output", str(out)]) == 0
+    (row,) = rows_of(out)
+    assert row["frontier_axis"] == "lb_km" and row["la_km"] == ""
+    assert row["rate_kind"] == ("composable" if finite else "asymptotic")
+    err = capsys.readouterr().err
+    if km is None:
+        assert row["max_secure_km"] == "" and "no secure point found along lb_km" in err
+    else:
+        assert abs(float(row["max_secure_km"]) - km) <= 0.01 and err == ""
+
+
+def test_rate_on_fading_config_rejects_la_km_axis(tmp_path, capsys):
+    shipped = reference_fading_config(0.1).read_text().replace("axis = lb_km", "axis = la_km")
+    for mode in ("grid", "frontier"):
+        ini = shipped.replace("mode = grid", f"mode = {mode}")
+        assert main(["rate", "--config", write(tmp_path, ini)]) == 2, mode
+        err = capsys.readouterr().err
+        assert err.startswith("config error: axis = la_km") and "Traceback" not in err
+
+
+def test_fading_nodes_built_once_per_run(tmp_path, monkeypatch):
+    import gkpmdi.sweeps
+
+    calls = []
+    build = gkpmdi.sweeps.residual_nodes
+    monkeypatch.setattr(gkpmdi.sweeps, "residual_nodes",
+                        lambda *args: calls.append(args) or build(*args))
+    shipped = reference_fading_config(0.1).read_text()
+    for command, ini in (("rate", shipped), ("fading", shipped),
+                         ("rate", shipped.replace("mode = grid", "mode = frontier"))):
+        calls.clear()
+        out = str(tmp_path / "out.csv")
+        assert main([command, "--config", write(tmp_path, ini), "--output", out]) == 0
+        assert len(calls) == 1, (command, len(calls))
 
 
 def test_fading_requires_fading_section(tmp_path):

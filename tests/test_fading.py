@@ -5,6 +5,7 @@ from scipy.integrate import quad
 
 from gkpmdi import fading
 from gkpmdi.channels import ProtocolParams
+from gkpmdi.config import RunConfig
 from gkpmdi.fading import (FadingConfig, fading_cdf, fading_pdf, fading_quantile,
                            fading_scalars, pointing_wander_variance, residual_nodes,
                            sigma_r2_of_tau, xi_integral)
@@ -12,6 +13,7 @@ from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import IDEAL, GkpAncilla, optimize_squeezing, residual_variance
 from gkpmdi.mc import RngStream
 from gkpmdi.security import conditioned_scalars
+from gkpmdi.sweeps import rate_point
 from matrix_oracle import conditioned_state, symplectic_eigenvalues
 
 CFG = FadingConfig(tau0=0.95, gamma0=1.5, r0_m=0.02, sigma_bw2_m2=1e-6)
@@ -123,6 +125,21 @@ def test_average_composable_point_mass_matches_fiber(tau0, l_b, ancilla):
     fs = FiniteSizeParams()
     assert composable_rate(fading_scalars(nodes, params), params.beta0, fs) == pytest.approx(
         composable_rate(conditioned_scalars(fiber, sr2, "gkp"), fiber.beta0, fs), abs=1e-9)
+
+
+@point_mass_cases
+@point_mass_settings
+def test_rate_point_point_mass_matches_fiber(tau0, l_b, ancilla):
+    # the fading and the fiber A link share rate_point, asymptotic and composable
+    nodes, _, params, fiber = _point_mass_case(tau0, l_b, ancilla)
+    for fs in (None, FiniteSizeParams()):
+        fading_cfg = RunConfig(protocol=params, ancilla=ancilla, finite_size=fs,
+                               fading=_point_mass(tau0))
+        fiber_cfg = RunConfig(protocol=fiber, ancilla=ancilla, finite_size=fs)
+        got = rate_point(fading_cfg, params.l_a_km, l_b, nodes=nodes)
+        want = rate_point(fiber_cfg, fiber.l_a_km, l_b)
+        assert got["rate_kind"] == want["rate_kind"]
+        assert got["rate_bits"] == pytest.approx(want["rate_bits"], abs=1e-9)
 
 
 def test_xi_dynamic_beats_fixed(nodes):
