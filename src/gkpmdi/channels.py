@@ -37,6 +37,8 @@ class ProtocolParams:
             raise ValueError("reconciliation efficiency must be in (0, 1]")
         if self.n_bar < 0:
             raise ValueError("thermal photon mean must be >= 0")
+        if not 0.0 <= self.alpha0_db_per_km < np.inf:
+            raise ValueError("attenuation must be finite and >= 0 dB/km")
         if np.any(np.asarray(self.l_a_km) < 0) or np.any(np.asarray(self.l_b_km) < 0):
             raise ValueError("link lengths must be >= 0")
 

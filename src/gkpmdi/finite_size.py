@@ -91,16 +91,23 @@ def epsilon_total(fs: FiniteSizeParams) -> float:
 
 
 def _worst_case(sc: ConditionedScalars, fs: FiniteSizeParams, strict: bool):
-    """The worst-case state (phi_a, psi - shift, phi_b) and the mask where
-    it is unphysical: its smaller symplectic eigenvalue
-    (sqrt((phi_a + phi_b)^2 - 4 psi'^2) - |phi_b - phi_a|)/2 is below 1.
+    """The worst-case state and the mask where the estimate cannot bound it.
+
+    The tail bound puts the true correlation within ``shift`` of psi; the
+    worst case is the least correlation in that range, psi' = sign(psi)
+    max(|psi| - shift, 0), so it is never more correlated than the estimate.
+    The bound's far end psi - shift must stay physical: where the smaller
+    symplectic eigenvalue (sqrt((phi_a + phi_b)^2 - 4 (psi - shift)^2)
+    - |phi_b - phi_a|)/2 is below 1, the estimation block is too small and
+    the element is flagged.
     A separate function, so its temporaries are freed before the rate runs."""
     phi_a, psi, phi_b = sc.phi_a, sc.psi, sc.phi_b
     m_pe = fs.pe_signals
     shift = correlation_shift(phi_a, phi_b, kappa_from_eps(fs.eps_pe), m_pe)
-    psi_wc = psi - shift
+    psi_wc = np.sign(psi) * np.maximum(np.abs(psi) - shift, 0.0)
     s = phi_a + phi_b
-    disc2 = s * s - 4.0 * psi_wc * psi_wc
+    far = psi - shift
+    disc2 = s * s - 4.0 * far * far
     # disc2 < 0 clips to 0, which leaves the eigenvalue below 1
     nu_min = (np.sqrt(np.maximum(disc2, 0.0)) - np.abs(phi_b - phi_a)) / 2.0
     bad = nu_min < 1.0 - PHYSICALITY_TOL
@@ -109,7 +116,7 @@ def _worst_case(sc: ConditionedScalars, fs: FiniteSizeParams, strict: bool):
         raise UnphysicalWorstCaseError(
             f"worst-case state is unphysical at m_pe = {m_pe:g} (correlation "
             f"shift {shift:.6g} against psi {psi:.6g}): enlarge the parameter-estimation block")
-    # the unshifted state is physical: it stands in where the shifted one is not
+    # the unshifted state is physical: it stands in where the bound is not
     return ConditionedScalars(phi_a, np.where(bad, psi, psi_wc), phi_b), bad
 
 

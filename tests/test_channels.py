@@ -71,3 +71,7 @@ def test_protocol_params_validation():
         ProtocolParams(sigma2_a=-1.0)
     with pytest.raises(ValueError):
         ProtocolParams(n_bar=-0.1)
+    for bad in (-0.2, np.nan, np.inf):
+        with pytest.raises(ValueError, match="attenuation"):
+            ProtocolParams(alpha0_db_per_km=bad)
+    assert ProtocolParams(alpha0_db_per_km=0.0).tau_b == 1.0

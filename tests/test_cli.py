@@ -300,6 +300,10 @@ PULSE_AXIS = {"axis = lb_km": "axis = total_pulse", "stop = 20": "stop = 1e9",
                  id="residual-la-sweep-underflow"),
     pytest.param("rate", {"modulation_variance = 20": "modulation_variance = 0"},
                  "modulation_variance", id="zero-modulation"),
+    pytest.param("rate", {"attenuation_db_per_km = 0.2": "attenuation_db_per_km = -0.2"},
+                 "attenuation_db_per_km", id="negative-attenuation"),
+    pytest.param("rate", {"attenuation_db_per_km = 0.2": "attenuation_db_per_km = nan"},
+                 "attenuation_db_per_km", id="attenuation-nan"),
 ])
 def test_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, command, edits, key):
     # each was a traceback, a silent header-only file (step = nan, stop below

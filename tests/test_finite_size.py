@@ -1,11 +1,16 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gkpmdi.channels import ProtocolParams
+from gkpmdi.config import load_config
 from gkpmdi.finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, aep_delta,
                                 composable_rate, correlation_shift, epsilon_total,
                                 kappa_from_eps)
 from gkpmdi.security import ConditionedScalars, asymptotic_rate, conditioned_scalars
+from gkpmdi.sweeps import rate_point
 from matrix_oracle import (ConditionedState, conditioned_state, holevo_bound,
                            mutual_information, worst_case_cm)
 
@@ -143,3 +148,25 @@ def test_worst_case_rate_below_nominal():
         + np.log2(FS.eps_h**2 * FS.eps_cor)
     assert composable_rate(sc, p.beta0, FS) == pytest.approx(FS.p_ec * bracket / FS.n_total,
                                                              rel=1e-12)
+
+
+FIBER_DEFAULT = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
+
+
+@pytest.mark.parametrize("l_b_km", [300.0, 1000.0, 100000.0])
+def test_worst_case_is_no_more_correlated_than_the_estimate(l_b_km):
+    # past lb ~ 276 km on fiber_default.ini the correlation shift exceeds psi
+    # (at 100000 km tau_b underflows and psi = 0): the worst case is psi' = 0,
+    # and its rate may not exceed that of the estimated state itself
+    cfg = load_config(FIBER_DEFAULT)
+    fs = cfg.finite_size
+    block = rate_point(cfg, cfg.protocol.l_a_km, l_b_km)
+    params = replace(cfg.protocol, l_b_km=l_b_km)
+    sc = conditioned_scalars(params, block["sigma_r2"], "gkp")
+    assert sc.psi < correlation_shift(sc.phi_a, sc.phi_b, kappa_from_eps(fs.eps_pe), fs.pe_signals)
+    ell = fs.key_signals
+    at_estimate = fs.p_ec * (ell * asymptotic_rate(sc, params.beta0).rate
+                             - np.sqrt(ell) * aep_delta(fs.d, fs.eps_s)
+                             + np.log2(fs.eps_h**2 * fs.eps_cor)) / fs.n_total
+    assert block["rate_bits"] == composable_rate(sc, params.beta0, fs)
+    assert block["rate_bits"] <= at_estimate + 1e-12

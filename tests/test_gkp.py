@@ -1,11 +1,13 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import ndtr
 
-from gkpmdi import gkp
+from gkpmdi import fading, gkp, sweeps
+from gkpmdi.config import load_config, reference_fading_config
 from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, break_even, concat_variance,
                         effective_estimator_gain, lattice_shift_variance, lower_bound_variance,
                         optimize_squeezing, residual_variance, syndrome_reduce)
@@ -324,9 +326,9 @@ def test_optimize_batch_matches_single_calls(drawn, ancilla):
     single = np.array([optimize_squeezing(float(x), ancilla) for x in s2])
     assert np.array_equal(r_opt, single[:, 0]) and np.array_equal(v, single[:, 1])
     # the scan-free search finds the scan's minimum, not its bits
-    reference = np.array([scalar_reference_optimize(x, ancilla) for x in fixed])
-    np.testing.assert_allclose(v[:len(fixed)], reference[:, 1], rtol=1e-12, atol=0.0)
-    assert np.array_equal(r_opt[:len(fixed)] == 0.0, reference[:, 0] == 0.0)
+    reference = np.array([scalar_reference_optimize(x, ancilla) for x in s2])
+    np.testing.assert_allclose(v, reference[:, 1], rtol=1e-12, atol=0.0)
+    assert np.array_equal(r_opt == 0.0, reference[:, 0] == 0.0)
     assert np.any(r_opt == 0.0)
     assert not ancilla.ideal or np.any(r_opt > gkp._R_MAX)
     assert isinstance(optimize_squeezing(0.1, ancilla)[0], float)
@@ -416,6 +418,97 @@ def test_optimize_terminates_without_warnings(s2, ancilla):
         warnings.simplefilter("error")
         r_opt, v = optimize_squeezing(s2, ancilla)
     assert 0.0 <= v <= s2 and r_opt >= 0.0
+
+
+def kernel_slope(r, s2, ancilla):
+    """dV/dr and d2V/dr2 rebuilt from the optimizer's kernel: with N the
+    falling part of the slope, dV/dr = 2 phi N (P/N - 1) and N' = -2 phi N."""
+    noise = ancilla.syndrome_noise_variance
+    f, df = gkp._log_slope_ratio(np.atleast_1d(r), np.atleast_1d(s2), noise)
+    var_w = s2 * np.cosh(2.0 * r) + noise
+    phi = s2 * np.sinh(2.0 * r) / var_w
+    dphi = 2.0 * s2 * (s2 + noise * np.cosh(2.0 * r)) / var_w**2
+    fall = (s2 - noise) * (s2 + noise) / var_w
+    g = 2.0 * phi * fall * np.expm1(f)
+    dg = 2.0 * fall * ((dphi - 2.0 * phi * phi) * np.expm1(f) + phi * np.exp(f) * df)
+    return g[0], dg[0]
+
+
+_BRANCH_R = 0.5 * np.arccosh(np.array([0.49, 0.51]) / 0.1)  # Var(w) either side of 1/2
+
+
+_LOG_NOISE = st.floats(-12.0, np.log10(0.999)).map(lambda e: 10.0 ** e)  # 1e-12 .. 0.999
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.floats(0.0, 16.0), _LOG_NOISE | st.floats(1e-12, 0.999),
+       st.just(IDEAL) | st.floats(5.0, 40.0).map(GkpAncilla))
+@example(_BRANCH_R[0], 0.1, IDEAL)
+@example(_BRANCH_R[1], 0.1, IDEAL)
+@example(0.0, 0.3, DB20)
+@example(10.8, 1.2e-11, IDEAL)
+def test_slope_kernel_matches_central_differences(r, s2, ancilla):
+    # the closed-form slope against differences of residual_variance, and its
+    # closed-form derivative against differences of the slope; V is even in
+    # r, so a step below r = 0 reflects
+    assume(s2 > ancilla.syndrome_noise_variance)  # the kernel's domain
+    h = 1e-6
+    g, dg = kernel_slope(r, s2, ancilla)
+    v = residual_variance(r, s2, ancilla)
+    g_fd = (residual_variance(r + h, s2, ancilla) - residual_variance(abs(r - h), s2, ancilla)) / (2 * h)
+    g_hi = kernel_slope(r + h, s2, ancilla)[0]
+    g_lo = kernel_slope(abs(r - h), s2, ancilla)[0] * (1.0 if r >= h else -1.0)  # g is odd
+    dg_fd = (g_hi - g_lo) / (2 * h)
+    assert abs(g - g_fd) <= 1e-7 * (abs(g) + v)
+    assert abs(dg - dg_fd) <= 1e-7 * (abs(dg) + abs(g) + v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_LOG_NOISE, st.just(IDEAL) | st.floats(5.0, 40.0).map(GkpAncilla))
+@example(0.2963, DB20)  # a gain of 9e-9: the optimum sits at r ~ 0.008
+@example(1e-12, IDEAL)
+def test_optimum_is_stationary(s2, ancilla):
+    # the slope changes sign across r_opt, and the Newton step from r_opt
+    # is within the search tolerance (1e-13 of r, or a 1e-10 bracket)
+    r_opt, v = optimize_squeezing(s2, ancilla)
+    if r_opt == 0.0:
+        return
+    noise = ancilla.syndrome_noise_variance
+    f, df = gkp._log_slope_ratio(np.array([r_opt]), np.array([s2]), noise)
+    assert abs(f[0]) <= df[0] * (1e-12 * r_opt + 1e-10)
+    d = 1e-9 * (1.0 + r_opt)
+    assert kernel_slope(r_opt - d, s2, ancilla)[0] < 0.0 < kernel_slope(r_opt + d, s2, ancilla)[0]
+    assert v == residual_variance(r_opt, s2, ancilla)
+
+
+FIBER_DEFAULT = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
+
+
+def test_optimizer_work_counts(monkeypatch):
+    # deterministic work: kernel array calls per optimize_squeezing call on
+    # the shipped a010 node set and on the 400-point la_km frontier scan
+    calls = []
+    kernel, optimize = gkp._log_slope_ratio, gkp.optimize_squeezing
+
+    def counted_kernel(*args):
+        calls[-1] += 1
+        return kernel(*args)
+
+    def counted_optimize(sigma2, ancilla):
+        calls.append(0)
+        sizes.append(np.size(sigma2))
+        return optimize(sigma2, ancilla)
+
+    sizes = []
+    monkeypatch.setattr(gkp, "_log_slope_ratio", counted_kernel)
+    monkeypatch.setattr(fading, "optimize_squeezing", counted_optimize)
+    monkeypatch.setattr(sweeps, "optimize_squeezing", counted_optimize)
+    a010 = load_config(reference_fading_config(0.1))
+    fading.residual_nodes(a010.fading, a010.ancilla)
+    fiber = load_config(FIBER_DEFAULT)
+    sweeps.max_secure_la(fiber, fiber.protocol.l_b_km)
+    assert sizes[:2] == [1024, 400]
+    assert max(calls) <= 12, calls
 
 
 def test_r_past_cosh_overflow_is_rejected_by_name():
