@@ -31,16 +31,17 @@ class ProtocolParams:
     alpha0_db_per_km: float = 0.2
 
     def __post_init__(self):
-        if self.sigma2_a < 0 or self.sigma2_b < 0:
-            raise ValueError("modulation variances must be >= 0")
+        if not (0.0 <= self.sigma2_a < np.inf and 0.0 <= self.sigma2_b < np.inf):
+            raise ValueError("modulation variances must be finite and >= 0")
         if not 0.0 < self.beta0 <= 1.0:
             raise ValueError("reconciliation efficiency must be in (0, 1]")
-        if self.n_bar < 0:
-            raise ValueError("thermal photon mean must be >= 0")
+        if not 0.0 <= self.n_bar < np.inf:
+            raise ValueError("thermal photon mean must be finite and >= 0")
         if not 0.0 <= self.alpha0_db_per_km < np.inf:
             raise ValueError("attenuation must be finite and >= 0 dB/km")
-        if np.any(np.asarray(self.l_a_km) < 0) or np.any(np.asarray(self.l_b_km) < 0):
-            raise ValueError("link lengths must be >= 0")
+        for length in map(np.asarray, (self.l_a_km, self.l_b_km)):
+            if not np.all((length >= 0.0) & np.isfinite(length)):
+                raise ValueError("link lengths must be finite and >= 0")
 
     @property
     def tau_a(self):

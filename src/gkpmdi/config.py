@@ -21,6 +21,10 @@ from .gkp import IDEAL, GkpAncilla
 LINK_MODES = ("direct", "preamp", "gkp", "qt")
 SWEEP_AXES = ("lb_km", "la_km", "total_pulse", "layers")
 SWEEP_MODES = ("grid", "frontier")
+MAX_GRID_POINTS = 1_000_000
+# shot-noise units: below, phi - 1 is lost to rounding; far above, the rate
+# arithmetic overflows
+MODULATION_RANGE = (1e-9, 1e9)
 
 
 class ConfigError(ValueError):
@@ -45,8 +49,12 @@ class SweepSpec:
             raise ConfigError(f"sweep stop = {self.stop!r} is below start = {self.start!r}")
         if self.axis in ("la_km", "lb_km") and self.start < 0:
             raise ConfigError(f"sweep start = {self.start!r}: {self.axis} must be >= 0")
-        if self.axis == "total_pulse" and self.start <= 0:
-            raise ConfigError(f"sweep start = {self.start!r}: total_pulse must be > 0")
+        if self.axis == "total_pulse" and self.start < 1:
+            raise ConfigError(f"sweep start = {self.start!r}: total_pulse must be >= 1")
+        # floor((stop - start) / step) + 1 points; the quotient may overflow to inf
+        if self.mode == "grid" and (self.stop - self.start) / self.step >= MAX_GRID_POINTS:
+            raise ConfigError(f"sweep step = {self.step!r} gives more than {MAX_GRID_POINTS:,} "
+                              f"grid points from start = {self.start!r} to stop = {self.stop!r}")
 
     def values(self) -> list[float]:
         out = []
@@ -84,14 +92,18 @@ class RunConfig:
             raise ConfigError("total_pulse sweep requires a [finite_size] section")
         if self.layers < 1:
             raise ConfigError("layers must be >= 1")
+        if not 0.0 <= self.qt_squeezing_db < math.inf:
+            raise ConfigError(f"qt_squeezing_db = {self.qt_squeezing_db!r}: "
+                              "must be finite and >= 0")
         if self.layers > 1 and self.link_mode != "gkp":
             raise ConfigError("concatenation layers require link_mode = gkp")
         if self.fading is not None and (self.link_mode != "gkp" or self.layers != 1):
             raise ConfigError("fading models a single-layer gkp link")
-        p = self.protocol
-        if p.sigma2_a == 0.0 or p.sigma2_b == 0.0:  # psi = 0: nothing correlates the users
-            raise ConfigError(f"modulation_variance must be > 0 for both users, got _a = "
-                              f"{p.sigma2_a!r} and _b = {p.sigma2_b!r}")
+        p, (lo, hi) = self.protocol, MODULATION_RANGE
+        if not (lo <= p.sigma2_a <= hi and lo <= p.sigma2_b <= hi):
+            raise ConfigError(f"modulation_variance must be in [{lo:g}, {hi:g}] for both users "
+                              f"(0 correlates nothing), got _a = {p.sigma2_a!r} and _b = "
+                              f"{p.sigma2_b!r}")
         if self.fading is None:  # a fiber A link: its longest length must not underflow
             key, l_a = (("stop", self.sweep.stop) if self.sweep.axis == "la_km"
                         else ("la_km", p.l_a_km))
@@ -225,6 +237,9 @@ def load_config(path: str | Path | None) -> RunConfig:
     cfg = RunConfig(**run)
     if "qt_squeezing_db" in run and cfg.link_mode != "qt":
         raise ConfigError("qt_squeezing_db acts only with link_mode = qt")
+    if "la_km" in keys[ProtocolParams] and cfg.fading is not None:
+        raise ConfigError("la_km does not act on a [fading] link: the fading law, "
+                          "not a fiber length, sets its A link")
     return cfg
 
 

@@ -35,9 +35,10 @@ _XI_ORDER = 16
 
 def pointing_wander_variance(l_km: float = 1.0, pointing_urad: float = 1.0) -> float:
     """Beam-wandering variance (m^2) from a transmitter pointing jitter."""
-    if l_km < 0 or pointing_urad < 0:
-        raise ValueError("inputs must be >= 0")
-    return (pointing_urad * 1e-6 * (l_km * 1e3)) ** 2
+    if not (0 <= l_km < np.inf and 0 <= pointing_urad < np.inf):
+        raise ValueError("inputs must be finite and >= 0")
+    wander = pointing_urad * 1e-6 * (l_km * 1e3)
+    return wander * wander  # inf, not an OverflowError, past the float range
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,12 @@ class FadingConfig:
     def __post_init__(self):
         if not 0.0 < self.tau0 <= 1.0:
             raise ValueError("tau0 must be in (0, 1]")
-        if self.gamma0 <= 0 or self.r0_m <= 0 or self.sigma_bw2_m2 <= 0:
-            raise ValueError("gamma0, r0 and sigma_bw2 must be > 0")
+        if not all(0 < x < np.inf for x in (self.gamma0, self.r0_m, self.sigma_bw2_m2)):
+            raise ValueError("gamma0, r0 and sigma_bw2 must be finite and > 0")
+        if not 0 < self.r0_m * self.r0_m / self.sigma_bw2_m2 < np.inf:  # the law's rate
+            raise ValueError("r0^2 / sigma_bw2 must be finite and > 0")
+        if not 0 < self.a_r_m < np.inf:
+            raise ValueError("the receiver aperture must be finite and > 0")
 
 
 def fading_pdf(tau_a, cfg: FadingConfig):

@@ -81,8 +81,9 @@ def correlation_shift(v_qa: float, v_qb: float, kappa: float, m_pe: float) -> fl
 
 
 def aep_delta(d: int, eps_s: float) -> float:
-    """Asymptotic-equipartition penalty 4 log2(sqrt(d)+2) sqrt(log2(2/eps_s^2))."""
-    return float(4.0 * np.log2(np.sqrt(d) + 2.0) * np.sqrt(np.log2(2.0 / eps_s**2)))
+    """Asymptotic-equipartition penalty 4 log2(sqrt(d)+2) sqrt(log2(2/eps_s^2)),
+    with the logarithm taken apart so that a tiny eps_s cannot underflow."""
+    return float(4.0 * np.log2(np.sqrt(d) + 2.0) * np.sqrt(1.0 - 2.0 * np.log2(eps_s)))
 
 
 def epsilon_total(fs: FiniteSizeParams) -> float:
@@ -96,21 +97,21 @@ def _worst_case(sc: ConditionedScalars, fs: FiniteSizeParams, strict: bool):
     The tail bound puts the true correlation within ``shift`` of psi; the
     worst case is the least correlation in that range, psi' = sign(psi)
     max(|psi| - shift, 0), so it is never more correlated than the estimate.
-    The bound's far end psi - shift must stay physical: where the smaller
-    symplectic eigenvalue (sqrt((phi_a + phi_b)^2 - 4 (psi - shift)^2)
-    - |phi_b - phi_a|)/2 is below 1, the estimation block is too small and
-    the element is flagged.
+    The flag is a block-size rule: a state [[a I, c Z], [c Z, b I]] is
+    physical iff c^2 <= (min(a, b) - 1)(max(a, b) + 1), so the bound's far
+    end |psi| - shift leaves the physical cone, and the estimation block is
+    too small, iff shift > |psi| + sqrt((phi_min - 1)(phi_max + 1)) (with
+    the symplectic-eigenvalue tolerance in place of the 1s).
     A separate function, so its temporaries are freed before the rate runs."""
     phi_a, psi, phi_b = sc.phi_a, sc.psi, sc.phi_b
     m_pe = fs.pe_signals
     shift = correlation_shift(phi_a, phi_b, kappa_from_eps(fs.eps_pe), m_pe)
     psi_wc = np.sign(psi) * np.maximum(np.abs(psi) - shift, 0.0)
-    s = phi_a + phi_b
-    far = psi - shift
-    disc2 = s * s - 4.0 * far * far
-    # disc2 < 0 clips to 0, which leaves the eigenvalue below 1
-    nu_min = (np.sqrt(np.maximum(disc2, 0.0)) - np.abs(phi_b - phi_a)) / 2.0
-    bad = nu_min < 1.0 - PHYSICALITY_TOL
+    nu = 1.0 - PHYSICALITY_TOL  # the least symplectic eigenvalue accepted
+    # a phi_min that rounds below nu bounds |c| by 0, not by a NaN
+    reach = np.sqrt(np.maximum(np.minimum(phi_a, phi_b) - nu, 0.0)
+                    * (np.maximum(phi_a, phi_b) + nu))
+    bad = shift > np.abs(psi) + reach
     if strict and np.any(bad):
         m_pe, shift, psi = (np.broadcast_to(x, bad.shape)[bad][0] for x in (m_pe, shift, psi))
         raise UnphysicalWorstCaseError(
@@ -134,5 +135,5 @@ def composable_rate(sc: ConditionedScalars, beta0: float, fs: FiniteSizeParams, 
     r_pe = np.where(bad, np.nan, asymptotic_rate(wc, beta0).rate)
     ell = fs.key_signals
     bracket = ell * r_pe - np.sqrt(ell) * aep_delta(fs.d, fs.eps_s) \
-        + np.log2(fs.eps_h**2 * fs.eps_cor)
+        + (2.0 * np.log2(fs.eps_h) + np.log2(fs.eps_cor))  # log2(eps_h^2 eps_cor), no underflow
     return _as_output(fs.p_ec * bracket / fs.n_total)

@@ -76,8 +76,8 @@ class GkpAncilla:
     squeezing_db: float | None = None  # None means ideal
 
     def __post_init__(self):
-        if self.squeezing_db is not None and self.squeezing_db <= 0:
-            raise ValueError("finite ancilla squeezing must be > 0 dB")
+        if self.squeezing_db is not None and not 0 < self.squeezing_db < np.inf:
+            raise ValueError("finite ancilla squeezing must be finite and > 0 dB")
 
     @property
     def ideal(self) -> bool:

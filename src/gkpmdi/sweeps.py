@@ -22,8 +22,7 @@ from .security import asymptotic_rate, conditioned_scalars
 SCHEMA_VERSION = "1"
 _FRONTIER_POINTS = 400
 _FRONTIER_RESOLUTION_KM = 0.01
-_LB_WINDOW_KM = (0.05, 1200.0)  # initial frontier scan windows
-_LA_WINDOW_KM = (0.05, 30.0)
+_WINDOW_KM = {"lb_km": (0.05, 1200.0), "la_km": (0.05, 30.0)}  # initial scan windows
 _PDF_ROWS = 1000
 
 
@@ -162,33 +161,35 @@ def max_secure_distance(rate_fn, lo: float, hi: float) -> float:
     return float("nan")
 
 
-def _frontier(cfg: RunConfig, l_a_km, l_b_km, lo: float, hi: float) -> tuple[float, int]:
-    """Largest secure distance along the link whose length is None, and the
-    number of scanned points whose worst-case state was unphysical: their
-    NaN rate counts as not secure."""
+def _reject_fading_la(cfg: RunConfig, axis: str) -> None:
+    """Reject an la_km sweep on a ``[fading]`` link: no fiber length to vary."""
+    if cfg.fading is not None and axis == "la_km":
+        raise ConfigError("axis = la_km does not act on a [fading] link: "
+                          "the fading law, not a fiber length, sets its A link")
+
+
+def frontier(cfg: RunConfig, axis: str) -> tuple[float, int]:
+    """Largest secure distance along ``axis`` (``lb_km`` or ``la_km``, each
+    with its own scan window), the other link at its configured length, and
+    the number of scanned points whose worst-case state was unphysical: their
+    NaN rate counts as not secure.  The distance is NaN when no probe is
+    secure."""
+    if axis not in _WINDOW_KM:
+        raise ConfigError("frontier mode supports axes lb_km and la_km")
+    _reject_fading_la(cfg, axis)
     unphysical = 0
     # a [fading] link's nodes serve every probe
     nodes = None if cfg.fading is None else residual_nodes(cfg.fading, cfg.ancilla)
 
     def rate_fn(x):
         nonlocal unphysical
-        rate = rate_point(cfg, x if l_a_km is None else l_a_km,
-                          x if l_b_km is None else l_b_km, strict=False,
+        rate = rate_point(cfg, x if axis == "la_km" else cfg.protocol.l_a_km,
+                          x if axis == "lb_km" else cfg.protocol.l_b_km, strict=False,
                           nodes=nodes)["rate_bits"]
         unphysical += int(np.count_nonzero(np.isnan(rate)))
         return rate
 
-    return max_secure_distance(rate_fn, lo, hi), unphysical
-
-
-def max_secure_lb(cfg: RunConfig, l_a_km: float, lo: float = _LB_WINDOW_KM[0],
-                  hi: float = _LB_WINDOW_KM[1]) -> float:
-    return _frontier(cfg, l_a_km, None, lo, hi)[0]
-
-
-def max_secure_la(cfg: RunConfig, l_b_km: float, lo: float = _LA_WINDOW_KM[0],
-                  hi: float = _LA_WINDOW_KM[1]) -> float:
-    return _frontier(cfg, None, l_b_km, lo, hi)[0]
+    return max_secure_distance(rate_fn, *_WINDOW_KM[axis]), unphysical
 
 
 def residual_rows(cfg: RunConfig) -> list[dict]:
@@ -218,6 +219,10 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
             raise ConfigError("a layers sweep takes integer values >= 1")
         l_a, layers = cfg.protocol.l_a_km, values.astype(int)
     s2 = awgn_variance_preamp(fiber_transmittance(l_a, alpha0), cfg.protocol.n_bar)
+    if np.any(s2 >= 1.0):  # lower_bound_variance needs sigma2 < 1
+        raise ConfigError(f"the A-link noise sigma2 reaches {np.max(s2):.6g} at la_km = "
+                          f"{np.max(l_a)!r}: sigma_lb2 is defined for sigma2 < 1 only "
+                          "(shorten la_km or lower thermal_photon_mean)")
     sigma_r2, _, r_opt = _link(cfg, l_a, layers)
     return [{**common, "la_km": l_a, "layers": layers, "sigma2": s2, "sigma_r2": sigma_r2,
              "sigma_be2": break_even(s2), "sigma_lb2": lower_bound_variance(s2), "r_opt": r_opt}]
@@ -227,18 +232,11 @@ def rate_rows(cfg: RunConfig) -> list[dict]:
     """Key-rate sweep (grid mode) or secure-distance frontier (frontier mode)
     of a fiber or ``[fading]`` A link."""
     sweep = cfg.sweep
-    if cfg.fading is not None and sweep.axis == "la_km":
-        raise ConfigError("axis = la_km does not act on a [fading] link: "
-                          "the fading law, not a fiber length, sets its A link")
+    _reject_fading_la(cfg, sweep.axis)
     if sweep.mode == "frontier":
-        if sweep.axis == "lb_km":
-            value, unphysical = _frontier(cfg, cfg.protocol.l_a_km, None, *_LB_WINDOW_KM)
-            axis_echo = {"la_km": cfg.protocol.l_a_km if cfg.fading is None else ""}
-        elif sweep.axis == "la_km":
-            value, unphysical = _frontier(cfg, None, cfg.protocol.l_b_km, *_LA_WINDOW_KM)
-            axis_echo = {"lb_km": cfg.protocol.l_b_km}
-        else:
-            raise ConfigError("frontier mode supports axes lb_km and la_km")
+        value, unphysical = frontier(cfg, sweep.axis)
+        fixed = ({"la_km": cfg.protocol.l_a_km if cfg.fading is None else ""}
+                 if sweep.axis == "lb_km" else {"lb_km": cfg.protocol.l_b_km})
         return [{
             "unphysical_points": unphysical,
             "schema_version": SCHEMA_VERSION,
@@ -248,7 +246,7 @@ def rate_rows(cfg: RunConfig) -> list[dict]:
             "rate_kind": "composable" if cfg.finite_size is not None else "asymptotic",
             "gkp_squeezing_db": _squeezing_echo(cfg),
             "layers": cfg.layers,
-            **axis_echo,
+            **fixed,
         }]
     if sweep.axis not in ("lb_km", "la_km", "total_pulse"):
         raise ConfigError("rate sweeps support axes lb_km, la_km and total_pulse")

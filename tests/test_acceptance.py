@@ -18,7 +18,7 @@ from gkpmdi.gkp import ELL, GkpAncilla, IDEAL, lower_bound_variance, optimize_sq
 from gkpmdi.mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, \
     mc_residual_variance
 from gkpmdi.security import conditioned_scalars, h_function
-from gkpmdi.sweeps import max_secure_la, max_secure_lb, residual_rows
+from gkpmdi.sweeps import frontier, residual_rows
 from gkpmdi.config import load_config, reference_fading_config
 from matrix_oracle import conditioned_state, mutual_information, symplectic_eigenvalues, \
     symplectic_form, tms_symplectic
@@ -103,12 +103,12 @@ def test_criterion_03b_concat_monotone_25db():
 
 def test_criterion_04_asymptotic_baseline():
     t0 = time.time()
-    base = max_secure_lb(_cfg("direct", finite=False, la=0.0), 0.0)
+    base = frontier(_cfg("direct", finite=False, la=0.0), "lb_km")[0]
     ok = abs(base - 852.0) <= 5.0
     details = [f"L_A=0 direct max L_B = {base:.2f} km"]
     for l_a in (1.0, 2.0):
-        d = max_secure_lb(_cfg("direct", finite=False, la=l_a), l_a, hi=100.0)
-        p = max_secure_lb(_cfg("preamp", finite=False, la=l_a), l_a, hi=100.0)
+        d = frontier(_cfg("direct", finite=False, la=l_a), "lb_km")[0]
+        p = frontier(_cfg("preamp", finite=False, la=l_a), "lb_km")[0]
         details.append(f"L_A={l_a}: direct={d:.2f} preamp={p:.2f}")
         ok = ok and (p < d)
     line = _report(4, ok, "; ".join(details), t0)
@@ -117,7 +117,7 @@ def test_criterion_04_asymptotic_baseline():
 
 def test_criterion_05a_frontier_no_gkp():
     t0 = time.time()
-    val = max_secure_lb(_cfg("direct"), 1.0, hi=60.0)
+    val = frontier(_cfg("direct"), "lb_km")[0]
     ok = abs(val - 12.7) <= 0.5
     line = _report("5a", ok, f"no-GKP max L_B = {val:.2f} km (target 12.7 +- 0.5)", t0)
     assert ok, line
@@ -125,7 +125,7 @@ def test_criterion_05a_frontier_no_gkp():
 
 def test_criterion_05b_frontier_20db():
     t0 = time.time()
-    val = max_secure_lb(_cfg("gkp", DB20), 1.0, hi=60.0)
+    val = frontier(_cfg("gkp", DB20), "lb_km")[0]
     ok = abs(val - 17.5) <= 0.5
     line = _report("5b", ok, f"20 dB max L_B = {val:.2f} km (target 17.5 +- 0.5)", t0)
     assert ok, line
@@ -133,7 +133,7 @@ def test_criterion_05b_frontier_20db():
 
 def test_criterion_05c_frontier_ideal():
     t0 = time.time()
-    val = max_secure_lb(_cfg("gkp", GkpAncilla(None)), 1.0, hi=60.0)
+    val = frontier(_cfg("gkp", GkpAncilla(None)), "lb_km")[0]
     ok = abs(val - 22.5) <= 0.5
     line = _report("5c", ok, f"ideal max L_B = {val:.2f} km (target 22.5 +- 0.5)", t0)
     assert ok, line
@@ -141,7 +141,7 @@ def test_criterion_05c_frontier_ideal():
 
 def test_criterion_05d_ideal_max_la():
     t0 = time.time()
-    val = max_secure_la(_cfg("gkp", GkpAncilla(None), lb=5.0), 5.0, hi=10.0)
+    val = frontier(_cfg("gkp", GkpAncilla(None), lb=5.0), "la_km")[0]
     ok = abs(val - 2.68) <= 0.1
     line = _report("5d", ok, f"ideal max L_A = {val:.3f} km (target 2.68 +- 0.1)", t0)
     assert ok, line
@@ -149,7 +149,7 @@ def test_criterion_05d_ideal_max_la():
 
 def test_criterion_05e_qt_max_la():
     t0 = time.time()
-    val = max_secure_la(_cfg("qt", DB20, lb=5.0, qt_db=20.0), 5.0, hi=15.0)
+    val = frontier(_cfg("qt", DB20, lb=5.0, qt_db=20.0), "la_km")[0]
     ok = abs(val - 4.6) <= 0.2
     line = _report("5e", ok, f"QT max L_A = {val:.3f} km (target 4.6 +- 0.2)", t0)
     assert ok, line
@@ -173,7 +173,7 @@ def test_criterion_07_concatenated_frontier():
     details = []
     ok = True
     for ancilla, layers, target in targets:
-        val = max_secure_lb(_cfg("gkp", ancilla, layers=layers, la=3.0), 3.0, hi=40.0)
+        val = frontier(_cfg("gkp", ancilla, layers=layers, la=3.0), "lb_km")[0]
         details.append(f"{ancilla.squeezing_db:.0f}dB C={layers}: {val:.2f} km "
                        f"(target {target} +- 0.3)")
         ok = ok and abs(val - target) <= 0.3

@@ -209,6 +209,10 @@ def test_residual_rejects_settings_it_does_not_model(tmp_path, capsys):
          "residual sweeps run in grid mode: mode = frontier"),
         (reference_fading_config(0.1).read_text().replace("axis = lb_km", "axis = la_km"),
          "residual sweeps model the gkp link over fiber"),
+        # a thermal background pushes the 3 km link's noise past 1, where the
+        # capacity floor is undefined (it was a traceback)
+        (RESIDUAL_INI.replace("link_mode = gkp", "link_mode = gkp\nthermal_photon_mean = 10"),
+         "the A-link noise sigma2 reaches"),
     ]
     for ini, message in rejected:
         assert main(["residual", "--config", write(tmp_path, ini)]) == 2, message
@@ -304,11 +308,15 @@ PULSE_AXIS = {"axis = lb_km": "axis = total_pulse", "stop = 20": "stop = 1e9",
                  "attenuation_db_per_km", id="negative-attenuation"),
     pytest.param("rate", {"attenuation_db_per_km = 0.2": "attenuation_db_per_km = nan"},
                  "attenuation_db_per_km", id="attenuation-nan"),
+    pytest.param("rate", {"start = 2": "start = 0", "stop = 20": "stop = 1e6",
+                          "step = 1\n": "step = 1e-6\n"}, "step", id="grid-over-cap"),
+    pytest.param("rate", {**PULSE_AXIS, "start = 2": "start = 1e-300"}, "start",
+                 id="pulse-start-below-one"),
 ])
 def test_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, command, edits, key):
     # each was a traceback, a silent header-only file (step = nan, stop below
-    # start), an endless sweep or a message blaming another key; no probe may
-    # reach the sweep loop
+    # start), an endless or 10^12-point sweep or a message blaming another
+    # key; no probe may reach the sweep loop
     monkeypatch.setattr("gkpmdi.config.SweepSpec.values", lambda self: pytest.fail("sweep ran"))
     ini = FIBER_DEFAULT.read_text()
     for old, new in edits.items():

@@ -1,8 +1,13 @@
 """The run-configuration key table: every accepted key acts on the loaded
 config, and any other section, key or value exits 2 with a named cause."""
+import contextlib
+import csv
+import io
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkpmdi.cli import main
 from gkpmdi.config import _KEYS, RunConfig, load_config
@@ -100,6 +105,17 @@ def test_every_key_acts(tmp_path, section, key):
     ({"code": {"qt_squeezing_db": "15"}}, ["qt_squeezing_db", "link_mode"]),
     ({"protocol": {"link_mode": "preamp"}, "code": {"qt_squeezing_db": "15"}},
      ["qt_squeezing_db", "link_mode"]),
+    ({"protocol": {"la_km": "1.0"}, "fading": FADING_BASE}, ["la_km", "[fading]"]),
+    # values the config-space property found ending in a traceback or a nan row
+    ({"protocol": {"thermal_photon_mean": "nan"}}, ["thermal_photon_mean"]),
+    ({"protocol": {"modulation_variance": "1e300"}}, ["modulation_variance"]),
+    ({"protocol": {"modulation_variance_b": "1e-300"}}, ["modulation_variance"]),
+    ({"protocol": {"lb_km": "inf"}}, ["lb_km"]),
+    ({"code": {"gkp_squeezing_db": "nan"}}, ["gkp_squeezing_db"]),
+    ({"protocol": {"link_mode": "qt"}, "code": {"qt_squeezing_db": "-1"}}, ["qt_squeezing_db"]),
+    ({"fading": {**FADING_BASE, "r0_m": "1e300"}}, ["r0_m"]),
+    ({"fading": {**FADING_BASE, "link_length_km": "1e300"}}, ["link_length_km"]),
+    ({"fading": {**FADING_BASE, "receiver_aperture_m": "nan"}}, ["receiver_aperture_m"]),
 ])
 def test_bad_config_exits_2_naming_the_cause(tmp_path, capsys, sections, named):
     assert main(["rate", "--config", write(tmp_path, sections)]) == 2
@@ -122,3 +138,101 @@ def test_values_are_taken_literally(tmp_path):
     # no %-interpolation: a percent sign in a path is part of the path
     cfg = load_config(write(tmp_path, {"output": {"path": "rate_100%.csv"}}))
     assert cfg.output_path == "rate_100%.csv"
+
+
+# for every key in the table: (typical and boundary raw values, invalid
+# ones).  The sweep values give grids of at most 161 points below the size
+# cap, or far more points than the cap allows.
+DRAWN = {
+    ("protocol", "modulation_variance"): (["20", "1e-6"], ["0", "-1", "nan", "x"]),
+    ("protocol", "modulation_variance_a"): (["5", "1e4"], ["0", "inf"]),
+    ("protocol", "modulation_variance_b"): (["5", "1e-3"], ["-2"]),
+    ("protocol", "la_km"): (["1", "0", "4.5", "300"], ["20000", "-1", "nan"]),
+    ("protocol", "lb_km"): (["10", "0", "1000", "1e6"], ["-1", "inf"]),
+    ("protocol", "thermal_photon_mean"): (["0", "0.1", "10"], ["-0.1", "nan"]),
+    ("protocol", "reconciliation_efficiency"): (["0.95", "1", "1e-9"], ["0", "1.1"]),
+    ("protocol", "attenuation_db_per_km"): (["0.2", "0", "5"], ["-0.2", "inf"]),
+    ("protocol", "link_mode"): (["gkp", "direct", "preamp", "qt", "GKP"], ["warp"]),
+    ("code", "ancilla"): (["finite", "ideal"], ["bogus"]),
+    ("code", "gkp_squeezing_db"): (["20", "1e-3", "60"], ["0", "-5", "nan"]),
+    ("code", "layers"): (["1", "3", "50"], ["0", "1.5"]),
+    ("code", "qt_squeezing_db"): (["20", "0", "60"], ["-1", "nan"]),
+    ("finite_size", "total_pulse"): (["1e8", "1e12", "100", "1"], ["0", "-1", "inf", "nan"]),
+    ("finite_size", "pe_signals"): (["1e7", "1", "1e8"], ["0", "nan"]),
+    ("finite_size", "pe_fraction"): (["0.1", "1e-9", "0.999"], ["0", "1", "nan"]),
+    ("finite_size", "digitalization"): (["32", "2", "1024"], ["3", "0", "x"]),
+    ("finite_size", "ec_success_probability"): (["0.9", "1", "1e-9"], ["0", "1.5"]),
+    ("finite_size", "eps_correctness"): (["1e-10", "0.5", "1e-300"], ["0", "1"]),
+    ("finite_size", "eps_smoothing"): (["1e-10", "0.5", "1e-300"], ["0", "1"]),
+    ("finite_size", "eps_hashing"): (["1e-10", "0.5", "1e-300"], ["0", "1"]),
+    ("finite_size", "eps_pe"): (["1e-10", "0.5", "1e-300"], ["0", "1"]),
+    ("fading", "tau0"): (["0.99", "1", "1e-6"], ["0", "1.5", "nan"]),
+    ("fading", "gamma0"): (["1.2", "1e-3", "50"], ["0", "-1"]),
+    ("fading", "r0_m"): (["0.022", "1e-6", "10"], ["0", "-1"]),
+    ("fading", "sigma_bw2_m2"): (["1e-6", "1e-30", "1"], ["0", "-1"]),
+    ("fading", "receiver_aperture_m"): (["0.1"], ["0", "-1", "nan"]),
+    ("fading", "link_length_km"): (["1", "1e6"], ["0", "-1"]),
+    ("fading", "pointing_error_urad"): (["1", "1e6"], ["0", "-1"]),
+    ("sweep", "axis"): (["lb_km", "la_km", "total_pulse", "layers"], ["nonsense"]),
+    ("sweep", "start"): (["0", "1", "5", "1e8"], ["-1", "nan"]),
+    ("sweep", "stop"): (["3", "40", "2e9"], ["inf"]),
+    ("sweep", "step"): (["0.25", "1", "7", "1e8"], ["0", "-1", "nan"]),
+    ("sweep", "mode"): (["grid", "frontier", "FRONTIER"], ["spiral"]),
+    ("output", "path"): (["rows.csv"], []),  # the --output flag overrides it
+    ("output", "format"): (["csv", "json"], ["xml"]),
+}
+
+
+def _assignments(invalid: bool):
+    """A subset of the keys, each with a drawn value; invalid values only
+    when ``invalid``."""
+    return st.lists(st.sampled_from(sorted(DRAWN)).flatmap(lambda key: st.tuples(
+        st.just(key), st.sampled_from(DRAWN[key][0] + (DRAWN[key][1] if invalid else [])))),
+        max_size=8, unique_by=lambda assignment: assignment[0])
+
+
+def _data_rows(path: Path) -> list[dict]:
+    text = path.read_text()
+    if text.startswith("{"):
+        return json.loads(text)["rows"]
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def test_drawn_values_cover_the_key_table():
+    assert set(DRAWN) == set(_KEYS)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.booleans().flatmap(_assignments), st.booleans(), st.booleans(),
+       st.sampled_from([None, "la_km", "layers"]))
+def test_every_loadable_config_runs_or_exits_2(tmp_path_factory, assignments, finite, fading,
+                                               axis):
+    # any subset of keys: each command writes rows (or the empty-frontier
+    # note) or exits 2 with one config error line; an exception escaping
+    # main fails the test.  The residual axes are drawn apart, so that
+    # residual sweeps run often enough
+    sections = {"finite_size": {}} if finite else {}
+    if fading:
+        sections["fading"] = dict(FADING_BASE)
+    if axis is not None:
+        sections["sweep"] = {"axis": axis}
+    for (section, key), value in assignments:
+        sections.setdefault(section, {})[key] = value
+    tmp = tmp_path_factory.mktemp("space")
+    config = write(tmp, sections)
+    for command in ("rate", "residual", "fading"):
+        out = tmp / f"{command}.out"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--config", config, "--output", str(out)])
+        err = err.getvalue()
+        if code == 2:
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+            assert not out.exists()
+            continue
+        assert code == 0, (command, code, err)
+        rows = _data_rows(out)
+        assert rows, command
+        assert all(line.startswith("note: ") for line in err.splitlines()), err
+        if rows[0].get("frontier_axis") and rows[0]["max_secure_km"] in ("", None):
+            assert "no secure point found" in err
+        out.unlink()

@@ -3,16 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.config import load_config
-from gkpmdi.finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, aep_delta,
-                                composable_rate, correlation_shift, epsilon_total,
-                                kappa_from_eps)
+from gkpmdi.finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, _worst_case,
+                                aep_delta, composable_rate, correlation_shift,
+                                epsilon_total, kappa_from_eps)
 from gkpmdi.security import ConditionedScalars, asymptotic_rate, conditioned_scalars
 from gkpmdi.sweeps import rate_point
 from matrix_oracle import (ConditionedState, conditioned_state, holevo_bound,
-                           mutual_information, worst_case_cm)
+                           mutual_information, symplectic_eigenvalues, worst_case_cm)
 
 FS = FiniteSizeParams()
 
@@ -33,6 +34,9 @@ def test_aep_delta_values():
     vals = [aep_delta(d, 1e-10) for d in ds]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert aep_delta(32, 1e-12) > aep_delta(32, 1e-10)
+    # eps_s^2 underflows to 0 here: the penalty stays finite
+    assert aep_delta(32, 1e-300) == pytest.approx(4.0 * np.log2(np.sqrt(32) + 2.0)
+                                                  * np.sqrt(1.0 + 600.0 * np.log2(10.0)))
 
 
 def test_params_validation():
@@ -88,6 +92,30 @@ def test_worst_case_unphysical_is_flagged():
         composable_rate(conditioned_scalars(p, 0.02, "gkp"), p.beta0, fs_small)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.floats(1.0, 50.0), st.floats(1.0, 50.0), st.floats(-1.0, 1.0), st.floats(1.0, 11.0))
+def test_worst_case_flag_is_physicality_of_the_far_end(phi_a, phi_b, u, log_m_pe):
+    # the closed-form block-size rule against the symplectic spectrum of the
+    # tail bound's far end sign(psi) (|psi| - shift), for either sign of psi
+    lo, hi = min(phi_a, phi_b), max(phi_a, phi_b)
+    psi = u * np.sqrt((lo - 1.0) * (hi + 1.0))  # a physical estimate
+    fs = FiniteSizeParams(n_total=1e12, m_pe=10.0**log_m_pe)
+    shift = correlation_shift(phi_a, phi_b, kappa_from_eps(fs.eps_pe), fs.pe_signals)
+    far = psi - np.copysign(shift, psi)
+    # off the cone's edge by more than float rounding of the two routes
+    assume(abs(far * far - (lo - 1.0) * (hi + 1.0)) > 1e-6 * hi * hi)
+    cm = np.diag([phi_a, phi_a, phi_b, phi_b])
+    cm[0, 2] = cm[2, 0] = far
+    cm[1, 3] = cm[3, 1] = -far
+    physical = True
+    try:
+        symplectic_eigenvalues(cm)
+    except ValueError:  # not positive-definite, or an eigenvalue below 1
+        physical = False
+    _, bad = _worst_case(ConditionedScalars(phi_a, psi, phi_b), fs, strict=False)
+    assert bool(bad) is not physical
+
+
 def test_epsilon_total():
     assert epsilon_total(FS) == pytest.approx(3.9e-10, rel=1e-9)
     fs = FiniteSizeParams(p_ec=1.0)
@@ -109,6 +137,15 @@ def test_composable_recovers_asymptotic_in_the_large_block_limit():
     fs = FiniteSizeParams(n_total=1e20, m_pe=1e15)
     r_com = composable_rate(sc, p.beta0, fs)
     assert r_com == pytest.approx(fs.p_ec * r_asy, rel=1e-4)
+
+
+def test_composable_rate_with_tiny_epsilons_is_finite():
+    # eps_h^2 eps_cor underflows to 0 at 1e-300: its log2 is taken term by term
+    p = ProtocolParams(l_a_km=1.0, l_b_km=8.0)
+    sc = conditioned_scalars(p, 0.02, "gkp")
+    fs = FiniteSizeParams(eps_cor=1e-300, eps_s=1e-300, eps_h=1e-300)
+    assert np.isfinite(composable_rate(sc, p.beta0, fs))
+    assert composable_rate(sc, p.beta0, fs) < composable_rate(sc, p.beta0, FS)
 
 
 def test_composable_monotone_in_block_size():

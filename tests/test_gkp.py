@@ -506,7 +506,7 @@ def test_optimizer_work_counts(monkeypatch):
     a010 = load_config(reference_fading_config(0.1))
     fading.residual_nodes(a010.fading, a010.ancilla)
     fiber = load_config(FIBER_DEFAULT)
-    sweeps.max_secure_la(fiber, fiber.protocol.l_b_km)
+    sweeps.frontier(fiber, "la_km")
     assert sizes[:2] == [1024, 400]
     assert max(calls) <= 12, calls
 

@@ -1,16 +1,20 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams
-from gkpmdi.config import RunConfig, SweepSpec
+from gkpmdi.config import ConfigError, RunConfig, SweepSpec, load_config, \
+    reference_fading_config
 from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import GkpAncilla, optimize_squeezing
 from gkpmdi.security import asymptotic_rate, conditioned_scalars
-from gkpmdi.sweeps import (_link, link_sigma_r2, max_secure_distance, max_secure_la,
-                           max_secure_lb, rate_point)
+from gkpmdi.sweeps import _link, frontier, link_sigma_r2, max_secure_distance, rate_point, \
+    rate_rows
+
+FIBER_DEFAULT = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
 
 
 def cfg(mode="gkp", ancilla=GkpAncilla(20.0), layers=1, finite=True,
@@ -213,20 +217,42 @@ def test_rate_point_row_contents():
 
 def test_qt_overtakes_ideal_code_beyond_short_range():
     # teleportation compensation wins once the near link passes ~1.1 km
-    short_qt = max_secure_lb(cfg("qt", la=1.0), 1.0, hi=60.0)
-    short_ideal = max_secure_lb(cfg("gkp", GkpAncilla(None), la=1.0), 1.0, hi=60.0)
+    short_qt = frontier(cfg("qt", la=1.0), "lb_km")[0]
+    short_ideal = frontier(cfg("gkp", GkpAncilla(None), la=1.0), "lb_km")[0]
     assert short_qt < short_ideal
-    long_qt = max_secure_lb(cfg("qt", la=1.2), 1.2, hi=60.0)
-    long_ideal = max_secure_lb(cfg("gkp", GkpAncilla(None), la=1.2), 1.2, hi=60.0)
+    long_qt = frontier(cfg("qt", la=1.2), "lb_km")[0]
+    long_ideal = frontier(cfg("gkp", GkpAncilla(None), la=1.2), "lb_km")[0]
     assert long_qt > long_ideal
 
 
 def test_frontier_la_consistent_with_rate_sign():
     c = cfg("gkp", GkpAncilla(None), lb=5.0)
-    edge = max_secure_la(c, 5.0, hi=10.0)
+    edge = frontier(c, "la_km")[0]
     just_inside = rate_point(c, edge - 0.05, 5.0)["rate_bits"]
     just_outside = rate_point(c, edge + 0.05, 5.0)["rate_bits"]
     assert just_inside > 0 >= just_outside
+
+
+def test_frontier_counts_the_unphysical_points_rate_rows_writes():
+    # a noiseless A link: past ~400 km of B link the 1e7-signal estimate
+    # cannot bound the worst case, and those scan points count as not secure
+    fiber = load_config(FIBER_DEFAULT)
+    c = replace(fiber, protocol=replace(fiber.protocol, l_a_km=0.0),
+                sweep=replace(fiber.sweep, mode="frontier"))
+    km, unphysical = frontier(c, "lb_km")
+    assert unphysical == 298 and round(km, 2) == 37.13
+    row = rate_rows(c)[0]
+    assert (row["max_secure_km"], row["unphysical_points"]) == (km, unphysical)
+    assert frontier(fiber, "lb_km")[1] == 0
+
+
+def test_frontier_rejects_axes_it_cannot_scan():
+    for axis in ("total_pulse", "layers"):
+        with pytest.raises(ConfigError, match="frontier mode supports axes lb_km and la_km"):
+            frontier(cfg(), axis)
+    fading = load_config(reference_fading_config(0.1))
+    with pytest.raises(ConfigError, match="axis = la_km does not act on a \\[fading\\] link"):
+        frontier(fading, "la_km")
 
 
 @pytest.mark.parametrize("mode", ["gkp", "qt", "direct"])
