@@ -16,6 +16,7 @@ from .finite_size import correlation_shift, kappa_from_eps
 from .gkp import GkpAncilla, IDEAL, effective_estimator_gain, syndrome_reduce
 
 _CHUNK = 1_000_000
+_BLOCK = 1 << 14  # samples per cache-resident block of a chunk
 _MI_BLOCKS = 16  # block means behind the mutual-information standard error
 
 
@@ -66,31 +67,49 @@ def mc_residual_variance(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL,
     sums = np.zeros(2)
     sums2 = np.zeros(2)
     sums4 = np.zeros(2)
-
-    def accumulate(k, out):
-        sq = out * out
-        sums[k] += out.sum()
-        sums2[k] += sq.sum()
-        sums4[k] += (sq * sq).sum()
-
-    def wrapped(u):
-        # the ancilla readout, broadened by syndrome noise, modulo the lattice
-        if dsyn > 0:
-            u = u + gen.normal(0.0, dsyn, size=u.shape)
-        return syndrome_reduce(u)
-
+    # the only chunk-sized arrays: the channel noise of a chunk and one
+    # quadrature's outputs; a block's temporaries stay in cache
+    size = min(_CHUNK, n_samples)
+    draws = np.zeros(4 * size)
+    out = np.empty(size)
+    scratch, noise = np.empty((2, min(_BLOCK, size)))
     done = 0
     while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        xi = gen.normal(0.0, sd, size=(4, m)) if sd > 0 else np.zeros((4, m))
-        # the p output, then the q output: only one path's temporaries are
-        # alive at a time, and the syndrome-noise draws keep their order
-        t1 = wrapped(c * xi[3] - s * xi[1])                   # u1 = z_pa
-        accumulate(1, c * xi[1] - s * xi[3] + phi * t1)       # z_pd + phi t1
-        del t1
-        t2 = wrapped(-(c * xi[2] - s * xi[0]))                # u2 = -z_qa
-        accumulate(0, c * xi[0] - s * xi[2] - phi * t2)       # z_qd - phi t2
-        del t2, xi
+        m = min(size, n_samples - done)
+        xi = draws[:4 * m].reshape(4, m)
+        if sd > 0:
+            gen.standard_normal(out=xi)  # scaled: bit for bit gen.normal(0, sd, (4, m))
+            xi *= sd
+        # xi rows: q and p of the data mode d, then of the ancilla mode a.
+        # The p output (z_pd + phi t1, u1 = z_pa), then the q output
+        # (z_qd - phi t2, u2 = -z_qa); the syndrome-noise draws keep their order
+        for d, a, sign in ((1, 3, 1.0), (0, 2, -1.0)):
+            for i in range(0, m, _BLOCK):
+                j = min(i + _BLOCK, m)
+                xd, xa, o, u = xi[d, i:j], xi[a, i:j], out[i:j], scratch[:j - i]
+                np.multiply(xa, c, out=u)
+                np.multiply(xd, s, out=o)
+                u -= o                                        # z_a = c x_a - s x_d
+                if sign < 0:
+                    np.negative(u, out=u)
+                if dsyn > 0:
+                    # the ancilla readout, broadened by syndrome noise
+                    v = noise[:j - i]
+                    gen.standard_normal(out=v)
+                    v *= dsyn
+                    u += v
+                t = syndrome_reduce(u)
+                np.multiply(xd, c, out=o)
+                np.multiply(xa, s, out=u)
+                o -= u                                        # z_d = c x_d - s x_a
+                t *= sign * phi
+                o += t
+            o = out[:m]
+            sums[d] += o.sum()
+            o *= o
+            sums2[d] += o.sum()
+            o *= o
+            sums4[d] += o.sum()
         done += m
     n = float(n_samples)
     means = sums / n
@@ -127,31 +146,46 @@ def mc_protocol_mutual_info(params, sigma_r2: float, n_samples: int = 1_000_000,
     sa2, sb2 = params.sigma2_a, params.sigma2_b
     tau_b = params.tau_b
     theta = (sa2 + 2.0 * sigma_r2 + tau_b * sb2 + 2.0) / 2.0
-    ca = -np.sqrt(0.5) * sa2 / theta          # q_A coefficient on the q outcome
-    cb = np.sqrt(tau_b / 2.0) * sb2 / theta   # q_B coefficient on the q outcome
+    k_a, k_b = np.sqrt(0.5), np.sqrt(tau_b / 2.0)  # relay weights of A and of B
+    ca = -k_a * sa2 / theta          # q_A coefficient on the q outcome
+    cb = k_b * sb2 / theta           # q_B coefficient on the q outcome
     block = n_samples // _MI_BLOCKS
+    qa, pa, qb, pb, dq, dp, shot_q, shot_p, qr, pr, scratch = np.empty((11, block))
+    sd_a, sd_b, sd_r = np.sqrt(sa2), np.sqrt(sb2), np.sqrt(2.0 * sigma_r2)
+    # every block's draws, in this order
+    draws = [(qa, sd_a), (pa, sd_a), (qb, sd_b), (pb, sd_b)]
+    if sigma_r2 > 0:
+        draws += [(dq, sd_r), (dp, sd_r)]
+    else:
+        dq = dp = 0.0
+    draws += [(shot_q, 1.0), (shot_p, 1.0)]
+
+    def dot(x, y):
+        return np.multiply(x, y, out=scratch).sum()
+
     mis = []
     pooled = np.zeros(6)  # sums of x^2, y^2, xy per quadrature pair (q then p)
     pooled_xr = 0.0
     pooled_yr = 0.0
     for _ in range(_MI_BLOCKS):
-        qa = gen.normal(0.0, np.sqrt(sa2), block)
-        pa = gen.normal(0.0, np.sqrt(sa2), block)
-        qb = gen.normal(0.0, np.sqrt(sb2), block)
-        pb = gen.normal(0.0, np.sqrt(sb2), block)
-        dq = gen.normal(0.0, np.sqrt(2.0 * sigma_r2), block) if sigma_r2 > 0 else 0.0
-        dp = gen.normal(0.0, np.sqrt(2.0 * sigma_r2), block) if sigma_r2 > 0 else 0.0
-        qr = np.sqrt(tau_b / 2.0) * qb - np.sqrt(0.5) * (qa + dq) + gen.normal(0.0, 1.0, block)
-        pr = np.sqrt(tau_b / 2.0) * pb + np.sqrt(0.5) * (pa + dp) + gen.normal(0.0, 1.0, block)
-        qx = qa - ca * qr
-        qy = qb - cb * qr
-        px = pa + ca * pr
-        py = pb - cb * pr
-        stats = np.array([(qx * qx).sum(), (qy * qy).sum(), (qx * qy).sum(),
-                          (px * px).sum(), (py * py).sum(), (px * py).sum()])
+        for buf, sd in draws:
+            gen.standard_normal(out=buf)  # scaled: bit for bit gen.normal(0, sd, block)
+            buf *= sd
+        np.multiply(qb, k_b, out=qr)
+        qr -= np.multiply(np.add(qa, dq, out=scratch), k_a, out=scratch)
+        qr += shot_q                                # k_b qb - k_a (qa + dq) + shot
+        np.multiply(pb, k_b, out=pr)
+        pr += np.multiply(np.add(pa, dp, out=scratch), k_a, out=scratch)
+        pr += shot_p                                # k_b pb + k_a (pa + dp) + shot
+        qa -= np.multiply(qr, ca, out=scratch)      # the displaced keys, in place:
+        qb -= np.multiply(qr, cb, out=scratch)      # qx, qy, px, py
+        pa += np.multiply(pr, ca, out=scratch)
+        pb -= np.multiply(pr, cb, out=scratch)
+        stats = np.array([dot(qa, qa), dot(qb, qb), dot(qa, qb),
+                          dot(pa, pa), dot(pb, pb), dot(pa, pb)])
         pooled += stats
-        pooled_xr += (qx * qr).sum()
-        pooled_yr += (qy * qr).sum()
+        pooled_xr += dot(qa, qr)
+        pooled_yr += dot(qb, qr)
         mis.append(_gaussian_mi(stats))
     mis = np.asarray(mis)
     mi = _gaussian_mi(pooled)

@@ -280,7 +280,10 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
         "sigma_bw2_m2": fad.sigma_bw2_m2,
         "gkp_squeezing_db": _squeezing_echo(cfg),
     }
-    taus = np.linspace(fading_quantile(1e-7, fad), fad.tau0, _PDF_ROWS)
+    lo = fading_quantile(1e-7, fad)
+    # for gamma0 > 2 the density diverges (integrably) at tau0: stop one step short
+    hi = fad.tau0 - (fad.tau0 - lo) / (_PDF_ROWS - 1) if fad.gamma0 > 2.0 else fad.tau0
+    taus = np.linspace(lo, hi, _PDF_ROWS)
     blocks = [{**common, "row_kind": "pdf", "tau_a": taus, "pdf_density": fading_pdf(taus, fad),
                "sigma_r2_of_tau": sigma_r2_of_tau(cfg.ancilla, taus)}]
     nodes = residual_nodes(fad, cfg.ancilla)  # shared by the summary and every rate row

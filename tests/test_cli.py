@@ -358,6 +358,28 @@ def test_fading_command(tmp_path):
     assert abs(total - 1.0) < 1e-4
 
 
+def test_fading_density_finite_where_it_diverges_at_tau0(tmp_path):
+    # gamma0 > 2: the density diverges (integrably) at tau0, so the pdf rows
+    # stop one grid step short of it and JSON output stays standard
+    ini = reference_fading_config(0.1).read_text()
+    for key, value in (("tau0", "0.9"), ("gamma0", "3"), ("r0_m", "0.02")):
+        ini = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                        for line in ini.splitlines())
+    cfg = write(tmp_path, ini)
+    out_csv, out_json = str(tmp_path / "fad.csv"), tmp_path / "fad.json"
+    assert main(["fading", "--config", cfg, "--output", out_csv]) == 0
+    dens = [float(r["pdf_density"]) for r in rows_of(out_csv) if r["row_kind"] == "pdf"]
+    taus = [float(r["tau_a"]) for r in rows_of(out_csv) if r["row_kind"] == "pdf"]
+    assert np.all(np.isfinite(dens)) and max(taus) < 0.9
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    assert main(["fading", "--config", cfg, "--output", str(out_json), "--format", "json"]) == 0
+    rows = json.loads(out_json.read_text(), parse_constant=reject)["rows"]
+    assert all(np.isfinite(r["pdf_density"]) for r in rows if r["row_kind"] == "pdf")
+
+
 def _without_finite_size(ini):
     return "\n\n".join(b for b in ini.split("\n\n") if not b.startswith("[finite_size]"))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from gkpmdi.channels import ProtocolParams, awgn_variance_preamp
@@ -5,8 +7,8 @@ from gkpmdi.finite_size import correlation_shift, kappa_from_eps
 from gkpmdi import mc
 from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, effective_estimator_gain, optimize_squeezing,
                         syndrome_reduce)
-from gkpmdi.mc import (McVariance, RngStream, mc_pe_coverage, mc_protocol_mutual_info,
-                       mc_residual_variance)
+from gkpmdi.mc import (McMutualInfo, McVariance, RngStream, mc_pe_coverage,
+                       mc_protocol_mutual_info, mc_residual_variance)
 from gkpmdi.security import conditioned_scalars
 
 
@@ -57,8 +59,10 @@ def _residual_both_paths_at_once(r, sigma2, ancilla, n_samples, rng, chunk):
 
 
 def test_residual_paths_in_turn_match_all_at_once(monkeypatch):
-    # three full chunks and a partial one
+    # three full chunks and a partial one; blocks split every chunk and the
+    # last block of each chunk is partial
     monkeypatch.setattr(mc, "_CHUNK", 3_000)
+    monkeypatch.setattr(mc, "_BLOCK", 1024)
     for r, sigma2, ancilla in [(0.5, 0.129, GkpAncilla(20.0)),  # syndrome-noise draws
                                (0.46, 0.129, IDEAL),             # no syndrome noise
                                (0.5, 0.0, GkpAncilla(20.0))]:    # no channel noise
@@ -66,6 +70,73 @@ def test_residual_paths_in_turn_match_all_at_once(monkeypatch):
         got = mc_residual_variance(r, sigma2, ancilla, 10_000, rng)
         want = _residual_both_paths_at_once(r, sigma2, ancilla, 10_000, rng, 3_000)
         assert got == want, (r, sigma2, ancilla)
+
+
+def test_residual_peak_memory_is_one_draw_and_one_output_buffer():
+    # 40 bytes per sample of a chunk (38.1 MiB at 1e6) plus cache-sized block
+    # temporaries
+    tracemalloc.start()
+    try:
+        mc_residual_variance(0.5, 0.129, GkpAncilla(20.0), 1_000_000, RngStream(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 42 * 2**20, peak / 2**20
+
+
+def _mi_fresh_arrays(params, sigma_r2, n_samples, rng):
+    """The mutual-information sampler on fresh arrays per block: the
+    buffered kernel must reproduce its fields bit for bit."""
+    gen = rng.generator()
+    sa2, sb2 = params.sigma2_a, params.sigma2_b
+    tau_b = params.tau_b
+    theta = (sa2 + 2.0 * sigma_r2 + tau_b * sb2 + 2.0) / 2.0
+    ca = -np.sqrt(0.5) * sa2 / theta
+    cb = np.sqrt(tau_b / 2.0) * sb2 / theta
+    block = n_samples // mc._MI_BLOCKS
+    mis = []
+    pooled = np.zeros(6)
+    pooled_xr = 0.0
+    pooled_yr = 0.0
+    for _ in range(mc._MI_BLOCKS):
+        qa = gen.normal(0.0, np.sqrt(sa2), block)
+        pa = gen.normal(0.0, np.sqrt(sa2), block)
+        qb = gen.normal(0.0, np.sqrt(sb2), block)
+        pb = gen.normal(0.0, np.sqrt(sb2), block)
+        dq = gen.normal(0.0, np.sqrt(2.0 * sigma_r2), block) if sigma_r2 > 0 else 0.0
+        dp = gen.normal(0.0, np.sqrt(2.0 * sigma_r2), block) if sigma_r2 > 0 else 0.0
+        qr = np.sqrt(tau_b / 2.0) * qb - np.sqrt(0.5) * (qa + dq) + gen.normal(0.0, 1.0, block)
+        pr = np.sqrt(tau_b / 2.0) * pb + np.sqrt(0.5) * (pa + dp) + gen.normal(0.0, 1.0, block)
+        qx = qa - ca * qr
+        qy = qb - cb * qr
+        px = pa + ca * pr
+        py = pb - cb * pr
+        stats = np.array([(qx * qx).sum(), (qy * qy).sum(), (qx * qy).sum(),
+                          (px * px).sum(), (py * py).sum(), (px * py).sum()])
+        pooled += stats
+        pooled_xr += (qx * qr).sum()
+        pooled_yr += (qy * qr).sum()
+        mis.append(mc._gaussian_mi(stats))
+    mis = np.asarray(mis)
+    n_used = block * mc._MI_BLOCKS
+    corr = 0.0
+    for s2_key, cross in ((pooled[0], pooled_xr), (pooled[1], pooled_yr)):
+        if s2_key > 0:
+            corr = max(corr, abs(cross / n_used) / np.sqrt(s2_key / n_used * theta))
+    return McMutualInfo(mutual_info=float(mc._gaussian_mi(pooled)),
+                        stderr=float(mis.std(ddof=1) / np.sqrt(mc._MI_BLOCKS)),
+                        corr_key_relay=float(corr))
+
+
+def test_protocol_mi_buffers_match_fresh_arrays():
+    for params, sigma_r2 in [(ProtocolParams(l_a_km=1.0, l_b_km=10.0), 0.02),
+                             (ProtocolParams(l_a_km=1.0, l_b_km=10.0), 0.0),
+                             (ProtocolParams(sigma2_a=0.0, sigma2_b=0.0, l_a_km=1.0,
+                                             l_b_km=5.0), 0.0)]:
+        rng = RngStream(5, 2)
+        got = mc_protocol_mutual_info(params, sigma_r2, 50_003, rng)
+        want = _mi_fresh_arrays(params, sigma_r2, 50_003, rng)
+        assert vars(got) == vars(want), (params, sigma_r2)
 
 
 def test_stream_independence():
