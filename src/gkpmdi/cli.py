@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -32,55 +34,43 @@ RATE_COLUMNS = ["schema_version", "link_mode", "rate_kind", "la_km", "lb_km",
                 "digitalization", "ec_success_probability", "eps_correctness",
                 "eps_smoothing", "eps_hashing", "eps_pe"]
 FRONTIER_COLUMNS = ["schema_version", "link_mode", "rate_kind", "frontier_axis",
-                    "max_secure_km", "la_km", "lb_km", "gkp_squeezing_db", "layers"]
+                    "max_secure_km", "la_km", "lb_km", "gkp_squeezing_db", "layers",
+                    "modulation_variance_a", "modulation_variance_b",
+                    "reconciliation_efficiency", "attenuation_db_per_km",
+                    "thermal_photon_mean", "qt_squeezing_db", "total_pulse", "pe_signals",
+                    "digitalization", "ec_success_probability", "eps_correctness",
+                    "eps_smoothing", "eps_hashing", "eps_pe", "receiver_aperture_m", "tau0",
+                    "gamma0", "r0_m", "sigma_bw2_m2"]
 FADING_COLUMNS = ["schema_version", "row_kind", "tau_a", "pdf_density",
                   "sigma_r2_of_tau", "mean_sigma_r2", "mean_tau", "xi", "rate_kind",
                   "lb_km", "rate_bits", "receiver_aperture_m", "tau0", "gamma0", "r0_m",
                   "sigma_bw2_m2", "gkp_squeezing_db"]
 
 
-def _block_length(block: dict) -> int:
-    """Rows a block stands for: the length of its arrays, or one."""
-    return max((len(v) for v in block.values() if isinstance(v, np.ndarray)), default=1)
-
-
-def _values(value, n: int) -> list:
-    """n JSON values of one column: an array element by element, an echoed
-    value repeated."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return [float(value) if isinstance(value, np.floating) else value] * n
-
-
-def _csv_cell(value) -> str:
-    """An echoed value as csv.writer's minimal quoting writes it: floats by
-    ``repr``, None blank, anything else by ``str``."""
-    if isinstance(value, np.floating):
-        value = float(value)
-    text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
-    if any(ch in text for ch in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _csv_line(cells: list[str]) -> str:
-    """Cells joined into one CSV line; csv.writer quotes a lone empty field."""
-    return ('""' if cells == [""] else ",".join(cells)) + "\r\n"
+def _columns(block: dict, columns: list[str]) -> list:
+    """One cell per column: an array column's elements as a list, otherwise
+    the echoed value (a numpy float as a float; a column the block lacks is
+    blank)."""
+    cells = []
+    for c in columns:
+        value = block.get(c, "")
+        cells.append(value.tolist() if isinstance(value, np.ndarray)
+                     else float(value) if isinstance(value, np.floating) else value)
+    return cells
 
 
 def _csv_lines(block: dict, columns: list[str]):
-    """A block's CSV lines from one template: echoed cells are formatted and
-    quoted once, an array column is a ``%r`` (float) or ``%s`` slot filled
-    per row.  Array columns hold numbers or bools, which never need quoting."""
-    cells, arrays = [], []
-    for c in columns:
-        value = block.get(c, "")
-        if isinstance(value, np.ndarray):
-            cells.append("%r" if value.dtype.kind == "f" else "%s")
-            arrays.append(value.tolist())
-        else:
-            cells.append(_csv_cell(value).replace("%", "%%"))
-    line = _csv_line(cells)
+    """A block's CSV lines from one template: csv.writer writes the echoed
+    cells once (``%`` escaped, None blank) and each array column is a ``%r``
+    slot filled per row.  Array columns hold numbers or bools, whose ``repr``
+    is their ``str`` and never needs quoting."""
+    cells = _columns(block, columns)
+    arrays = [c for c in cells if isinstance(c, list)]
+    template = io.StringIO()
+    csv.writer(template).writerow(["%r" if isinstance(c, list) else
+                                   c.replace("%", "%%") if isinstance(c, str) else c
+                                   for c in cells])
+    line = template.getvalue()
     return map(line.__mod__, zip(*arrays)) if arrays else [line % ()]
 
 
@@ -91,7 +81,7 @@ def write_rows(blocks: list[dict], columns: list[str], path: str | None,
     if fmt == "csv":
         out = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
         try:
-            out.write(_csv_line([_csv_cell(c) for c in columns]))
+            csv.writer(out).writerow(columns)
             for block in blocks:
                 out.writelines(_csv_lines(block, columns))
         finally:
@@ -100,9 +90,10 @@ def write_rows(blocks: list[dict], columns: list[str], path: str | None,
         return
     rows = []
     for block in blocks:
-        n = _block_length(block)
-        rows.extend(dict(zip(columns, values))
-                    for values in zip(*(_values(block.get(c, ""), n) for c in columns)))
+        cells = _columns(block, columns)
+        n = max((len(c) for c in cells if isinstance(c, list)), default=1)
+        rows += [dict(zip(columns, row))
+                 for row in zip(*(c if isinstance(c, list) else [c] * n for c in cells))]
     doc = {"schema_version": SCHEMA_VERSION, "command": command, "rows": rows}
     text = json.dumps(doc, indent=2) + "\n"
     if path is None:

@@ -177,7 +177,8 @@ def load_config(path: str | Path | None) -> RunConfig:
     try:
         parser.read([] if path is None else path)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
+        # configparser's message spans lines; a config error is one line
+        raise ConfigError(f"cannot parse config: {' '.join(str(exc).split())}") from exc
 
     if parser.defaults():  # configparser would copy [DEFAULT] into every section
         raise ConfigError("unknown section [DEFAULT]")

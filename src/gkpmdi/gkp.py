@@ -322,10 +322,10 @@ def optimize_squeezing(sigma2, ancilla: GkpAncilla = IDEAL):
     """
     shape = np.shape(sigma2)
     noise = np.asarray(sigma2, dtype=float).ravel()
-    if not np.all(noise >= 0):
-        raise ValueError("sigma2 must be >= 0")
     if not np.all(np.isfinite(noise)):
         raise ValueError("sigma2 must be finite")
+    if not np.all(noise >= 0):
+        raise ValueError("sigma2 must be >= 0")
     # a subnormal sigma2 keeps no relative precision through the residual:
     # it is searched as 0, which gives no gain
     s2 = np.where(noise < np.finfo(float).tiny, 0.0, noise)

@@ -19,13 +19,16 @@ mode variances; a fading link averages it over the transmittance
 Holevo bound and the key rate follow from the scalars in closed form:
 :func:`asymptotic_rate` is the one rate functional on them.
 
-Three A-side link configurations are supported:
+Four A-side link configurations are supported:
 
 * ``direct``  - the plain lossy link,
 * ``preamp``  - loss compensated by a pre-amplifier (additive noise
                 2*(1 + n_bar)(1 - tau_a) replaces the loss),
 * ``gkp``     - pre-amplified link followed by error correction, leaving
-                residual noise 2*sigma_r2.
+                residual noise 2*sigma_r2,
+* ``qt``      - loss compensated by teleportation over a two-mode squeezed
+                resource, then error correction: as ``gkp``, residual noise
+                2*sigma_r2.
 
 ``preamp`` is the ``gkp`` link with sigma_r2 = (1 + n_bar)(1 - tau_a).
 
@@ -111,7 +114,7 @@ def _link_coefficients(mode: str, tau_a, sigma_r2, n_bar: float = 0.0):
     """(gain, excess noise) of the A link: A' has variance
     gain * sigma_a^2 + 1 + 2 * excess and squared a-A' correlation
     gain * sigma_a^2 (sigma_a^2 + 2)."""
-    if mode == "gkp":
+    if mode in ("gkp", "qt"):
         return 1.0, sigma_r2
     if mode == "preamp":
         return 1.0, awgn_variance_preamp(tau_a, n_bar)

@@ -45,12 +45,33 @@ def _link(cfg: RunConfig, l_a_km, layers=None):
     return concat_variance(v_seg, layers), v_seg, r_opt
 
 
-def _squeezing_echo(cfg: RunConfig):
-    """The echoed ``gkp_squeezing_db``: blank for an ideal ancilla and on
-    ``direct``/``preamp`` links, where no code acts on it."""
-    if cfg.ancilla.ideal or cfg.link_mode in ("direct", "preamp"):
-        return ""
-    return cfg.ancilla.squeezing_db
+def _echo(cfg: RunConfig) -> dict:
+    """Every configuration cell a row may echo.  ``gkp_squeezing_db`` is blank
+    for an ideal ancilla and on ``direct``/``preamp`` links, where no code acts
+    on it, and ``qt_squeezing_db`` off ``qt`` links; the fading law and the
+    finite-size constants are echoed only when their section is given."""
+    p, fad, fs = cfg.protocol, cfg.fading, cfg.finite_size
+    code = not cfg.ancilla.ideal and cfg.link_mode in ("gkp", "qt")
+    echo = {
+        "schema_version": SCHEMA_VERSION,
+        "link_mode": cfg.link_mode,
+        "modulation_variance_a": p.sigma2_a,
+        "modulation_variance_b": p.sigma2_b,
+        "reconciliation_efficiency": p.beta0,
+        "attenuation_db_per_km": p.alpha0_db_per_km,
+        "thermal_photon_mean": p.n_bar,
+        "gkp_squeezing_db": cfg.ancilla.squeezing_db if code else "",
+        "qt_squeezing_db": cfg.qt_squeezing_db if cfg.link_mode == "qt" else "",
+        "layers": cfg.layers,
+    }
+    if fad is not None:
+        echo.update(receiver_aperture_m=fad.a_r_m, tau0=fad.tau0, gamma0=fad.gamma0,
+                    r0_m=fad.r0_m, sigma_bw2_m2=fad.sigma_bw2_m2)
+    if fs is not None:
+        echo.update(total_pulse=fs.n_total, pe_signals=fs.pe_signals, digitalization=fs.d,
+                    ec_success_probability=fs.p_ec, eps_correctness=fs.eps_cor,
+                    eps_smoothing=fs.eps_s, eps_hashing=fs.eps_h, eps_pe=fs.eps_pe)
+    return echo
 
 
 @lru_cache(maxsize=4096)
@@ -79,8 +100,7 @@ def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True
     if cfg.fading is None:
         sigma_r2 = (link_sigma_r2 if np.ndim(l_a_km) == 0 else _link)(cfg, l_a_km)[0]
         params = replace(cfg.protocol, l_a_km=l_a_km, l_b_km=l_b_km)
-        sc = conditioned_scalars(params, sigma_r2,
-                                 "gkp" if cfg.link_mode == "qt" else cfg.link_mode)
+        sc = conditioned_scalars(params, sigma_r2, cfg.link_mode)
     else:  # the fading law, not l_a_km, sets the link: la_km is blank, sigma_r2 the mean
         nodes = residual_nodes(cfg.fading, cfg.ancilla) if nodes is None else nodes
         w, _, node_sigma_r2 = nodes
@@ -88,47 +108,17 @@ def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True
         params = replace(cfg.protocol, l_b_km=l_b_km)
         sc = fading_scalars(nodes, params)
     report = asymptotic_rate(sc, params.beta0)
-    block = {
-        "schema_version": SCHEMA_VERSION,
-        "link_mode": cfg.link_mode,
-        "la_km": l_a_km,
-        "lb_km": l_b_km,
-        "sigma_r2": sigma_r2,
-        "mutual_info_bits": report.mutual_info,
-        "holevo_bits": report.holevo,
-        "v1": report.spectrum[0],
-        "v2": report.spectrum[1],
-        "v3": report.spectrum[2],
-        "modulation_variance_a": params.sigma2_a,
-        "modulation_variance_b": params.sigma2_b,
-        "reconciliation_efficiency": params.beta0,
-        "attenuation_db_per_km": params.alpha0_db_per_km,
-        "thermal_photon_mean": params.n_bar,
-        "gkp_squeezing_db": _squeezing_echo(cfg),
-        "qt_squeezing_db": cfg.qt_squeezing_db if cfg.link_mode == "qt" else "",
-        "layers": cfg.layers,
-    }
-    if cfg.finite_size is None:
-        block.update({"rate_kind": "asymptotic",  # finite-size columns stay blank
-                      "rate_bits": report.rate})
-        return block
+    block = {**_echo(cfg), "la_km": l_a_km, "lb_km": l_b_km, "sigma_r2": sigma_r2,
+             "mutual_info_bits": report.mutual_info, "holevo_bits": report.holevo,
+             "v1": report.spectrum[0], "v2": report.spectrum[1], "v3": report.spectrum[2]}
     fs = cfg.finite_size
+    if fs is None:  # finite-size columns stay blank
+        return {**block, "rate_kind": "asymptotic", "rate_bits": report.rate}
     if n_total is not None:  # block-size sweeps keep the configured PE fraction
-        ratio = fs.pe_signals / fs.n_total
-        fs = replace(fs, n_total=n_total, m_pe=ratio * n_total)
-    block.update({
-        "rate_kind": "composable",
-        "total_pulse": fs.n_total,
-        "pe_signals": fs.pe_signals,
-        "digitalization": fs.d,
-        "ec_success_probability": fs.p_ec,
-        "eps_correctness": fs.eps_cor,
-        "eps_smoothing": fs.eps_s,
-        "eps_hashing": fs.eps_h,
-        "eps_pe": fs.eps_pe,
-        "rate_bits": composable_rate(sc, params.beta0, fs, strict=strict),
-    })
-    return block
+        fs = replace(fs, n_total=n_total, m_pe=fs.pe_signals / fs.n_total * n_total)
+        block.update(total_pulse=fs.n_total, pe_signals=fs.pe_signals)
+    return {**block, "rate_kind": "composable",
+            "rate_bits": composable_rate(sc, params.beta0, fs, strict=strict)}
 
 
 def max_secure_distance(rate_fn, lo: float, hi: float) -> float:
@@ -203,12 +193,6 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
     if sweep.axis == "la_km" and cfg.layers != 1:
         raise ConfigError("use axis = layers for concatenation")
     alpha0 = cfg.protocol.alpha0_db_per_km
-    common = {
-        "schema_version": SCHEMA_VERSION,
-        "gkp_squeezing_db": _squeezing_echo(cfg),
-        "attenuation_db_per_km": alpha0,
-        "thermal_photon_mean": cfg.protocol.n_bar,
-    }
     if sweep.axis not in ("la_km", "layers"):
         raise ConfigError("residual sweeps support axes la_km and layers")
     values = np.array(sweep.values())
@@ -224,7 +208,7 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
                           f"{np.max(l_a)!r}: sigma_lb2 is defined for sigma2 < 1 only "
                           "(shorten la_km or lower thermal_photon_mean)")
     sigma_r2, _, r_opt = _link(cfg, l_a, layers)
-    return [{**common, "la_km": l_a, "layers": layers, "sigma2": s2, "sigma_r2": sigma_r2,
+    return [{**_echo(cfg), "la_km": l_a, "layers": layers, "sigma2": s2, "sigma_r2": sigma_r2,
              "sigma_be2": break_even(s2), "sigma_lb2": lower_bound_variance(s2), "r_opt": r_opt}]
 
 
@@ -237,17 +221,9 @@ def rate_rows(cfg: RunConfig) -> list[dict]:
         value, unphysical = frontier(cfg, sweep.axis)
         fixed = ({"la_km": cfg.protocol.l_a_km if cfg.fading is None else ""}
                  if sweep.axis == "lb_km" else {"lb_km": cfg.protocol.l_b_km})
-        return [{
-            "unphysical_points": unphysical,
-            "schema_version": SCHEMA_VERSION,
-            "link_mode": cfg.link_mode,
-            "frontier_axis": sweep.axis,
-            "max_secure_km": None if np.isnan(value) else value,
-            "rate_kind": "composable" if cfg.finite_size is not None else "asymptotic",
-            "gkp_squeezing_db": _squeezing_echo(cfg),
-            "layers": cfg.layers,
-            **fixed,
-        }]
+        return [{**_echo(cfg), **fixed, "unphysical_points": unphysical,
+                 "frontier_axis": sweep.axis, "max_secure_km": None if np.isnan(value) else value,
+                 "rate_kind": "composable" if cfg.finite_size is not None else "asymptotic"}]
     if sweep.axis not in ("lb_km", "la_km", "total_pulse"):
         raise ConfigError("rate sweeps support axes lb_km, la_km and total_pulse")
     values = np.array(sweep.values(), dtype=float)
@@ -270,28 +246,18 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
     if cfg.sweep.axis != "lb_km" or cfg.sweep.mode != "grid":
         raise ConfigError(f"fading rate rows run on an lb_km grid, not on axis = "
                           f"{cfg.sweep.axis} with mode = {cfg.sweep.mode}")
-    fad = cfg.fading
-    common = {
-        "schema_version": SCHEMA_VERSION,
-        "receiver_aperture_m": fad.a_r_m,
-        "tau0": fad.tau0,
-        "gamma0": fad.gamma0,
-        "r0_m": fad.r0_m,
-        "sigma_bw2_m2": fad.sigma_bw2_m2,
-        "gkp_squeezing_db": _squeezing_echo(cfg),
-    }
+    fad, echo = cfg.fading, _echo(cfg)
     lo = fading_quantile(1e-7, fad)
     # for gamma0 > 2 the density diverges (integrably) at tau0: stop one step short
     hi = fad.tau0 - (fad.tau0 - lo) / (_PDF_ROWS - 1) if fad.gamma0 > 2.0 else fad.tau0
     taus = np.linspace(lo, hi, _PDF_ROWS)
-    blocks = [{**common, "row_kind": "pdf", "tau_a": taus, "pdf_density": fading_pdf(taus, fad),
+    blocks = [{**echo, "row_kind": "pdf", "tau_a": taus, "pdf_density": fading_pdf(taus, fad),
                "sigma_r2_of_tau": sigma_r2_of_tau(cfg.ancilla, taus)}]
     nodes = residual_nodes(fad, cfg.ancilla)  # shared by the summary and every rate row
     rate = rate_point(cfg, cfg.protocol.l_a_km, np.array(cfg.sweep.values(), dtype=float),
                       nodes=nodes)
     w, tau, _ = nodes
-    blocks.append({**common, "row_kind": "summary", "mean_sigma_r2": rate["sigma_r2"],
+    blocks.append({**echo, "row_kind": "summary", "mean_sigma_r2": rate["sigma_r2"],
                    "mean_tau": float(np.sum(w * tau)), "xi": xi_integral(nodes, cfg.protocol)})
-    blocks.append({**common, "row_kind": "rate",
-                   **{c: rate[c] for c in ("rate_kind", "lb_km", "rate_bits")}})
+    blocks.append({**rate, "row_kind": "rate"})
     return blocks

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkpmdi.cli import RATE_COLUMNS, main, write_rows
+from gkpmdi.cli import FRONTIER_COLUMNS, RATE_COLUMNS, main, write_rows
 from gkpmdi.config import ConfigError, load_config, reference_fading_config
 from gkpmdi.sweeps import rate_rows
 
@@ -121,15 +121,16 @@ def test_rate_grid_jobs_match_serial(tmp_path):
 
 def test_rate_json_validates_against_schema(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
-    cfg = write(tmp_path, FIBER_INI)
-    out = str(tmp_path / "rate.json")
-    assert main(["rate", "--config", cfg, "--output", out, "--format", "json"]) == 0
-    doc = json.loads(Path(out).read_text())
     schema = json.loads((Path(__file__).parent.parent / "src" / "gkpmdi" / "schemas"
                          / "output.schema.json").read_text())
-    jsonschema.validate(doc, schema)
-    assert doc["command"] == "rate"
-    assert len(doc["rows"]) == 3
+    for mode, n_rows in (("grid", 3), ("frontier", 1)):
+        cfg = write(tmp_path, FIBER_INI.replace("mode = grid", f"mode = {mode}"))
+        out = str(tmp_path / "rate.json")
+        assert main(["rate", "--config", cfg, "--output", out, "--format", "json"]) == 0
+        doc = json.loads(Path(out).read_text())
+        jsonschema.validate(doc, schema)
+        assert doc["command"] == "rate"
+        assert len(doc["rows"]) == n_rows
 
 
 def test_rate_frontier_mode(tmp_path):
@@ -312,6 +313,13 @@ PULSE_AXIS = {"axis = lb_km": "axis = total_pulse", "stop = 20": "stop = 1e9",
                           "step = 1\n": "step = 1e-6\n"}, "step", id="grid-over-cap"),
     pytest.param("rate", {**PULSE_AXIS, "start = 2": "start = 1e-300"}, "start",
                  id="pulse-start-below-one"),
+    pytest.param("rate", {"step = 1\n": "step = 0\n"}, "step", id="step-zero"),
+    pytest.param("rate", {"step = 1\n": "step = -1\n"}, "step", id="step-negative"),
+    pytest.param("rate", {"layers = 1": "layers = 0"}, "layers", id="layers-zero"),
+    pytest.param("rate", {"layers = 1": "layers = 2", "link_mode = gkp": "link_mode = direct"},
+                 "layers", id="layers-on-direct-link"),
+    pytest.param("rate", {"[sweep]": "[output]\nformat = xml\n\n[sweep]"}, "format",
+                 id="output-format-xml"),
 ])
 def test_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, command, edits, key):
     # each was a traceback, a silent header-only file (step = nan, stop below
@@ -328,6 +336,18 @@ def test_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, comm
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert key in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[protocol]\nlink_mode = gkp\nnot a key line\n", id="unparsable-line"),
+    pytest.param("[sweep]\naxis = lb_km\n\n[sweep]\nstart = 1\n", id="duplicate-section"),
+])
+def test_config_parse_faults_exit_2_on_one_line(tmp_path, capsys, text):
+    # configparser's own message spans lines; the config error does not
+    assert main(["rate", "--config", write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse config: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -717,3 +737,60 @@ def test_cli_frontier_run_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert np.isfinite(float(rows_of(out)[0]["max_secure_km"]))
+
+
+_SHIPPED = {"fiber": FIBER_DEFAULT, "a010": reference_fading_config(0.1),
+            "a005": reference_fading_config(0.05)}
+
+
+@pytest.mark.parametrize("config", ["direct", "preamp", "gkp", "qt", "a010", "a005"])
+def test_frontier_row_echoes_the_settings_of_its_rate_rows(tmp_path, config):
+    # a frontier row echoes every setting a rate-grid row of the same config
+    # does, and its fading law as the fading command writes it
+    if config in ("a010", "a005"):
+        ini = _SHIPPED[config].read_text()
+    else:
+        ini = FIBER_DEFAULT.read_text().replace("link_mode = gkp", f"link_mode = {config}")
+    grid, front, fad = tmp_path / "grid.csv", tmp_path / "front.csv", tmp_path / "fading.csv"
+    cfg = write(tmp_path, ini)
+    assert main(["rate", "--config", cfg, "--output", str(grid)]) == 0
+    front_cfg = write(tmp_path, ini.replace("mode = grid", "mode = frontier"), "front.ini")
+    assert main(["rate", "--config", front_cfg, "--output", str(front)]) == 0
+    (row,) = rows_of(front)
+    assert len(FRONTIER_COLUMNS) == len(set(FRONTIER_COLUMNS))
+    shared = [c for c in FRONTIER_COLUMNS if c in RATE_COLUMNS and c not in ("la_km", "lb_km")]
+    assert "total_pulse" in shared and "eps_pe" in shared
+    assert {tuple(r[c] for c in shared) for r in rows_of(grid)} == {tuple(row[c] for c in shared)}
+    law = ["receiver_aperture_m", "tau0", "gamma0", "r0_m", "sigma_bw2_m2"]
+    if config in ("a010", "a005"):
+        assert main(["fading", "--config", cfg, "--output", str(fad)]) == 0
+        assert {tuple(r[c] for c in law) for r in rows_of(fad)} == {tuple(row[c] for c in law)}
+        assert "" not in [row[c] for c in law]
+    else:
+        assert {row[c] for c in law} == {""}
+
+
+def _cell(value):
+    """A JSON value as its CSV cell: null and "" blank, floats by repr."""
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("config", ["fiber", "a010", "a005"])
+def test_csv_and_json_rows_agree_on_shipped_configs(tmp_path, config):
+    # the two formats write the same cells from one column pass
+    shipped = _SHIPPED[config].read_text()
+    runs = [("rate", shipped), ("rate", shipped.replace("mode = grid", "mode = frontier"))]
+    if config == "fiber":
+        runs.append(("residual", shipped.replace("axis = lb_km", "axis = la_km")))
+    else:
+        runs.append(("fading", shipped))
+    for command, ini in runs:
+        cfg = write(tmp_path, ini)
+        out_csv, out_json = tmp_path / "out.csv", tmp_path / "out.json"
+        assert main([command, "--config", cfg, "--output", str(out_csv)]) == 0
+        assert main([command, "--config", cfg, "--output", str(out_json), "--format", "json"]) == 0
+        rows, doc = rows_of(out_csv), json.loads(out_json.read_text())
+        assert doc["command"] == command and len(doc["rows"]) == len(rows) > 0
+        for row, record in zip(rows, doc["rows"]):
+            assert list(record) == list(row)
+            assert row == {c: _cell(v) for c, v in record.items()}, (command, row)

@@ -365,6 +365,13 @@ def test_negative_element_anywhere_raises(values, data):
         optimize_squeezing(np.where(bad < 0, bad, bad + 0.1))
 
 
+def test_optimize_squeezing_names_a_nan_input_as_not_finite():
+    # NaN fails both checks; the finiteness one names it
+    for bad in (np.nan, np.array([0.1, np.nan, 0.2])):
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            optimize_squeezing(bad, DB20)
+
+
 def test_optimize_tiny_noise_ideal():
     _, v = optimize_squeezing(1e-9, IDEAL)
     assert v <= 1e-9

@@ -222,3 +222,13 @@ def test_thermal_background_vanishes_on_a_lossless_link():
 def test_condition_rejects_bad_theta():
     with pytest.raises(ValueError):
         condition_on_bell(np.eye(8) * 0.5, 0.0)
+
+
+def test_conditioned_scalars_qt_link_is_the_gkp_form():
+    # a qt link has unit gain and its code residual as excess noise, as a gkp link
+    p = params(1.5, 6.0)
+    qt, gkp = conditioned_scalars(p, 0.03, "qt"), conditioned_scalars(p, 0.03, "gkp")
+    assert (qt.phi_a, qt.psi, qt.phi_b, qt.phi_a_m1) == \
+        (gkp.phi_a, gkp.psi, gkp.phi_b, gkp.phi_a_m1)
+    with pytest.raises(ValueError, match="unknown link mode 'warp'"):
+        conditioned_scalars(p, 0.03, "warp")

@@ -194,7 +194,7 @@ def test_rate_point_is_the_public_rate_functions(link, lbs, n_total):
     c = replace(cfg(mode, ancilla, la=la), finite_size=fs)
     row = rate_point(c, la, lb, strict=False)
     params = replace(c.protocol, l_b_km=lb)
-    sc = conditioned_scalars(params, _link(c, la)[0], "gkp" if mode == "qt" else mode)
+    sc = conditioned_scalars(params, _link(c, la)[0], mode)
     report = asymptotic_rate(sc, params.beta0)
     expected = {"mutual_info_bits": report.mutual_info, "holevo_bits": report.holevo,
                 "v1": report.spectrum[0], "v2": report.spectrum[1], "v3": report.spectrum[2],
