@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .channels import (ProtocolParams, awgn_variance_preamp, awgn_variance_qt,
                        fiber_transmittance, plob_bound)
 from .fading import (FadingConfig, fading_cdf, fading_pdf, fading_quantile, fading_scalars,
-                     pointing_wander_variance, residual_nodes, xi_integral)
+                     residual_nodes, xi_integral)
 from .finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, aep_delta,
                           composable_rate, epsilon_total, kappa_from_eps)
 from .gkp import (GkpAncilla, break_even, concat_variance, lower_bound_variance,
@@ -38,7 +38,7 @@ __all__ = [
     "epsilon_total", "kappa_from_eps",
     # fading
     "FadingConfig", "fading_cdf", "fading_pdf", "fading_quantile", "fading_scalars",
-    "pointing_wander_variance", "residual_nodes", "xi_integral",
+    "residual_nodes", "xi_integral",
     # mc
     "McMutualInfo", "McVariance", "RngStream", "mc_pe_coverage",
     "mc_protocol_mutual_info", "mc_residual_variance",

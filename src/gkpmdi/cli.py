@@ -5,17 +5,17 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .channels import ProtocolParams, awgn_variance_preamp
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .finite_size import UnphysicalWorstCaseError
 from .gkp import ELL, GkpAncilla, optimize_squeezing, residual_variance, syndrome_reduce
 from .mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, mc_residual_variance
@@ -39,12 +39,12 @@ FRONTIER_COLUMNS = ["schema_version", "link_mode", "rate_kind", "frontier_axis",
                     "reconciliation_efficiency", "attenuation_db_per_km",
                     "thermal_photon_mean", "qt_squeezing_db", "total_pulse", "pe_signals",
                     "digitalization", "ec_success_probability", "eps_correctness",
-                    "eps_smoothing", "eps_hashing", "eps_pe", "receiver_aperture_m", "tau0",
-                    "gamma0", "r0_m", "sigma_bw2_m2"]
+                    "eps_smoothing", "eps_hashing", "eps_pe", "tau0", "gamma0", "r0_m",
+                    "sigma_bw2_m2"]
 FADING_COLUMNS = ["schema_version", "row_kind", "tau_a", "pdf_density",
                   "sigma_r2_of_tau", "mean_sigma_r2", "mean_tau", "xi", "rate_kind",
-                  "lb_km", "rate_bits", "receiver_aperture_m", "tau0", "gamma0", "r0_m",
-                  "sigma_bw2_m2", "gkp_squeezing_db"]
+                  "lb_km", "rate_bits", "tau0", "gamma0", "r0_m", "sigma_bw2_m2",
+                  "gkp_squeezing_db"]
 
 
 def _columns(block: dict, columns: list[str]) -> list:
@@ -74,19 +74,27 @@ def _csv_lines(block: dict, columns: list[str]):
     return map(line.__mod__, zip(*arrays)) if arrays else [line % ()]
 
 
+def _open_output(path: str | None, newline: str | None = None):
+    """The output stream as a context manager: ``path`` opened for writing,
+    or standard output for None.  A path that cannot be opened is a
+    ConfigError naming it."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
+
+
 def write_rows(blocks: list[dict], columns: list[str], path: str | None,
                fmt: str, command: str) -> None:
     """Write row blocks (see :mod:`gkpmdi.sweeps`) as CSV or JSON; a column a
     block lacks is a blank cell."""
     if fmt == "csv":
-        out = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
-        try:
+        with _open_output(path, newline="") as out:
             csv.writer(out).writerow(columns)
             for block in blocks:
                 out.writelines(_csv_lines(block, columns))
-        finally:
-            if path is not None:
-                out.close()
         return
     rows = []
     for block in blocks:
@@ -96,23 +104,13 @@ def write_rows(blocks: list[dict], columns: list[str], path: str | None,
                  for row in zip(*(c if isinstance(c, list) else [c] * n for c in cells))]
     doc = {"schema_version": SCHEMA_VERSION, "command": command, "rows": rows}
     text = json.dumps(doc, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _destination(args, cfg: RunConfig) -> tuple[str | None, str]:
-    """Output path and format: CLI flags override the config's [output] section."""
-    path = args.output if args.output is not None else cfg.output_path
-    fmt = args.format if args.format is not None else cfg.output_format
-    return path, fmt
+    with _open_output(path) as out:
+        out.write(text)
 
 
 def cmd_residual(args) -> int:
-    cfg = load_config(args.config)
-    path, fmt = _destination(args, cfg)
-    write_rows(residual_rows(cfg), RESIDUAL_COLUMNS, path, fmt, "residual")
+    write_rows(residual_rows(load_config(args.config)), RESIDUAL_COLUMNS, args.output,
+               args.format, "residual")
     return 0
 
 
@@ -126,15 +124,13 @@ def cmd_rate(args) -> int:
     if cfg.sweep.mode == "frontier" and blocks[0]["max_secure_km"] is None:
         print(f"note: no secure point found along {cfg.sweep.axis}; "
               "max_secure_km is left empty", file=sys.stderr)
-    path, fmt = _destination(args, cfg)
-    write_rows(blocks, columns, path, fmt, "rate")
+    write_rows(blocks, columns, args.output, args.format, "rate")
     return 0
 
 
 def cmd_fading(args) -> int:
-    cfg = load_config(args.config)
-    path, fmt = _destination(args, cfg)
-    write_rows(fading_rows(cfg), FADING_COLUMNS, path, fmt, "fading")
+    write_rows(fading_rows(load_config(args.config)), FADING_COLUMNS, args.output,
+               args.format, "fading")
     return 0
 
 
@@ -202,10 +198,8 @@ def cmd_validate(args) -> int:
                            "checks": checks}, indent=2) + "\n"
     else:
         text = "\n".join(lines) + ("\n" if lines else "")
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text, encoding="utf-8")
+    with _open_output(args.output) as out:
+        out.write(text)
     return 0 if all(c["status"] == "PASS" for c in checks) else 1
 
 
@@ -218,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--output", type=str, default=None,
-                        help="output path (overrides [output]; default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
+                        help="output path (default stdout)")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility and ignored: runs are serial")
 

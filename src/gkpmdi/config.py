@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channels import ProtocolParams, fiber_transmittance
-from .fading import FadingConfig, pointing_wander_variance
+from .fading import FadingConfig
 from .finite_size import FiniteSizeParams
 from .gkp import IDEAL, GkpAncilla
 
@@ -76,12 +76,8 @@ class RunConfig:
     finite_size: FiniteSizeParams | None = field(default_factory=FiniteSizeParams)
     fading: FadingConfig | None = None
     sweep: SweepSpec = field(default_factory=SweepSpec)
-    output_path: str | None = None  # CLI flags override these
-    output_format: str = "csv"
 
     def __post_init__(self):
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
         if self.link_mode not in LINK_MODES:
             raise ConfigError(f"unknown link_mode {self.link_mode!r}")
         if self.sweep.axis not in SWEEP_AXES:
@@ -117,8 +113,8 @@ class RunConfig:
 
 
 # (section, key) -> (object the key configures, its keyword, cast of the raw
-# value).  The keyword of modulation_variance, ancilla and pe_fraction is the
-# key itself: load_config resolves those three after the table.
+# value).  The keyword of modulation_variance and ancilla is the key itself:
+# load_config resolves those two after the table.
 _KEYS = {
     ("protocol", "modulation_variance"): (ProtocolParams, "modulation_variance", float),
     ("protocol", "modulation_variance_a"): (ProtocolParams, "sigma2_a", float),
@@ -135,7 +131,6 @@ _KEYS = {
     ("code", "qt_squeezing_db"): (RunConfig, "qt_squeezing_db", float),
     ("finite_size", "total_pulse"): (FiniteSizeParams, "n_total", float),
     ("finite_size", "pe_signals"): (FiniteSizeParams, "m_pe", float),
-    ("finite_size", "pe_fraction"): (FiniteSizeParams, "pe_fraction", float),
     ("finite_size", "digitalization"): (FiniteSizeParams, "d", int),
     ("finite_size", "ec_success_probability"): (FiniteSizeParams, "p_ec", float),
     ("finite_size", "eps_correctness"): (FiniteSizeParams, "eps_cor", float),
@@ -146,16 +141,11 @@ _KEYS = {
     ("fading", "gamma0"): (FadingConfig, "gamma0", float),
     ("fading", "r0_m"): (FadingConfig, "r0_m", float),
     ("fading", "sigma_bw2_m2"): (FadingConfig, "sigma_bw2_m2", float),
-    ("fading", "receiver_aperture_m"): (FadingConfig, "a_r_m", float),
-    ("fading", "link_length_km"): (pointing_wander_variance, "l_km", float),
-    ("fading", "pointing_error_urad"): (pointing_wander_variance, "pointing_urad", float),
     ("sweep", "axis"): (SweepSpec, "axis", str.lower),
     ("sweep", "start"): (SweepSpec, "start", float),
     ("sweep", "stop"): (SweepSpec, "stop", float),
     ("sweep", "step"): (SweepSpec, "step", float),
     ("sweep", "mode"): (SweepSpec, "mode", str.lower),
-    ("output", "path"): (RunConfig, "output_path", str),
-    ("output", "format"): (RunConfig, "output_format", str.lower),
 }
 _SECTIONS = {section for section, _ in _KEYS}
 
@@ -213,25 +203,13 @@ def load_config(path: str | Path | None) -> RunConfig:
     elif kw[GkpAncilla]:
         run["ancilla"] = _build(GkpAncilla, kw, keys)
 
-    fs = kw[FiniteSizeParams]
-    if "pe_fraction" in fs and "m_pe" in fs:
-        raise ConfigError("pe_signals and pe_fraction exclude each other")
-    if "pe_fraction" in fs:
-        fs["m_pe"] = fs.pop("pe_fraction") * fs.get("n_total", FiniteSizeParams.n_total)
     run["finite_size"] = (_build(FiniteSizeParams, kw, keys)  # no section: asymptotic rates
                           if parser.has_section("finite_size") else None)
 
     if parser.has_section("fading"):
-        fading, geometry = kw[FadingConfig], keys[pointing_wander_variance]
-        missing = [key for key in ("tau0", "gamma0", "r0_m") if key not in fading]
+        missing = [key for key in ("tau0", "gamma0", "r0_m") if key not in kw[FadingConfig]]
         if missing:
             raise ConfigError(f"[fading] section is missing {', '.join(missing)}")
-        if "sigma_bw2_m2" in fading and geometry:
-            raise ConfigError(f"sigma_bw2_m2 excludes {' and '.join(geometry)}: "
-                              "give the wander variance or the link geometry")
-        if "sigma_bw2_m2" not in fading:
-            fading["sigma_bw2_m2"] = _build(pointing_wander_variance, kw, keys)
-            keys[FadingConfig] += geometry
         run["fading"] = _build(FadingConfig, kw, keys)
 
     run["sweep"] = SweepSpec(**kw[SweepSpec])
@@ -242,11 +220,3 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise ConfigError("la_km does not act on a [fading] link: the fading law, "
                           "not a fiber length, sets its A link")
     return cfg
-
-
-def reference_fading_config(aperture_m: float) -> Path:
-    """Path of a shipped fitted free-space reference configuration."""
-    name = {0.1: "free_space_a010.ini", 0.05: "free_space_a005.ini"}.get(aperture_m)
-    if name is None:
-        raise ConfigError(f"no shipped reference config for aperture {aperture_m} m")
-    return Path(__file__).parent / "configs" / name

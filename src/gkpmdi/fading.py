@@ -33,14 +33,6 @@ _XI_PANELS = 64
 _XI_ORDER = 16
 
 
-def pointing_wander_variance(l_km: float = 1.0, pointing_urad: float = 1.0) -> float:
-    """Beam-wandering variance (m^2) from a transmitter pointing jitter."""
-    if not (0 <= l_km < np.inf and 0 <= pointing_urad < np.inf):
-        raise ValueError("inputs must be finite and >= 0")
-    wander = pointing_urad * 1e-6 * (l_km * 1e3)
-    return wander * wander  # inf, not an OverflowError, past the float range
-
-
 @dataclass(frozen=True)
 class FadingConfig:
     """Log-transmittance Weibull fading channel.
@@ -48,15 +40,13 @@ class FadingConfig:
     ``tau0`` is the perfectly aligned transmittance (extinction already
     folded in multiplicatively); ``gamma0``/``r0_m`` are the shape and scale
     of the deflection-to-transmittance map; ``sigma_bw2_m2`` the centroid
-    wander variance.  ``a_r_m`` is the receiver aperture the parameters
-    were fitted for: it labels the output rows and enters no computation.
+    wander variance, by default that of a 1 urad pointing error over 1 km.
     """
 
     tau0: float
     gamma0: float
     r0_m: float
-    sigma_bw2_m2: float
-    a_r_m: float = 0.1
+    sigma_bw2_m2: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.tau0 <= 1.0:
@@ -65,8 +55,6 @@ class FadingConfig:
             raise ValueError("gamma0, r0 and sigma_bw2 must be finite and > 0")
         if not 0 < self.r0_m * self.r0_m / self.sigma_bw2_m2 < np.inf:  # the law's rate
             raise ValueError("r0^2 / sigma_bw2 must be finite and > 0")
-        if not 0 < self.a_r_m < np.inf:
-            raise ValueError("the receiver aperture must be finite and > 0")
 
 
 def fading_pdf(tau_a, cfg: FadingConfig):

@@ -65,8 +65,8 @@ def _echo(cfg: RunConfig) -> dict:
         "layers": cfg.layers,
     }
     if fad is not None:
-        echo.update(receiver_aperture_m=fad.a_r_m, tau0=fad.tau0, gamma0=fad.gamma0,
-                    r0_m=fad.r0_m, sigma_bw2_m2=fad.sigma_bw2_m2)
+        echo.update(tau0=fad.tau0, gamma0=fad.gamma0, r0_m=fad.r0_m,
+                    sigma_bw2_m2=fad.sigma_bw2_m2)
     if fs is not None:
         echo.update(total_pulse=fs.n_total, pe_signals=fs.pe_signals, digitalization=fs.d,
                     ec_success_probability=fs.p_ec, eps_correctness=fs.eps_cor,

@@ -19,9 +19,10 @@ from gkpmdi.mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, \
     mc_residual_variance
 from gkpmdi.security import conditioned_scalars, h_function
 from gkpmdi.sweeps import frontier, residual_rows
-from gkpmdi.config import load_config, reference_fading_config
+from gkpmdi.config import load_config
 from matrix_oracle import conditioned_state, mutual_information, symplectic_eigenvalues, \
     symplectic_form, tms_symplectic
+from shipped import reference_fading_config
 
 DB20 = GkpAncilla(20.0)
 DB25 = GkpAncilla(25.0)

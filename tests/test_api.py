@@ -15,9 +15,11 @@ SRC = Path(gkpmdi.__file__).resolve().parent
 
 def test_public_surface_resolves_and_readme_snippet_runs():
     assert len(set(gkpmdi.__all__)) == len(gkpmdi.__all__)
+    readme = README.read_text(encoding="utf-8")
     for name in gkpmdi.__all__:
         assert hasattr(gkpmdi, name), name
-    section = README.read_text(encoding="utf-8").split(
+        assert re.search(rf"`{name}`", readme), f"README does not name {name}"
+    section = readme.split(
         "## Reproducing the headline numbers", 1)[1]
     snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace = {}

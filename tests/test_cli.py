@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from gkpmdi.cli import FRONTIER_COLUMNS, RATE_COLUMNS, main, write_rows
-from gkpmdi.config import ConfigError, load_config, reference_fading_config
+from gkpmdi.config import ConfigError, load_config
 from gkpmdi.sweeps import rate_rows
+from shipped import FIBER_DEFAULT, reference_fading_config
 
 FIBER_INI = """
 [protocol]
@@ -281,7 +282,6 @@ def test_thermal_photon_mean_rejected_where_unmodelled(tmp_path, capsys):
     assert float(rows_of(out1)[0]["sigma_r2"]) > float(rows_of(out0)[0]["sigma_r2"])
 
 
-FIBER_DEFAULT = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
 LA_AXIS = {"axis = lb_km": "axis = la_km"}
 PULSE_AXIS = {"axis = lb_km": "axis = total_pulse", "stop = 20": "stop = 1e9",
               "step = 1\n": "step = 1e8\n"}
@@ -318,8 +318,6 @@ PULSE_AXIS = {"axis = lb_km": "axis = total_pulse", "stop = 20": "stop = 1e9",
     pytest.param("rate", {"layers = 1": "layers = 0"}, "layers", id="layers-zero"),
     pytest.param("rate", {"layers = 1": "layers = 2", "link_mode = gkp": "link_mode = direct"},
                  "layers", id="layers-on-direct-link"),
-    pytest.param("rate", {"[sweep]": "[output]\nformat = xml\n\n[sweep]"}, "format",
-                 id="output-format-xml"),
 ])
 def test_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, command, edits, key):
     # each was a traceback, a silent header-only file (step = nan, stop below
@@ -492,16 +490,21 @@ def test_validate_small_budget_passes_and_is_deterministic(tmp_path):
     assert "PASS" in text and "FAIL" not in text
 
 
-def test_output_section_and_flag_override(tmp_path):
-    dest = tmp_path / "from_config.csv"
-    ini = FIBER_INI + f"\n[output]\npath = {dest}\nformat = csv\n"
-    cfg = write(tmp_path, ini, "out.ini")
-    assert main(["rate", "--config", cfg]) == 0
-    assert dest.exists()
-    override = tmp_path / "override.json"
-    assert main(["rate", "--config", cfg, "--output", str(override),
-                 "--format", "json"]) == 0
-    assert json.loads(override.read_text())["command"] == "rate"
+@pytest.mark.parametrize("argv", [["rate", "--config", str(FIBER_DEFAULT)],
+                                  ["rate", "--config", str(FIBER_DEFAULT), "--format", "json"],
+                                  ["validate", "--samples", "1000"]],
+                         ids=["rate-csv", "rate-json", "validate"])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, argv):
+    # --output is the only way to name a destination: a path that cannot be
+    # opened is one config error line (exit 2, not a traceback, and for
+    # validate not the exit 1 of a failed check)
+    dest = str(tmp_path / "missing" / "rows.csv")
+    assert main(argv + ["--output", dest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, captured.err
+    assert captured.err.startswith("config error: cannot write --output ") and dest in captured.err
+    assert main(argv + ["--output", str(tmp_path)]) == 2  # a directory
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_negative_seed_rejected():
@@ -517,6 +520,8 @@ def test_negative_samples_rejected(capsys):
 
 
 def test_total_pulse_sweep_keeps_pe_fraction(tmp_path):
+    # pe_signals sets the count at the configured total_pulse; a block-size
+    # sweep keeps its fraction of the block
     ini = """
 [protocol]
 la_km = 3.0
@@ -528,7 +533,7 @@ gkp_squeezing_db = 20
 
 [finite_size]
 total_pulse = 1e8
-pe_fraction = 0.1
+pe_signals = 1e7
 
 [sweep]
 axis = total_pulse
@@ -541,6 +546,7 @@ step = 1.9e9
     assert main(["rate", "--config", cfg, "--output", out]) == 0
     rows = rows_of(out)
     assert len(rows) == 2
+    assert [float(r["pe_signals"]) for r in rows] == [1e7, 2e8]
     assert float(rows[0]["rate_bits"]) <= 0.0 < float(rows[1]["rate_bits"])
 
 
@@ -689,8 +695,7 @@ def test_rate_grid_csv_bytes_match_per_cell_writer(tmp_path, link):
 
 
 def test_composable_frontier_at_zero_length_a_link(tmp_path, capsys):
-    fiber = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
-    frontier = fiber.read_text().replace("mode = grid", "mode = frontier")
+    frontier = FIBER_DEFAULT.read_text().replace("mode = grid", "mode = frontier")
     values, notes = {}, {}
     for la in ("0.0", "0.3"):
         out = str(tmp_path / f"front{la}.csv")
@@ -722,8 +727,7 @@ def test_squeezing_echo_only_where_a_code_acts(tmp_path, link):
 
 def test_cli_frontier_run_loads_no_scipy(tmp_path):
     # scipy is a test dependency only: neither the import nor a run may load it
-    fiber = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
-    cfg = write(tmp_path, fiber.read_text().replace("axis = lb_km", "axis = la_km")
+    cfg = write(tmp_path, FIBER_DEFAULT.read_text().replace("axis = lb_km", "axis = la_km")
                 .replace("mode = grid", "mode = frontier"))
     out = tmp_path / "front.csv"
     argv = ["rate", "--config", cfg, "--output", str(out)]
@@ -761,7 +765,7 @@ def test_frontier_row_echoes_the_settings_of_its_rate_rows(tmp_path, config):
     shared = [c for c in FRONTIER_COLUMNS if c in RATE_COLUMNS and c not in ("la_km", "lb_km")]
     assert "total_pulse" in shared and "eps_pe" in shared
     assert {tuple(r[c] for c in shared) for r in rows_of(grid)} == {tuple(row[c] for c in shared)}
-    law = ["receiver_aperture_m", "tau0", "gamma0", "r0_m", "sigma_bw2_m2"]
+    law = ["tau0", "gamma0", "r0_m", "sigma_bw2_m2"]
     if config in ("a010", "a005"):
         assert main(["fading", "--config", cfg, "--output", str(fad)]) == 0
         assert {tuple(r[c] for c in law) for r in rows_of(fad)} == {tuple(row[c] for c in law)}

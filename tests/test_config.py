@@ -1,5 +1,6 @@
 """The run-configuration key table: every accepted key acts on the loaded
-config, and any other section, key or value exits 2 with a named cause."""
+config and on a computed output cell, and any other section, key or value
+exits 2 with a named cause."""
 import contextlib
 import csv
 import io
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkpmdi.cli import main
-from gkpmdi.config import _KEYS, RunConfig, load_config
+from gkpmdi.config import _KEYS, ConfigError, RunConfig, load_config
+from gkpmdi.sweeps import _echo
 
 # the keys a [fading] section must carry
 FADING_BASE = {"tau0": "0.9", "gamma0": "1.2", "r0_m": "0.02"}
@@ -33,7 +35,6 @@ VALUES = {
     ("code", "qt_squeezing_db"): "15",
     ("finite_size", "total_pulse"): "1e9",
     ("finite_size", "pe_signals"): "1e6",
-    ("finite_size", "pe_fraction"): "0.2",
     ("finite_size", "digitalization"): "16",
     ("finite_size", "ec_success_probability"): "0.8",
     ("finite_size", "eps_correctness"): "1e-9",
@@ -44,16 +45,11 @@ VALUES = {
     ("fading", "gamma0"): "1.5",
     ("fading", "r0_m"): "0.03",
     ("fading", "sigma_bw2_m2"): "4e-6",
-    ("fading", "receiver_aperture_m"): "0.05",
-    ("fading", "link_length_km"): "2",
-    ("fading", "pointing_error_urad"): "2",
     ("sweep", "axis"): "la_km",
     ("sweep", "start"): "2",
     ("sweep", "stop"): "20",
     ("sweep", "step"): "0.5",
     ("sweep", "mode"): "frontier",
-    ("output", "path"): "rows.csv",
-    ("output", "format"): "json",
 }
 
 
@@ -73,17 +69,34 @@ def test_defaults_are_the_dataclass_defaults():
     assert load_config(None) == RunConfig(finite_size=None)
 
 
+# keys that act only beside another: the sections their base config adds
+NEEDS = {"qt_squeezing_db": {"protocol": {"link_mode": "qt"}},  # only a qt link reads it
+         "lb_km": {"sweep": {"axis": "la_km"}}}  # an lb_km sweep sets lb_km itself
+
+
+def _computed_cells(tmp_path, command, config):
+    """The rows ``command`` writes for ``config``, without the echoed cells."""
+    out = tmp_path / f"{command}.json"
+    assert main([command, "--config", config, "--output", str(out), "--format", "json"]) == 0
+    echoed = set(_echo(load_config(config)))
+    return [{c: v for c, v in row.items() if c not in echoed}
+            for row in json.loads(out.read_text())["rows"]]
+
+
 @pytest.mark.parametrize("section,key", list(_KEYS))
 def test_every_key_acts(tmp_path, section, key):
-    base = {section: dict(FADING_BASE) if section == "fading" else {}}
-    if key == "qt_squeezing_db":  # acts only on a qt link
-        base["protocol"] = {"link_mode": "qt"}
-    without = load_config(write(tmp_path, base, "without.ini"))
-    if section not in ("finite_size", "fading") and key != "qt_squeezing_db":
-        assert without == load_config(None)  # an empty section changes nothing
-    with_key = load_config(write(tmp_path, {**base, section: {**base[section],
-                                                              key: VALUES[section, key]}}))
-    assert with_key != without
+    base = {section: dict(FADING_BASE) if section == "fading" else {}, **NEEDS.get(key, {})}
+    without = write(tmp_path, base, "without.ini")
+    if section not in ("finite_size", "fading") and key not in NEEDS:
+        assert load_config(without) == load_config(None)  # an empty section changes nothing
+    with_key = write(tmp_path, {**base, section: {**base[section], key: VALUES[section, key]}})
+    assert load_config(with_key) != load_config(without)
+    # the key moves a computed cell, not only its own echo
+    command = "fading" if section == "fading" else "rate"
+    assert (_computed_cells(tmp_path, command, with_key)
+            != _computed_cells(tmp_path, command, without))
+    # an echoed cell names the key that sets it
+    assert set(_echo(load_config(with_key))) - {"schema_version"} <= {k for _, k in _KEYS}
 
 
 @pytest.mark.parametrize("sections,named", [
@@ -94,12 +107,17 @@ def test_every_key_acts(tmp_path, section, key):
     ({"DEFAULT": {"la_km": "2"}}, ["DEFAULT"]),
     ({"code": {"ancilla": "bogus"}}, ["ancilla", "bogus"]),
     ({"code": {"layers": "two"}}, ["layers"]),
-    ({"finite_size": {"pe_signals": "1e6", "pe_fraction": "0.1"}}, ["pe_signals", "pe_fraction"]),
-    ({"fading": {**FADING_BASE, "sigma_bw2_m2": "1e-6", "link_length_km": "1"}},
-     ["sigma_bw2_m2", "link_length_km"]),
+    # a second spelling of a setting, or a key that would act on nothing
+    ({"finite_size": {"pe_fraction": "0.1"}}, ["unknown key", "pe_fraction"]),
+    ({"fading": {**FADING_BASE, "link_length_km": "1"}}, ["unknown key", "link_length_km"]),
+    ({"fading": {**FADING_BASE, "pointing_error_urad": "1"}},
+     ["unknown key", "pointing_error_urad"]),
+    ({"fading": {**FADING_BASE, "receiver_aperture_m": "0.1"}},
+     ["unknown key", "receiver_aperture_m"]),
+    ({"output": {"path": "rows.csv"}}, ["unknown section", "[output]"]),
+    ({"output": {"format": "json"}}, ["unknown section", "[output]"]),
     ({"fading": {"tau0": "0.9", "gamma0": "1.2"}}, ["r0_m"]),
     ({"code": {"gkp_squeezing_db": "-5"}}, ["gkp_squeezing_db"]),
-    ({"fading": {**FADING_BASE, "pointing_error_urad": "-1"}}, ["pointing_error_urad"]),
     # keys that could not act beside the others given
     ({"code": {"ancilla": "ideal", "gkp_squeezing_db": "20"}}, ["ancilla", "gkp_squeezing_db"]),
     ({"code": {"qt_squeezing_db": "15"}}, ["qt_squeezing_db", "link_mode"]),
@@ -114,8 +132,6 @@ def test_every_key_acts(tmp_path, section, key):
     ({"code": {"gkp_squeezing_db": "nan"}}, ["gkp_squeezing_db"]),
     ({"protocol": {"link_mode": "qt"}, "code": {"qt_squeezing_db": "-1"}}, ["qt_squeezing_db"]),
     ({"fading": {**FADING_BASE, "r0_m": "1e300"}}, ["r0_m"]),
-    ({"fading": {**FADING_BASE, "link_length_km": "1e300"}}, ["link_length_km"]),
-    ({"fading": {**FADING_BASE, "receiver_aperture_m": "nan"}}, ["receiver_aperture_m"]),
 ])
 def test_bad_config_exits_2_naming_the_cause(tmp_path, capsys, sections, named):
     assert main(["rate", "--config", write(tmp_path, sections)]) == 2
@@ -135,9 +151,10 @@ def test_readme_block_lists_every_key_and_loads(tmp_path):
 
 
 def test_values_are_taken_literally(tmp_path):
-    # no %-interpolation: a percent sign in a path is part of the path
-    cfg = load_config(write(tmp_path, {"output": {"path": "rate_100%.csv"}}))
-    assert cfg.output_path == "rate_100%.csv"
+    # no %-interpolation: a percent sign is part of the value, which is then
+    # judged as given
+    with pytest.raises(ConfigError, match="bad value for ancilla: '100%'"):
+        load_config(write(tmp_path, {"code": {"ancilla": "100%"}}))
 
 
 # for every key in the table: (typical and boundary raw values, invalid
@@ -159,7 +176,6 @@ DRAWN = {
     ("code", "qt_squeezing_db"): (["20", "0", "60"], ["-1", "nan"]),
     ("finite_size", "total_pulse"): (["1e8", "1e12", "100", "1"], ["0", "-1", "inf", "nan"]),
     ("finite_size", "pe_signals"): (["1e7", "1", "1e8"], ["0", "nan"]),
-    ("finite_size", "pe_fraction"): (["0.1", "1e-9", "0.999"], ["0", "1", "nan"]),
     ("finite_size", "digitalization"): (["32", "2", "1024"], ["3", "0", "x"]),
     ("finite_size", "ec_success_probability"): (["0.9", "1", "1e-9"], ["0", "1.5"]),
     ("finite_size", "eps_correctness"): (["1e-10", "0.5", "1e-300"], ["0", "1"]),
@@ -170,16 +186,11 @@ DRAWN = {
     ("fading", "gamma0"): (["1.2", "1e-3", "50"], ["0", "-1"]),
     ("fading", "r0_m"): (["0.022", "1e-6", "10"], ["0", "-1"]),
     ("fading", "sigma_bw2_m2"): (["1e-6", "1e-30", "1"], ["0", "-1"]),
-    ("fading", "receiver_aperture_m"): (["0.1"], ["0", "-1", "nan"]),
-    ("fading", "link_length_km"): (["1", "1e6"], ["0", "-1"]),
-    ("fading", "pointing_error_urad"): (["1", "1e6"], ["0", "-1"]),
     ("sweep", "axis"): (["lb_km", "la_km", "total_pulse", "layers"], ["nonsense"]),
     ("sweep", "start"): (["0", "1", "5", "1e8"], ["-1", "nan"]),
     ("sweep", "stop"): (["3", "40", "2e9"], ["inf"]),
     ("sweep", "step"): (["0.25", "1", "7", "1e8"], ["0", "-1", "nan"]),
     ("sweep", "mode"): (["grid", "frontier", "FRONTIER"], ["spiral"]),
-    ("output", "path"): (["rows.csv"], []),  # the --output flag overrides it
-    ("output", "format"): (["csv", "json"], ["xml"]),
 }
 
 

@@ -7,8 +7,7 @@ from gkpmdi import fading
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.config import RunConfig
 from gkpmdi.fading import (FadingConfig, fading_cdf, fading_pdf, fading_quantile,
-                           fading_scalars, pointing_wander_variance, residual_nodes,
-                           sigma_r2_of_tau, xi_integral)
+                           fading_scalars, residual_nodes, sigma_r2_of_tau, xi_integral)
 from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import IDEAL, GkpAncilla, optimize_squeezing, residual_variance
 from gkpmdi.mc import RngStream
@@ -24,12 +23,6 @@ PARAMS = ProtocolParams(l_a_km=1.0, l_b_km=8.0)
 @pytest.fixture(scope="module")
 def nodes():
     return residual_nodes(CFG, ANC)
-
-
-def test_pointing_wander_variance():
-    assert pointing_wander_variance(1.0, 1.0) == pytest.approx(1e-6, rel=1e-12)
-    assert pointing_wander_variance(1.0, 0.0) == 0.0
-    assert pointing_wander_variance(2.0, 1.0) == pytest.approx(4e-6, rel=1e-12)
 
 
 def test_pdf_normalizes():

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from gkpmdi.security import ConditionedScalars, asymptotic_rate, conditioned_sca
 from gkpmdi.sweeps import rate_point
 from matrix_oracle import (ConditionedState, conditioned_state, holevo_bound,
                            mutual_information, symplectic_eigenvalues, worst_case_cm)
+from shipped import FIBER_DEFAULT
 
 FS = FiniteSizeParams()
 
@@ -185,9 +185,6 @@ def test_worst_case_rate_below_nominal():
         + np.log2(FS.eps_h**2 * FS.eps_cor)
     assert composable_rate(sc, p.beta0, FS) == pytest.approx(FS.p_ec * bracket / FS.n_total,
                                                              rel=1e-12)
-
-
-FIBER_DEFAULT = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
 
 
 @pytest.mark.parametrize("l_b_km", [300.0, 1000.0, 100000.0])

@@ -1,5 +1,4 @@
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +6,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import ndtr
 
 from gkpmdi import fading, gkp, sweeps
-from gkpmdi.config import load_config, reference_fading_config
+from gkpmdi.config import load_config
 from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, break_even, concat_variance,
                         effective_estimator_gain, lattice_shift_variance, lower_bound_variance,
                         optimize_squeezing, residual_variance, syndrome_reduce)
 from gkpmdi.mc import RngStream, mc_residual_variance
 from matrix_oracle import (conditioning_blocks, linear_estimator, mu_tilde,
                            reshaped_noise_cm, symplectic_form)
+from shipped import FIBER_DEFAULT, reference_fading_config
 
 DB20 = GkpAncilla(20.0)
 ANCILLAS = [IDEAL, GkpAncilla(15.0), DB20, GkpAncilla(25.0)]
@@ -486,9 +486,6 @@ def test_optimum_is_stationary(s2, ancilla):
     d = 1e-9 * (1.0 + r_opt)
     assert kernel_slope(r_opt - d, s2, ancilla)[0] < 0.0 < kernel_slope(r_opt + d, s2, ancilla)[0]
     assert v == residual_variance(r_opt, s2, ancilla)
-
-
-FIBER_DEFAULT = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
 
 
 def test_optimizer_work_counts(monkeypatch):

@@ -1,20 +1,17 @@
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams
-from gkpmdi.config import ConfigError, RunConfig, SweepSpec, load_config, \
-    reference_fading_config
+from gkpmdi.config import ConfigError, RunConfig, SweepSpec, load_config
 from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import GkpAncilla, optimize_squeezing
 from gkpmdi.security import asymptotic_rate, conditioned_scalars
 from gkpmdi.sweeps import _link, frontier, link_sigma_r2, max_secure_distance, rate_point, \
     rate_rows
-
-FIBER_DEFAULT = Path(__file__).parent.parent / "src" / "gkpmdi" / "configs" / "fiber_default.ini"
+from shipped import FIBER_DEFAULT, reference_fading_config
 
 
 def cfg(mode="gkp", ancilla=GkpAncilla(20.0), layers=1, finite=True,
