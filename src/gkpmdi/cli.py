@@ -7,8 +7,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
+import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -74,6 +77,23 @@ def _csv_lines(block: dict, columns: list[str]):
     return map(line.__mod__, zip(*arrays)) if arrays else [line % ()]
 
 
+def _json_rows(block: dict, columns: list[str]):
+    """A block's rows as ``json.dumps(row, indent=2)`` writes them at their
+    depth in the document, from one template as in ``_csv_lines``: the
+    echoed items are encoded once and each array column is a ``%s`` slot
+    for the JSON text of its elements, numbers or bools with no comma."""
+    def text(value):  # JSON text, escaped for the template
+        return json.dumps(value).replace("%", "%%")
+
+    cells = _columns(block, columns)
+    template = "{\n      " + ",\n      ".join(
+        f"{text(c)}: {'%s' if isinstance(v, list) else text(v)}"
+        for c, v in zip(columns, cells)) + "\n    }"
+    arrays = [json.dumps(v, separators=(",", ":"))[1:-1].split(",") if v else []
+              for v in cells if isinstance(v, list)]
+    return map(template.__mod__, zip(*arrays)) if arrays else [template % ()]
+
+
 def _open_output(path: str | None, newline: str | None = None):
     """The output stream as a context manager: ``path`` opened for writing,
     or standard output for None.  A path that cannot be opened is a
@@ -86,26 +106,51 @@ def _open_output(path: str | None, newline: str | None = None):
         raise ConfigError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
 
 
+def _check_output(path: str | None) -> None:
+    """Reject an output path that cannot be opened for writing, creating
+    nothing, so that a run fails before its work: a directory, a missing or
+    non-directory parent, or a parent or existing file without write access.
+    ``_open_output`` still reports what this check cannot foresee."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write --output {path}: {os.strerror(code)}")
+
+
 def write_rows(blocks: list[dict], columns: list[str], path: str | None,
                fmt: str, command: str) -> None:
     """Write row blocks (see :mod:`gkpmdi.sweeps`) as CSV or JSON; a column a
-    block lacks is a blank cell."""
+    block lacks is a blank cell.  Either format holds one block's cells at a
+    time.  The blocks are computed before the output opens, so a run that
+    fails leaves no file behind."""
     if fmt == "csv":
         with _open_output(path, newline="") as out:
             csv.writer(out).writerow(columns)
             for block in blocks:
                 out.writelines(_csv_lines(block, columns))
         return
-    rows = []
-    for block in blocks:
-        cells = _columns(block, columns)
-        n = max((len(c) for c in cells if isinstance(c, list)), default=1)
-        rows += [dict(zip(columns, row))
-                 for row in zip(*(c if isinstance(c, list) else [c] * n for c in cells))]
-    doc = {"schema_version": SCHEMA_VERSION, "command": command, "rows": rows}
-    text = json.dumps(doc, indent=2) + "\n"
+    # json.dumps(doc, indent=2), one row at a time
+    rows = itertools.chain.from_iterable(_json_rows(block, columns) for block in blocks)
     with _open_output(path) as out:
-        out.write(text)
+        out.write(f'{{\n  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
+                  f'  "command": {json.dumps(command)},\n  "rows": [')
+        first = next(rows, None)
+        if first is None:
+            out.write("]\n}\n")
+            return
+        out.write("\n    " + first)
+        out.writelines(",\n    " + row for row in rows)
+        out.write("\n  ]\n}\n")
 
 
 def cmd_residual(args) -> int:
@@ -235,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output(args.output)
         return args.fn(args)
     except (ConfigError, UnphysicalWorstCaseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

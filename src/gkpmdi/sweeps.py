@@ -1,7 +1,10 @@
 """Sweep execution and secure-distance frontiers shared by the CLI and tests.
 
 Row builders return blocks: dicts mapping each output column to one echoed
-value or to a 1-D array with one element per row.  A frontier block also
+value or to a 1-D array with one element per row.  A sweep grid comes in
+consecutive blocks of at most ``_GRID_BLOCK`` rows, which bounds the
+temporaries of a long grid; every operation on a row is elementwise, so the
+rows do not depend on where the blocks split.  A frontier block also
 carries ``unphysical_points``, a diagnostic that no output column holds.
 """
 from __future__ import annotations
@@ -24,6 +27,12 @@ _FRONTIER_POINTS = 400
 _FRONTIER_RESOLUTION_KM = 0.01
 _WINDOW_KM = {"lb_km": (0.05, 1200.0), "la_km": (0.05, 30.0)}  # initial scan windows
 _PDF_ROWS = 1000
+_GRID_BLOCK = 1 << 12  # rows per block of a sweep grid
+
+
+def _row_blocks(values):
+    """``values`` as consecutive slices of at most ``_GRID_BLOCK`` elements."""
+    return np.split(values, range(_GRID_BLOCK, len(values), _GRID_BLOCK))
 
 
 def _link(cfg: RunConfig, l_a_km, layers=None):
@@ -196,20 +205,27 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
     if sweep.axis not in ("la_km", "layers"):
         raise ConfigError("residual sweeps support axes la_km and layers")
     values = np.array(sweep.values())
-    if sweep.axis == "la_km":
-        l_a, layers = values, 1
-    else:
-        if np.any((values < 1) | (values != np.floor(values))):
-            raise ConfigError("a layers sweep takes integer values >= 1")
-        l_a, layers = cfg.protocol.l_a_km, values.astype(int)
-    s2 = awgn_variance_preamp(fiber_transmittance(l_a, alpha0), cfg.protocol.n_bar)
+    if sweep.axis == "layers" and np.any((values < 1) | (values != np.floor(values))):
+        raise ConfigError("a layers sweep takes integer values >= 1")
+
+    def link_noise(l_a):
+        return awgn_variance_preamp(fiber_transmittance(l_a, alpha0), cfg.protocol.n_bar)
+
+    l_a = values if sweep.axis == "la_km" else cfg.protocol.l_a_km
+    s2 = link_noise(l_a)
     if np.any(s2 >= 1.0):  # lower_bound_variance needs sigma2 < 1
         raise ConfigError(f"the A-link noise sigma2 reaches {np.max(s2):.6g} at la_km = "
                           f"{np.max(l_a)!r}: sigma_lb2 is defined for sigma2 < 1 only "
                           "(shorten la_km or lower thermal_photon_mean)")
-    sigma_r2, _, r_opt = _link(cfg, l_a, layers)
-    return [{**_echo(cfg), "la_km": l_a, "layers": layers, "sigma2": s2, "sigma_r2": sigma_r2,
-             "sigma_be2": break_even(s2), "sigma_lb2": lower_bound_variance(s2), "r_opt": r_opt}]
+    blocks, echo = [], _echo(cfg)
+    for x in _row_blocks(values):
+        l_a, layers = (x, 1) if sweep.axis == "la_km" else (cfg.protocol.l_a_km, x.astype(int))
+        s2 = link_noise(l_a)
+        sigma_r2, _, r_opt = _link(cfg, l_a, layers)
+        blocks.append({**echo, "la_km": l_a, "layers": layers, "sigma2": s2,
+                       "sigma_r2": sigma_r2, "sigma_be2": break_even(s2),
+                       "sigma_lb2": lower_bound_variance(s2), "r_opt": r_opt})
+    return blocks
 
 
 def rate_rows(cfg: RunConfig) -> list[dict]:
@@ -226,11 +242,13 @@ def rate_rows(cfg: RunConfig) -> list[dict]:
                  "rate_kind": "composable" if cfg.finite_size is not None else "asymptotic"}]
     if sweep.axis not in ("lb_km", "la_km", "total_pulse"):
         raise ConfigError("rate sweeps support axes lb_km, la_km and total_pulse")
-    values = np.array(sweep.values(), dtype=float)
     base = cfg.protocol
-    return [rate_point(cfg, values if sweep.axis == "la_km" else base.l_a_km,
-                       values if sweep.axis == "lb_km" else base.l_b_km,
-                       values if sweep.axis == "total_pulse" else None)]
+    # a [fading] link's nodes serve every block
+    nodes = None if cfg.fading is None else residual_nodes(cfg.fading, cfg.ancilla)
+    return [rate_point(cfg, x if sweep.axis == "la_km" else base.l_a_km,
+                       x if sweep.axis == "lb_km" else base.l_b_km,
+                       x if sweep.axis == "total_pulse" else None, nodes=nodes)
+            for x in _row_blocks(np.array(sweep.values(), dtype=float))]
 
 
 def fading_rows(cfg: RunConfig) -> list[dict]:
@@ -254,10 +272,10 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
     blocks = [{**echo, "row_kind": "pdf", "tau_a": taus, "pdf_density": fading_pdf(taus, fad),
                "sigma_r2_of_tau": sigma_r2_of_tau(cfg.ancilla, taus)}]
     nodes = residual_nodes(fad, cfg.ancilla)  # shared by the summary and every rate row
-    rate = rate_point(cfg, cfg.protocol.l_a_km, np.array(cfg.sweep.values(), dtype=float),
-                      nodes=nodes)
+    rates = [rate_point(cfg, cfg.protocol.l_a_km, lbs, nodes=nodes)
+             for lbs in _row_blocks(np.array(cfg.sweep.values(), dtype=float))]
     w, tau, _ = nodes
-    blocks.append({**echo, "row_kind": "summary", "mean_sigma_r2": rate["sigma_r2"],
+    # sigma_r2 is the nodes' mean residual, one scalar in every rate block
+    blocks.append({**echo, "row_kind": "summary", "mean_sigma_r2": rates[0]["sigma_r2"],
                    "mean_tau": float(np.sum(w * tau)), "xi": xi_integral(nodes, cfg.protocol)})
-    blocks.append({**rate, "row_kind": "rate"})
-    return blocks
+    return blocks + [{**rate, "row_kind": "rate"} for rate in rates]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from gkpmdi.cli import FRONTIER_COLUMNS, RATE_COLUMNS, main, write_rows
 from gkpmdi.config import ConfigError, load_config
-from gkpmdi.sweeps import rate_rows
+from gkpmdi.sweeps import fading_rows, rate_rows, residual_rows
 from shipped import FIBER_DEFAULT, reference_fading_config
 
 FIBER_INI = """
@@ -507,6 +508,38 @@ def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, argv):
     assert str(tmp_path) in capsys.readouterr().err
 
 
+def test_unwritable_output_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    # the --output check runs first and creates nothing: a run with a bad
+    # destination neither loads its config nor computes a row or a check
+    import gkpmdi.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the --output check")
+
+    for name in ("load_config", "rate_rows", "_validate_checks"):
+        monkeypatch.setattr(gkpmdi.cli, name, refuse)
+    (tmp_path / "file.txt").write_text("a file, not a directory")
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    (locked / "old.csv").write_text("old")
+    access = os.access  # root may write anywhere: stand in a read-only directory
+    monkeypatch.setattr(os, "access", lambda p, mode, **kw:
+                        not str(p).startswith(str(locked)) and access(p, mode, **kw))
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    reasons = {tmp_path: "Is a directory",
+               tmp_path / "missing" / "rows.csv": "No such file or directory",
+               tmp_path / "file.txt" / "rows.csv": "Not a directory",
+               locked / "new.csv": "Permission denied",
+               locked / "old.csv": "Permission denied"}
+    for argv in (["rate", "--config", str(FIBER_DEFAULT)], ["validate"]):
+        for dest, reason in reasons.items():
+            assert main(argv + ["--output", str(dest)]) == 2, (argv, dest)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: cannot write --output {dest}: {reason}\n"
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
 def test_negative_seed_rejected():
     assert main(["validate", "--samples", "0", "--seed", "-1"]) == 2
 
@@ -798,3 +831,65 @@ def test_csv_and_json_rows_agree_on_shipped_configs(tmp_path, config):
         for row, record in zip(rows, doc["rows"]):
             assert list(record) == list(row)
             assert row == {c: _cell(v) for c, v in record.items()}, (command, row)
+
+
+def _with_sweep(text, axis, start, stop, step):
+    """A config's text with its closing [sweep] section replaced by a grid."""
+    return text[:text.index("[sweep]")] + (f"[sweep]\naxis = {axis}\nstart = {start}\n"
+                                           f"stop = {stop}\nstep = {step}\nmode = grid\n")
+
+
+_BLOCK_RUNS = {  # 23 grid rows each: blocks of 7 leave a partial last block
+    "rate-lb_km": ("rate", "fiber", ("lb_km", 2, 24, 1)),
+    "rate-la_km": ("rate", "fiber", ("la_km", 0.5, 11.5, 0.5)),
+    "rate-total_pulse": ("rate", "fiber", ("total_pulse", 1e8, 2.3e9, 1e8)),
+    "rate-a010": ("rate", "a010", ("lb_km", 5, 27, 1)),
+    "fading-a010": ("fading", "a010", ("lb_km", 5, 27, 1)),
+    "residual-la_km": ("residual", "fiber", ("la_km", 0.5, 11.5, 0.5)),
+    "residual-layers": ("residual", "fiber", ("layers", 1, 23, 1)),
+}
+
+
+@pytest.mark.parametrize("run", list(_BLOCK_RUNS))
+def test_block_boundaries_do_not_show_in_outputs(tmp_path, monkeypatch, run):
+    # a grid is computed in blocks of at most _GRID_BLOCK rows; where they
+    # split changes no byte of either format
+    import gkpmdi.sweeps
+
+    command, config, sweep = _BLOCK_RUNS[run]
+    cfg = write(tmp_path, _with_sweep(_SHIPPED[config].read_text(), *sweep))
+    rows_fn = {"rate": rate_rows, "fading": fading_rows, "residual": residual_rows}[command]
+    n = len(load_config(cfg).sweep.values())
+    assert n == 23
+    outputs = {"csv": set(), "json": set()}
+    for size in (1, 7, 4096):
+        monkeypatch.setattr(gkpmdi.sweeps, "_GRID_BLOCK", size)
+        pdf_and_summary = 2 if command == "fading" else 0
+        assert len(rows_fn(load_config(cfg))) == pdf_and_summary + -(-n // size), size
+        for fmt, seen in outputs.items():
+            out = tmp_path / f"out.{fmt}"
+            assert main([command, "--config", cfg, "--output", str(out), "--format", fmt]) == 0
+            seen.add(out.read_bytes())
+    assert {fmt: len(seen) for fmt, seen in outputs.items()} == {"csv": 1, "json": 1}
+
+
+_GRID_PEAK_MIB = 8  # traced peak of a 40,001-row grid run, either format
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_run_memory_does_not_grow_with_the_grid(tmp_path, fmt):
+    # computed and written one block at a time, a 40,001-row rate grid peaks
+    # at about 3 MiB (CSV) and 5 MiB (JSON) of traced memory; evaluated and
+    # written whole, it took 11 MiB and 250 MiB
+    cfg = write(tmp_path, _with_sweep(FIBER_DEFAULT.read_text(), "lb_km", 0.5, 20.5, 0.0005))
+    out = tmp_path / f"grid.{fmt}"
+    tracemalloc.start()
+    try:
+        assert main(["rate", "--config", cfg, "--output", str(out), "--format", fmt]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = out.read_bytes().count(b"\n") - 1 if fmt == "csv" else \
+        out.read_bytes().count(b'"lb_km": ')
+    assert rows == 40001
+    assert peak < _GRID_PEAK_MIB * 2**20, f"{peak / 2**20:.1f} MiB"
