@@ -1,6 +1,7 @@
 """Command-line front end: residual / rate / fading sweeps and oracle validation.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error, 141
+(128 + SIGPIPE, as a shell reports it) when the reader closes the output early.
 """
 from __future__ import annotations
 
@@ -23,31 +24,8 @@ from .finite_size import UnphysicalWorstCaseError
 from .gkp import ELL, GkpAncilla, optimize_squeezing, residual_variance, syndrome_reduce
 from .mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, mc_residual_variance
 from .security import asymptotic_rate, conditioned_scalars
-from .sweeps import SCHEMA_VERSION, fading_rows, rate_rows, residual_rows
-
-RESIDUAL_COLUMNS = ["schema_version", "la_km", "layers", "sigma2", "sigma_r2",
-                    "sigma_be2", "sigma_lb2", "r_opt", "gkp_squeezing_db",
-                    "attenuation_db_per_km", "thermal_photon_mean"]
-RATE_COLUMNS = ["schema_version", "link_mode", "rate_kind", "la_km", "lb_km",
-                "total_pulse", "rate_bits", "mutual_info_bits", "holevo_bits",
-                "v1", "v2", "v3", "sigma_r2", "modulation_variance_a",
-                "modulation_variance_b", "reconciliation_efficiency",
-                "attenuation_db_per_km", "thermal_photon_mean",
-                "gkp_squeezing_db", "qt_squeezing_db", "layers", "pe_signals",
-                "digitalization", "ec_success_probability", "eps_correctness",
-                "eps_smoothing", "eps_hashing", "eps_pe"]
-FRONTIER_COLUMNS = ["schema_version", "link_mode", "rate_kind", "frontier_axis",
-                    "max_secure_km", "la_km", "lb_km", "gkp_squeezing_db", "layers",
-                    "modulation_variance_a", "modulation_variance_b",
-                    "reconciliation_efficiency", "attenuation_db_per_km",
-                    "thermal_photon_mean", "qt_squeezing_db", "total_pulse", "pe_signals",
-                    "digitalization", "ec_success_probability", "eps_correctness",
-                    "eps_smoothing", "eps_hashing", "eps_pe", "tau0", "gamma0", "r0_m",
-                    "sigma_bw2_m2"]
-FADING_COLUMNS = ["schema_version", "row_kind", "tau_a", "pdf_density",
-                  "sigma_r2_of_tau", "mean_sigma_r2", "mean_tau", "xi", "rate_kind",
-                  "lb_km", "rate_bits", "tau0", "gamma0", "r0_m", "sigma_bw2_m2",
-                  "gkp_squeezing_db"]
+from .sweeps import (FADING_COLUMNS, FRONTIER_COLUMNS, RATE_COLUMNS, RESIDUAL_COLUMNS,
+                     SCHEMA_VERSION, fading_rows, rate_rows, residual_rows)
 
 
 def _columns(block: dict, columns: list[str]) -> list:
@@ -281,10 +259,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_output(args.output)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader gone away shows here, not at interpreter exit
+        return code
     except (ConfigError, UnphysicalWorstCaseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        if args.output is None:  # interpreter exit flushes stdout: send that to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

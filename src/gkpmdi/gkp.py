@@ -378,11 +378,6 @@ def lower_bound_variance(sigma2):
     return sigma2 ** 2 / (np.e * (1.0 - sigma2) ** 2)
 
 
-def break_even(sigma2):
-    """The no-coding reference level: the channel noise itself."""
-    return sigma2
-
-
 def concat_variance(sigma_r2_single, layers):
     """Accumulated residual of ``layers`` identical one-by-one layers."""
     if not np.all((layers >= 1) & (layers == np.floor(layers))):

@@ -19,10 +19,10 @@ from .config import ConfigError, RunConfig
 from .fading import fading_pdf, fading_quantile, fading_scalars, residual_nodes, \
     sigma_r2_of_tau, xi_integral
 from .finite_size import composable_rate
-from .gkp import break_even, concat_variance, lower_bound_variance, optimize_squeezing
+from .gkp import concat_variance, lower_bound_variance, optimize_squeezing
 from .security import asymptotic_rate, conditioned_scalars
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 _FRONTIER_POINTS = 400
 _FRONTIER_RESOLUTION_KM = 0.01
 _WINDOW_KM = {"lb_km": (0.05, 1200.0), "la_km": (0.05, 30.0)}  # initial scan windows
@@ -55,10 +55,10 @@ def _link(cfg: RunConfig, l_a_km, layers=None):
 
 
 def _echo(cfg: RunConfig) -> dict:
-    """Every configuration cell a row may echo.  ``gkp_squeezing_db`` is blank
-    for an ideal ancilla and on ``direct``/``preamp`` links, where no code acts
-    on it, and ``qt_squeezing_db`` off ``qt`` links; the fading law and the
-    finite-size constants are echoed only when their section is given."""
+    """Every configuration cell a row may echo, the same keys for every config.
+    ``gkp_squeezing_db`` is blank for an ideal ancilla and on ``direct``/``preamp``
+    links, where no code acts on it, and ``qt_squeezing_db`` off ``qt`` links;
+    the fading law and the finite-size constants without their section."""
     p, fad, fs = cfg.protocol, cfg.fading, cfg.finite_size
     code = not cfg.ancilla.ideal and cfg.link_mode in ("gkp", "qt")
     echo = {
@@ -73,14 +73,19 @@ def _echo(cfg: RunConfig) -> dict:
         "qt_squeezing_db": cfg.qt_squeezing_db if cfg.link_mode == "qt" else "",
         "layers": cfg.layers,
     }
-    if fad is not None:
-        echo.update(tau0=fad.tau0, gamma0=fad.gamma0, r0_m=fad.r0_m,
-                    sigma_bw2_m2=fad.sigma_bw2_m2)
-    if fs is not None:
-        echo.update(total_pulse=fs.n_total, pe_signals=fs.pe_signals, digitalization=fs.d,
-                    ec_success_probability=fs.p_ec, eps_correctness=fs.eps_cor,
-                    eps_smoothing=fs.eps_s, eps_hashing=fs.eps_h, eps_pe=fs.eps_pe)
+    echo.update({c: "" if fad is None else getattr(fad, c)
+                 for c in ("tau0", "gamma0", "r0_m", "sigma_bw2_m2")})
+    echo.update({c: "" if fs is None else getattr(fs, f) for c, f in (  # column, field
+        ("total_pulse", "n_total"), ("pe_signals", "pe_signals"), ("digitalization", "d"),
+        ("ec_success_probability", "p_ec"), ("eps_correctness", "eps_cor"),
+        ("eps_smoothing", "eps_s"), ("eps_hashing", "eps_h"), ("eps_pe", "eps_pe"))})
     return echo
+
+
+def _layout(*head: str) -> list[str]:
+    """The columns of a ``rate`` grid or frontier or of ``fading``: ``schema_version``,
+    the command's per-row ``head``, then the other keys of ``_echo`` in its order."""
+    return ["schema_version", *head, *(c for c in _echo(RunConfig()) if c != "schema_version")]
 
 
 @lru_cache(maxsize=4096)
@@ -91,6 +96,10 @@ def link_sigma_r2(cfg: RunConfig, l_a_km: float) -> tuple[float, float, float]:
     every probe.
     """
     return _link(cfg, l_a_km)
+
+
+RATE_COLUMNS = _layout("rate_kind", "la_km", "lb_km", "rate_bits", "mutual_info_bits",
+                       "holevo_bits", "v1", "v2", "v3", "sigma_r2")  # of rate_point
 
 
 def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True,
@@ -191,6 +200,11 @@ def frontier(cfg: RunConfig, axis: str) -> tuple[float, int]:
     return max_secure_distance(rate_fn, *_WINDOW_KM[axis]), unphysical
 
 
+RESIDUAL_COLUMNS = ["schema_version", "la_km", "layers", "sigma2", "sigma_r2", "sigma_lb2",
+                    "r_opt", "gkp_squeezing_db", "attenuation_db_per_km",
+                    "thermal_photon_mean"]  # only the settings that act on a residual
+
+
 def residual_rows(cfg: RunConfig) -> list[dict]:
     """Residual-error sweep: distance axis or concatenation-layer axis."""
     sweep = cfg.sweep
@@ -222,10 +236,12 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
         l_a, layers = (x, 1) if sweep.axis == "la_km" else (cfg.protocol.l_a_km, x.astype(int))
         s2 = link_noise(l_a)
         sigma_r2, _, r_opt = _link(cfg, l_a, layers)
-        blocks.append({**echo, "la_km": l_a, "layers": layers, "sigma2": s2,
-                       "sigma_r2": sigma_r2, "sigma_be2": break_even(s2),
+        blocks.append({**echo, "la_km": l_a, "layers": layers, "sigma2": s2, "sigma_r2": sigma_r2,
                        "sigma_lb2": lower_bound_variance(s2), "r_opt": r_opt})
     return blocks
+
+
+FRONTIER_COLUMNS = _layout("rate_kind", "frontier_axis", "max_secure_km", "la_km", "lb_km")
 
 
 def rate_rows(cfg: RunConfig) -> list[dict]:
@@ -249,6 +265,10 @@ def rate_rows(cfg: RunConfig) -> list[dict]:
                        x if sweep.axis == "lb_km" else base.l_b_km,
                        x if sweep.axis == "total_pulse" else None, nodes=nodes)
             for x in _row_blocks(np.array(sweep.values(), dtype=float))]
+
+
+FADING_COLUMNS = _layout("row_kind", "tau_a", "pdf_density", "sigma_r2_of_tau", "mean_sigma_r2",
+                         "mean_tau", "xi", "rate_kind", "lb_km", "rate_bits")
 
 
 def fading_rows(cfg: RunConfig) -> list[dict]:

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkpmdi.cli import FRONTIER_COLUMNS, RATE_COLUMNS, main, write_rows
+from gkpmdi.cli import main, write_rows
 from gkpmdi.config import ConfigError, load_config
-from gkpmdi.sweeps import fading_rows, rate_rows, residual_rows
+from gkpmdi.sweeps import (FADING_COLUMNS, FRONTIER_COLUMNS, RATE_COLUMNS, _echo, fading_rows,
+                           rate_rows, residual_rows)
 from shipped import FIBER_DEFAULT, reference_fading_config
 
 FIBER_INI = """
@@ -69,10 +70,10 @@ def test_residual_csv(tmp_path):
     assert main(["residual", "--config", cfg, "--output", out]) == 0
     rows = rows_of(out)
     assert len(rows) == 3
-    assert rows[0]["schema_version"] == "1"
+    assert rows[0]["schema_version"] == "2"
     assert float(rows[0]["la_km"]) == 1.0
     for row in rows:
-        assert float(row["sigma_r2"]) < float(row["sigma_be2"])
+        assert float(row["sigma_r2"]) < float(row["sigma2"])
         assert float(row["sigma_lb2"]) < float(row["sigma_r2"])
 
 
@@ -121,18 +122,25 @@ def test_rate_grid_jobs_match_serial(tmp_path):
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
-def test_rate_json_validates_against_schema(tmp_path):
+def test_json_outputs_validate_against_schema(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((Path(__file__).parent.parent / "src" / "gkpmdi" / "schemas"
                          / "output.schema.json").read_text())
-    for mode, n_rows in (("grid", 3), ("frontier", 1)):
-        cfg = write(tmp_path, FIBER_INI.replace("mode = grid", f"mode = {mode}"))
-        out = str(tmp_path / "rate.json")
-        assert main(["rate", "--config", cfg, "--output", out, "--format", "json"]) == 0
+    fading = reference_fading_config(0.1).read_text()
+    runs = [("rate", FIBER_INI, 3),
+            ("rate", FIBER_INI.replace("mode = grid", "mode = frontier"), 1),
+            ("residual", RESIDUAL_INI, 3),
+            ("residual", RESIDUAL_INI.replace("axis = la_km", "axis = layers"), 3),
+            ("fading", fading, 1000 + 1 + 21), ("rate", fading, 21)]
+    for command, ini, n_rows in runs:
+        cfg = write(tmp_path, ini)
+        out = str(tmp_path / "out.json")
+        assert main([command, "--config", cfg, "--output", out, "--format", "json"]) == 0
         doc = json.loads(Path(out).read_text())
         jsonschema.validate(doc, schema)
-        assert doc["command"] == "rate"
-        assert len(doc["rows"]) == n_rows
+        assert doc["schema_version"] == schema["properties"]["schema_version"]["const"]
+        assert doc["command"] == command
+        assert len(doc["rows"]) == n_rows, (command, ini)
 
 
 def test_rate_frontier_mode(tmp_path):
@@ -662,7 +670,7 @@ def _reference_write_rows(rows, columns, path, fmt, command):
                 writer.writerow([cell(row.get(c, "")) for c in columns])
         return
     doc = {
-        "schema_version": "1",
+        "schema_version": "2",
         "command": command,
         "rows": [{c: (float(row[c]) if isinstance(row.get(c), (float, np.floating))
                       else row.get(c, "")) for c in columns} for row in rows],
@@ -776,40 +784,79 @@ def test_cli_frontier_run_loads_no_scipy(tmp_path):
     assert np.isfinite(float(rows_of(out)[0]["max_secure_km"]))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reader_closing_the_output_early_exits_141_quietly(tmp_path, fmt):
+    # as under `gkpmdi rate ... | head -1`: no traceback and no "Exception
+    # ignored" line, and 128 + SIGPIPE as a shell reports it, not exit 1
+    cfg = write(tmp_path, _with_sweep(FIBER_DEFAULT.read_text(), "lb_km", 0.5, 10.5, 0.001))
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-m", "gkpmdi.cli", "rate", "--config", cfg,
+                             "--format", fmt], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()  # megabytes of rows are still to come
+        assert proc.wait(timeout=120) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 _SHIPPED = {"fiber": FIBER_DEFAULT, "a010": reference_fading_config(0.1),
             "a005": reference_fading_config(0.05)}
-
-
-@pytest.mark.parametrize("config", ["direct", "preamp", "gkp", "qt", "a010", "a005"])
-def test_frontier_row_echoes_the_settings_of_its_rate_rows(tmp_path, config):
-    # a frontier row echoes every setting a rate-grid row of the same config
-    # does, and its fading law as the fading command writes it
-    if config in ("a010", "a005"):
-        ini = _SHIPPED[config].read_text()
-    else:
-        ini = FIBER_DEFAULT.read_text().replace("link_mode = gkp", f"link_mode = {config}")
-    grid, front, fad = tmp_path / "grid.csv", tmp_path / "front.csv", tmp_path / "fading.csv"
-    cfg = write(tmp_path, ini)
-    assert main(["rate", "--config", cfg, "--output", str(grid)]) == 0
-    front_cfg = write(tmp_path, ini.replace("mode = grid", "mode = frontier"), "front.ini")
-    assert main(["rate", "--config", front_cfg, "--output", str(front)]) == 0
-    (row,) = rows_of(front)
-    assert len(FRONTIER_COLUMNS) == len(set(FRONTIER_COLUMNS))
-    shared = [c for c in FRONTIER_COLUMNS if c in RATE_COLUMNS and c not in ("la_km", "lb_km")]
-    assert "total_pulse" in shared and "eps_pe" in shared
-    assert {tuple(r[c] for c in shared) for r in rows_of(grid)} == {tuple(row[c] for c in shared)}
-    law = ["tau0", "gamma0", "r0_m", "sigma_bw2_m2"]
-    if config in ("a010", "a005"):
-        assert main(["fading", "--config", cfg, "--output", str(fad)]) == 0
-        assert {tuple(r[c] for c in law) for r in rows_of(fad)} == {tuple(row[c] for c in law)}
-        assert "" not in [row[c] for c in law]
-    else:
-        assert {row[c] for c in law} == {""}
 
 
 def _cell(value):
     """A JSON value as its CSV cell: null and "" blank, floats by repr."""
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+def _without_section(text, name):
+    """A config's text with its ``[name]`` section left out."""
+    start = text.index(f"[{name}]")
+    return text[:start] + text[text.index("[", start + 1):]
+
+
+@pytest.mark.parametrize("config", ["direct", "preamp", "gkp", "qt", "asymptotic", "a010",
+                                    "a005"])
+def test_frontier_row_echoes_the_settings_of_its_rate_rows(tmp_path, config):
+    # every rate-grid, frontier and fading row, in CSV and JSON, echoes each
+    # setting of _echo(cfg) as _echo gives it, and the header is
+    # schema_version, the command's per-row head, then _echo's keys, whatever
+    # sections the config has: a frontier row and a rate row echo the same cells
+    if config in ("a010", "a005"):
+        ini = _SHIPPED[config].read_text()
+    elif config == "asymptotic":
+        ini = _without_section(FIBER_DEFAULT.read_text(), "finite_size")
+    else:
+        ini = FIBER_DEFAULT.read_text().replace("link_mode = gkp", f"link_mode = {config}")
+    runs = [("rate", ini, RATE_COLUMNS),
+            ("rate", ini.replace("mode = grid", "mode = frontier"), FRONTIER_COLUMNS)]
+    if config in ("a010", "a005"):
+        runs.append(("fading", ini, FADING_COLUMNS))
+    law = ["tau0", "gamma0", "r0_m", "sigma_bw2_m2"]
+    for command, text, header in runs:
+        cfg = write(tmp_path, text)
+        echo = {c: _cell(v) for c, v in _echo(load_config(cfg)).items()}
+        head = header[1:len(header) - len(echo) + 1]
+        assert header == ["schema_version", *head, *list(echo)[1:]]
+        assert list(echo)[0] == "schema_version" and len(header) == len(set(header))
+        assert {echo[c] == "" for c in law} == {config not in ("a010", "a005")}
+        assert (echo["eps_pe"] == "") == (config == "asymptotic")
+        out_csv, out_json = tmp_path / "out.csv", tmp_path / "out.json"
+        assert main([command, "--config", cfg, "--output", str(out_csv)]) == 0
+        assert main([command, "--config", cfg, "--output", str(out_json), "--format", "json"]) == 0
+        with open(out_csv, newline="") as fh:
+            assert next(csv.reader(fh)) == header, (command, head)
+        rows = rows_of(out_csv) + [{c: _cell(v) for c, v in record.items()}
+                                   for record in json.loads(out_json.read_text())["rows"]]
+        assert len(rows) > 1
+        for row in rows:
+            assert list(row) == header
+            assert {c: row[c] for c in echo} == echo, (command, head)
 
 
 @pytest.mark.parametrize("config", ["fiber", "a010", "a005"])

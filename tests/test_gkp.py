@@ -7,7 +7,7 @@ from scipy.special import ndtr
 
 from gkpmdi import fading, gkp, sweeps
 from gkpmdi.config import load_config
-from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, break_even, concat_variance,
+from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, concat_variance,
                         effective_estimator_gain, lattice_shift_variance, lower_bound_variance,
                         optimize_squeezing, residual_variance, syndrome_reduce)
 from gkpmdi.mc import RngStream, mc_residual_variance
@@ -542,12 +542,6 @@ def test_lower_bound_variance():
     assert lower_bound_variance(0.5) == pytest.approx(1.0 / np.e, rel=1e-12)
     with pytest.raises(ValueError):
         lower_bound_variance(1.0)
-
-
-def test_break_even_identity():
-    assert break_even(0.1) == 0.1
-    _, v = optimize_squeezing(0.1, DB20)
-    assert v < break_even(0.1)
 
 
 def test_concat_variance():
