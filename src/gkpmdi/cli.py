@@ -8,12 +8,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import errno
 import io
 import itertools
 import json
 import os
+import shutil
 import sys
+import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -72,54 +74,55 @@ def _json_rows(block: dict, columns: list[str]):
     return map(template.__mod__, zip(*arrays)) if arrays else [template % ()]
 
 
-def _open_output(path: str | None, newline: str | None = None):
-    """The output stream as a context manager: ``path`` opened for writing,
-    or standard output for None.  A path that cannot be opened is a
-    ConfigError naming it."""
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
+@contextlib.contextmanager
+def _output(path: str | None, newline: str | None = None):
+    """The output stream, which reaches ``path`` only if the block exits
+    without an exception.  A temporary file beside ``path`` (a symlink's
+    target), with the mode ``open`` gives, replaces it on success and is
+    removed otherwise; standard output (None), a device or a pipe gets a
+    spool copied to it on success.  Failing to open is a ConfigError."""
     try:
-        return open(path, "w", newline=newline, encoding="utf-8")
+        # standard output, a device or a pipe; a directory fails to open here
+        if path is None or os.path.exists(path) and not os.path.isfile(path):
+            dest = (contextlib.nullcontext(sys.stdout) if path is None
+                    else open(path, "w", newline=newline, encoding="utf-8"))
+        else:
+            dest, target = None, os.path.realpath(path)
+            fd, temp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                        prefix=f".{os.path.basename(target)}.", suffix=".tmp")
     except OSError as exc:
         raise ConfigError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
-
-
-def _check_output(path: str | None) -> None:
-    """Reject an output path that cannot be opened for writing, creating
-    nothing, so that a run fails before its work: a directory, a missing or
-    non-directory parent, or a parent or existing file without write access.
-    ``_open_output`` still reports what this check cannot foresee."""
-    if path is None:
+    if dest is not None:
+        with dest as stream, tempfile.TemporaryFile("w+", newline="", encoding="utf-8") as spool:
+            yield spool
+            spool.seek(0)
+            shutil.copyfileobj(spool, stream)
         return
-    parent = os.path.dirname(path) or os.curdir
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.exists(parent):
-        code = errno.ENOENT
-    elif not os.path.isdir(parent):
-        code = errno.ENOTDIR
-    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise ConfigError(f"cannot write --output {path}: {os.strerror(code)}")
+    try:
+        with open(fd, "w", newline=newline, encoding="utf-8") as out:
+            os.umask(umask := os.umask(0))  # the umask has no getter
+            os.fchmod(fd, 0o666 & ~umask)
+            yield out
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
-def write_rows(blocks: list[dict], columns: list[str], path: str | None,
+def write_rows(blocks: Iterable[dict], columns: list[str], path: str | None,
                fmt: str, command: str) -> None:
-    """Write row blocks (see :mod:`gkpmdi.sweeps`) as CSV or JSON; a column a
-    block lacks is a blank cell.  Either format holds one block's cells at a
-    time.  The blocks are computed before the output opens, so a run that
-    fails leaves no file behind."""
-    if fmt == "csv":
-        with _open_output(path, newline="") as out:
+    """Write row blocks (see :mod:`gkpmdi.sweeps`) as CSV or JSON to ``path``
+    (standard output for None); a column a block lacks is a blank cell.  Each
+    block is drawn after the previous one is written, so either format holds
+    one block at a time, and a run that fails leaves no file (``_output``)."""
+    with _output(path, newline="" if fmt == "csv" else None) as out:
+        if fmt == "csv":
             csv.writer(out).writerow(columns)
             for block in blocks:
                 out.writelines(_csv_lines(block, columns))
-        return
-    # json.dumps(doc, indent=2), one row at a time
-    rows = itertools.chain.from_iterable(_json_rows(block, columns) for block in blocks)
-    with _open_output(path) as out:
+            return
+        # json.dumps(doc, indent=2), one row at a time
+        rows = itertools.chain.from_iterable(_json_rows(block, columns) for block in blocks)
         out.write(f'{{\n  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
                   f'  "command": {json.dumps(command)},\n  "rows": [')
         first = next(rows, None)
@@ -137,17 +140,21 @@ def cmd_residual(args) -> int:
     return 0
 
 
+def _noted(block: dict) -> dict:  # a frontier block, noted as it passes to the writer
+    if block["unphysical_points"]:
+        print(f"note: the frontier scan met {block['unphysical_points']} points whose "
+              "worst-case state is unphysical; they count as not secure", file=sys.stderr)
+    if block["max_secure_km"] is None:
+        print(f"note: no secure point found along {block['frontier_axis']}; "
+              "max_secure_km is left empty", file=sys.stderr)
+    return block
+
+
 def cmd_rate(args) -> int:
     cfg = load_config(args.config)
-    blocks = rate_rows(cfg)
-    columns = FRONTIER_COLUMNS if cfg.sweep.mode == "frontier" else RATE_COLUMNS
-    if cfg.sweep.mode == "frontier" and blocks[0]["unphysical_points"]:
-        print(f"note: the frontier scan met {blocks[0]['unphysical_points']} points whose "
-              "worst-case state is unphysical; they count as not secure", file=sys.stderr)
-    if cfg.sweep.mode == "frontier" and blocks[0]["max_secure_km"] is None:
-        print(f"note: no secure point found along {cfg.sweep.axis}; "
-              "max_secure_km is left empty", file=sys.stderr)
-    write_rows(blocks, columns, args.output, args.format, "rate")
+    frontier = cfg.sweep.mode == "frontier"
+    write_rows(map(_noted, rate_rows(cfg)) if frontier else rate_rows(cfg),
+               FRONTIER_COLUMNS if frontier else RATE_COLUMNS, args.output, args.format, "rate")
     return 0
 
 
@@ -212,17 +219,15 @@ def cmd_validate(args) -> int:
     for name in ("seed", "samples"):
         if getattr(args, name) < 0:
             raise ConfigError(f"{name} must be a nonnegative integer")
-    checks = _validate_checks(args.seed, args.samples)
-    lines = [f"{c['status']} {c['name']} value={c['value']:.6g} band={c['band']:.6g}"
-             + (f" ({c['detail']})" if c["detail"] else "") for c in checks]
-    if args.format == "json":
-        text = json.dumps({"schema_version": SCHEMA_VERSION, "command": "validate",
-                           "seed": args.seed, "samples": args.samples,
-                           "checks": checks}, indent=2) + "\n"
-    else:
-        text = "\n".join(lines) + ("\n" if lines else "")
-    with _open_output(args.output) as out:
-        out.write(text)
+    with _output(args.output) as out:
+        checks = _validate_checks(args.seed, args.samples)
+        if args.format == "json":
+            out.write(json.dumps({"schema_version": SCHEMA_VERSION, "command": "validate",
+                                  "seed": args.seed, "samples": args.samples,
+                                  "checks": checks}, indent=2) + "\n")
+        else:
+            out.writelines(f"{c['status']} {c['name']} value={c['value']:.6g} band={c['band']:.6g}"
+                           + (f" ({c['detail']})" if c["detail"] else "") + "\n" for c in checks)
     return 0 if all(c["status"] == "PASS" for c in checks) else 1
 
 
@@ -258,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_output(args.output)
         code = args.fn(args)
         sys.stdout.flush()  # a reader gone away shows here, not at interpreter exit
         return code

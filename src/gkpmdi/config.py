@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import math
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,14 +57,13 @@ class SweepSpec:
             raise ConfigError(f"sweep step = {self.step!r} gives more than {MAX_GRID_POINTS:,} "
                               f"grid points from start = {self.start!r} to stop = {self.stop!r}")
 
-    def values(self) -> list[float]:
-        out = []
+    def values(self) -> Iterator[float]:
         x = self.start
         # half-step slack keeps the endpoint when start/stop/step are round
         while x <= self.stop + 0.5 * self.step:
-            out.append(round(x, 12))
+            if (value := round(x, 12)) <= self.stop + 1e-12:
+                yield value
             x += self.step
-        return [v for v in out if v <= self.stop + 1e-12]
 
 
 @dataclass(frozen=True)

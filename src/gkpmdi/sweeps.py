@@ -1,14 +1,16 @@
 """Sweep execution and secure-distance frontiers shared by the CLI and tests.
 
-Row builders return blocks: dicts mapping each output column to one echoed
+Row builders yield blocks: dicts mapping each output column to one echoed
 value or to a 1-D array with one element per row.  A sweep grid comes in
-consecutive blocks of at most ``_GRID_BLOCK`` rows, which bounds the
-temporaries of a long grid; every operation on a row is elementwise, so the
-rows do not depend on where the blocks split.  A frontier block also
+consecutive blocks of at most ``_GRID_BLOCK`` rows, each computed (and
+checked) only when it is drawn; every operation on a row is elementwise, so
+the rows do not depend on where the blocks split.  A frontier block also
 carries ``unphysical_points``, a diagnostic that no output column holds.
 """
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from functools import lru_cache
 
@@ -30,9 +32,11 @@ _PDF_ROWS = 1000
 _GRID_BLOCK = 1 << 12  # rows per block of a sweep grid
 
 
-def _row_blocks(values):
-    """``values`` as consecutive slices of at most ``_GRID_BLOCK`` elements."""
-    return np.split(values, range(_GRID_BLOCK, len(values), _GRID_BLOCK))
+def _row_blocks(values: Iterable[float]) -> Iterator[np.ndarray]:
+    """``values`` drawn in consecutive arrays of at most ``_GRID_BLOCK`` elements."""
+    values = iter(values)
+    while len(block := np.fromiter(itertools.islice(values, _GRID_BLOCK), dtype=float)):
+        yield block
 
 
 def _link(cfg: RunConfig, l_a_km, layers=None):
@@ -205,8 +209,9 @@ RESIDUAL_COLUMNS = ["schema_version", "la_km", "layers", "sigma2", "sigma_r2", "
                     "thermal_photon_mean"]  # only the settings that act on a residual
 
 
-def residual_rows(cfg: RunConfig) -> list[dict]:
-    """Residual-error sweep: distance axis or concatenation-layer axis."""
+def residual_rows(cfg: RunConfig) -> Iterator[dict]:
+    """Residual-error sweep: distance axis or concatenation-layer axis.  The
+    capacity floor ``sigma_lb2`` is capped at the uncorrected noise ``sigma2``."""
     sweep = cfg.sweep
     if cfg.link_mode != "gkp" or cfg.fading is not None:
         raise ConfigError("residual sweeps model the gkp link over fiber "
@@ -218,33 +223,24 @@ def residual_rows(cfg: RunConfig) -> list[dict]:
     alpha0 = cfg.protocol.alpha0_db_per_km
     if sweep.axis not in ("la_km", "layers"):
         raise ConfigError("residual sweeps support axes la_km and layers")
-    values = np.array(sweep.values())
-    if sweep.axis == "layers" and np.any((values < 1) | (values != np.floor(values))):
-        raise ConfigError("a layers sweep takes integer values >= 1")
-
-    def link_noise(l_a):
-        return awgn_variance_preamp(fiber_transmittance(l_a, alpha0), cfg.protocol.n_bar)
-
-    l_a = values if sweep.axis == "la_km" else cfg.protocol.l_a_km
-    s2 = link_noise(l_a)
-    if np.any(s2 >= 1.0):  # lower_bound_variance needs sigma2 < 1
-        raise ConfigError(f"the A-link noise sigma2 reaches {np.max(s2):.6g} at la_km = "
-                          f"{np.max(l_a)!r}: sigma_lb2 is defined for sigma2 < 1 only "
-                          "(shorten la_km or lower thermal_photon_mean)")
-    blocks, echo = [], _echo(cfg)
-    for x in _row_blocks(values):
+    for x in _row_blocks(sweep.values()):
+        if sweep.axis == "layers" and np.any((x < 1) | (x != np.floor(x))):
+            raise ConfigError("a layers sweep takes integer values >= 1")
         l_a, layers = (x, 1) if sweep.axis == "la_km" else (cfg.protocol.l_a_km, x.astype(int))
-        s2 = link_noise(l_a)
+        s2 = awgn_variance_preamp(fiber_transmittance(l_a, alpha0), cfg.protocol.n_bar)
+        if np.any(s2 >= 1.0):  # lower_bound_variance needs sigma2 < 1
+            raise ConfigError(f"the A-link noise sigma2 reaches {np.max(s2):.6g} at la_km = "
+                              f"{float(np.max(l_a))!r}: sigma_lb2 is defined for sigma2 < 1 only "
+                              "(shorten la_km or lower thermal_photon_mean)")
         sigma_r2, _, r_opt = _link(cfg, l_a, layers)
-        blocks.append({**echo, "la_km": l_a, "layers": layers, "sigma2": s2, "sigma_r2": sigma_r2,
-                       "sigma_lb2": lower_bound_variance(s2), "r_opt": r_opt})
-    return blocks
+        yield {**_echo(cfg), "la_km": l_a, "layers": layers, "sigma2": s2, "sigma_r2": sigma_r2,
+               "sigma_lb2": np.minimum(s2, lower_bound_variance(s2)), "r_opt": r_opt}
 
 
 FRONTIER_COLUMNS = _layout("rate_kind", "frontier_axis", "max_secure_km", "la_km", "lb_km")
 
 
-def rate_rows(cfg: RunConfig) -> list[dict]:
+def rate_rows(cfg: RunConfig) -> Iterator[dict]:
     """Key-rate sweep (grid mode) or secure-distance frontier (frontier mode)
     of a fiber or ``[fading]`` A link."""
     sweep = cfg.sweep
@@ -253,25 +249,26 @@ def rate_rows(cfg: RunConfig) -> list[dict]:
         value, unphysical = frontier(cfg, sweep.axis)
         fixed = ({"la_km": cfg.protocol.l_a_km if cfg.fading is None else ""}
                  if sweep.axis == "lb_km" else {"lb_km": cfg.protocol.l_b_km})
-        return [{**_echo(cfg), **fixed, "unphysical_points": unphysical,
-                 "frontier_axis": sweep.axis, "max_secure_km": None if np.isnan(value) else value,
-                 "rate_kind": "composable" if cfg.finite_size is not None else "asymptotic"}]
+        yield {**_echo(cfg), **fixed, "unphysical_points": unphysical,
+               "frontier_axis": sweep.axis, "max_secure_km": None if np.isnan(value) else value,
+               "rate_kind": "composable" if cfg.finite_size is not None else "asymptotic"}
+        return
     if sweep.axis not in ("lb_km", "la_km", "total_pulse"):
         raise ConfigError("rate sweeps support axes lb_km, la_km and total_pulse")
     base = cfg.protocol
     # a [fading] link's nodes serve every block
     nodes = None if cfg.fading is None else residual_nodes(cfg.fading, cfg.ancilla)
-    return [rate_point(cfg, x if sweep.axis == "la_km" else base.l_a_km,
-                       x if sweep.axis == "lb_km" else base.l_b_km,
-                       x if sweep.axis == "total_pulse" else None, nodes=nodes)
-            for x in _row_blocks(np.array(sweep.values(), dtype=float))]
+    for x in _row_blocks(sweep.values()):
+        yield rate_point(cfg, x if sweep.axis == "la_km" else base.l_a_km,
+                         x if sweep.axis == "lb_km" else base.l_b_km,
+                         x if sweep.axis == "total_pulse" else None, nodes=nodes)
 
 
 FADING_COLUMNS = _layout("row_kind", "tau_a", "pdf_density", "sigma_r2_of_tau", "mean_sigma_r2",
                          "mean_tau", "xi", "rate_kind", "lb_km", "rate_bits")
 
 
-def fading_rows(cfg: RunConfig) -> list[dict]:
+def fading_rows(cfg: RunConfig) -> Iterator[dict]:
     """Transmittance-density samples, summary means, and the averaged rates
     of :func:`rate_point` on an ``lb_km`` grid (composable with a
     ``[finite_size]`` section, asymptotic without).
@@ -289,13 +286,12 @@ def fading_rows(cfg: RunConfig) -> list[dict]:
     # for gamma0 > 2 the density diverges (integrably) at tau0: stop one step short
     hi = fad.tau0 - (fad.tau0 - lo) / (_PDF_ROWS - 1) if fad.gamma0 > 2.0 else fad.tau0
     taus = np.linspace(lo, hi, _PDF_ROWS)
-    blocks = [{**echo, "row_kind": "pdf", "tau_a": taus, "pdf_density": fading_pdf(taus, fad),
-               "sigma_r2_of_tau": sigma_r2_of_tau(cfg.ancilla, taus)}]
+    yield {**echo, "row_kind": "pdf", "tau_a": taus, "pdf_density": fading_pdf(taus, fad),
+           "sigma_r2_of_tau": sigma_r2_of_tau(cfg.ancilla, taus)}
     nodes = residual_nodes(fad, cfg.ancilla)  # shared by the summary and every rate row
-    rates = [rate_point(cfg, cfg.protocol.l_a_km, lbs, nodes=nodes)
-             for lbs in _row_blocks(np.array(cfg.sweep.values(), dtype=float))]
-    w, tau, _ = nodes
-    # sigma_r2 is the nodes' mean residual, one scalar in every rate block
-    blocks.append({**echo, "row_kind": "summary", "mean_sigma_r2": rates[0]["sigma_r2"],
-                   "mean_tau": float(np.sum(w * tau)), "xi": xi_integral(nodes, cfg.protocol)})
-    return blocks + [{**rate, "row_kind": "rate"} for rate in rates]
+    w, tau, node_sigma_r2 = nodes
+    # the nodes' mean residual, as rate_point writes it in every rate block
+    yield {**echo, "row_kind": "summary", "mean_sigma_r2": float(np.sum(w * node_sigma_r2)),
+           "mean_tau": float(np.sum(w * tau)), "xi": xi_integral(nodes, cfg.protocol)}
+    for lbs in _row_blocks(cfg.sweep.values()):
+        yield {**rate_point(cfg, cfg.protocol.l_a_km, lbs, nodes=nodes), "row_kind": "rate"}

@@ -39,7 +39,7 @@ def _cfg(link_mode, ancilla=DB20, layers=1, finite=True, la=1.0, lb=10.0, qt_db=
 def _concat_totals(ancilla):
     """Total residuals of a 3 km link split into 1..8 corrected segments."""
     cfg = replace(_cfg("gkp", ancilla, la=3.0), sweep=SweepSpec(axis="layers", start=1, stop=8))
-    return residual_rows(cfg)[0]["sigma_r2"].tolist()
+    return next(residual_rows(cfg))["sigma_r2"].tolist()
 
 
 def _sigma2(l_a):

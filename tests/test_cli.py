@@ -1,8 +1,12 @@
 import csv
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
+import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -517,22 +521,31 @@ def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, argv):
 
 
 def test_unwritable_output_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
-    # the --output check runs first and creates nothing: a run with a bad
-    # destination neither loads its config nor computes a row or a check
+    # the output's temporary file is created before any row or check is
+    # computed, and creating it is the writability check: a run with a bad
+    # destination computes nothing and creates nothing
     import gkpmdi.cli
 
     def refuse(*args, **kwargs):
-        raise AssertionError("work started before the --output check")
+        raise AssertionError("work started before the output opened")
 
-    for name in ("load_config", "rate_rows", "_validate_checks"):
-        monkeypatch.setattr(gkpmdi.cli, name, refuse)
+    def refuse_rows(*args, **kwargs):  # refuses when its first block is drawn
+        yield refuse()
+
+    monkeypatch.setattr(gkpmdi.cli, "rate_rows", refuse_rows)
+    monkeypatch.setattr(gkpmdi.cli, "_validate_checks", refuse)
     (tmp_path / "file.txt").write_text("a file, not a directory")
     locked = tmp_path / "locked"
     locked.mkdir()
     (locked / "old.csv").write_text("old")
-    access = os.access  # root may write anywhere: stand in a read-only directory
-    monkeypatch.setattr(os, "access", lambda p, mode, **kw:
-                        not str(p).startswith(str(locked)) and access(p, mode, **kw))
+    mkstemp = tempfile.mkstemp  # root may write anywhere: stand in a read-only directory
+
+    def locked_mkstemp(*args, dir=None, **kwargs):
+        if os.path.realpath(dir) == os.path.realpath(locked):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        return mkstemp(*args, dir=dir, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", locked_mkstemp)
     before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
     reasons = {tmp_path: "Is a directory",
                tmp_path / "missing" / "rows.csv": "No such file or directory",
@@ -546,6 +559,91 @@ def test_unwritable_output_is_rejected_before_any_work(tmp_path, capsys, monkeyp
             assert captured.out == ""
             assert captured.err == f"config error: cannot write --output {dest}: {reason}\n"
     assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
+def test_config_error_wins_over_a_bad_output(tmp_path, capsys):
+    # the config loads before the output opens
+    cfg = write(tmp_path, FIBER_INI.replace("step = 2", "step = -2"))
+    assert main(["rate", "--config", cfg, "--output", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert capsys.readouterr().err == "config error: sweep step must be > 0\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_error_in_a_later_block_leaves_no_output(tmp_path, capsys, monkeypatch, fmt):
+    # a noiseless A link: from lb_km = 310 the worst-case state is unphysical,
+    # in the fourth block of 8 rows.  The rows go to a temporary file beside
+    # --output that exists before the first block is computed, and neither it
+    # nor a partial output is left; an existing output keeps its bytes
+    import gkpmdi.sweeps
+
+    monkeypatch.setattr(gkpmdi.sweeps, "_GRID_BLOCK", 8)
+    temporaries = []
+    rate_point = gkpmdi.sweeps.rate_point
+    monkeypatch.setattr(gkpmdi.sweeps, "rate_point", lambda *args, **kwargs: temporaries.append(
+        len(list(tmp_path.glob(f".grid.{fmt}.*.tmp")))) or rate_point(*args, **kwargs))
+    ini = _with_sweep(FIBER_DEFAULT.read_text().replace("la_km = 1.0", "la_km = 0.0"),
+                      "lb_km", 0, 400, 10)
+    cfg = write(tmp_path, ini)
+    out = tmp_path / f"grid.{fmt}"
+    argv = ["rate", "--config", cfg, "--format", fmt]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: worst-case state is unphysical")
+    assert temporaries == [1, 1, 1, 1]
+    out.write_text("old")
+    assert main(argv + ["--output", str(out)]) == 2
+    assert main(argv) == 2  # standard output
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"grid.{fmt}", "run.ini"]
+    assert out.read_text() == "old"
+
+
+def test_new_output_gets_the_mode_open_gives(tmp_path):
+    new, ref = tmp_path / "new.txt", tmp_path / "ref.txt"
+    umask = os.umask(0o027)
+    try:
+        assert main(["validate", "--samples", "0", "--output", str(new)]) == 0
+        open(ref, "w").close()
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == 0o640
+
+
+def test_output_replaces_a_file_and_writes_through_a_symlink(tmp_path):
+    cfg = write(tmp_path, FIBER_INI)
+    fresh = tmp_path / "fresh.csv"
+    assert main(["rate", "--config", cfg, "--output", str(fresh)]) == 0
+    old = tmp_path / "old.csv"  # read-only: replaced, since its directory is writable
+    old.write_text("old rows")
+    old.chmod(0o444)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old rows")
+    link.symlink_to(target)
+    for dest in (old, link):
+        assert main(["rate", "--config", cfg, "--output", str(dest)]) == 0
+    assert old.read_bytes() == target.read_bytes() == fresh.read_bytes()
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fresh.csv", "link.csv", "old.csv", "run.ini", "target.csv"]
+
+
+def test_output_to_a_pipe_is_spooled_not_replaced(tmp_path, capsys):
+    # a pipe, like /dev/null or a terminal, cannot be replaced by a renamed
+    # file: it is opened at once and gets the rows on success, nothing on failure
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    bad = write(tmp_path, FIBER_INI.replace("total_pulse = 1e8", "total_pulse = 100"))
+    for argv, code in ((["validate", "--samples", "0", "--format", "json"], 0),
+                       (["rate", "--config", bad], 2)):
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(argv + ["--output", str(fifo)]) == code
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(fifo.stat().st_mode) and len(received) == 1
+        assert received[0] == (b"" if code else json.dumps(
+            {"schema_version": "2", "command": "validate", "seed": 0, "samples": 0,
+             "checks": []}, indent=2).encode() + b"\n")
+    assert capsys.readouterr().out == ""
 
 
 def test_negative_seed_rejected():
@@ -906,13 +1004,13 @@ def test_block_boundaries_do_not_show_in_outputs(tmp_path, monkeypatch, run):
     command, config, sweep = _BLOCK_RUNS[run]
     cfg = write(tmp_path, _with_sweep(_SHIPPED[config].read_text(), *sweep))
     rows_fn = {"rate": rate_rows, "fading": fading_rows, "residual": residual_rows}[command]
-    n = len(load_config(cfg).sweep.values())
+    n = len(list(load_config(cfg).sweep.values()))
     assert n == 23
     outputs = {"csv": set(), "json": set()}
     for size in (1, 7, 4096):
         monkeypatch.setattr(gkpmdi.sweeps, "_GRID_BLOCK", size)
         pdf_and_summary = 2 if command == "fading" else 0
-        assert len(rows_fn(load_config(cfg))) == pdf_and_summary + -(-n // size), size
+        assert len(list(rows_fn(load_config(cfg)))) == pdf_and_summary + -(-n // size), size
         for fmt, seen in outputs.items():
             out = tmp_path / f"out.{fmt}"
             assert main([command, "--config", cfg, "--output", str(out), "--format", fmt]) == 0
@@ -926,7 +1024,7 @@ _GRID_PEAK_MIB = 8  # traced peak of a 40,001-row grid run, either format
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_grid_run_memory_does_not_grow_with_the_grid(tmp_path, fmt):
     # computed and written one block at a time, a 40,001-row rate grid peaks
-    # at about 3 MiB (CSV) and 5 MiB (JSON) of traced memory; evaluated and
+    # at about 1.3 MiB (CSV) and 3.3 MiB (JSON) of traced memory; evaluated and
     # written whole, it took 11 MiB and 250 MiB
     cfg = write(tmp_path, _with_sweep(FIBER_DEFAULT.read_text(), "lb_km", 0.5, 20.5, 0.0005))
     out = tmp_path / f"grid.{fmt}"
@@ -940,3 +1038,21 @@ def test_grid_run_memory_does_not_grow_with_the_grid(tmp_path, fmt):
         out.read_bytes().count(b'"lb_km": ')
     assert rows == 40001
     assert peak < _GRID_PEAK_MIB * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_grid_run_peak_does_not_grow_from_10001_to_40001_rows(tmp_path):
+    # each block is written before the next is computed: a CSV grid four
+    # times as long peaks at the same traced memory, about 1.3 MiB (computed
+    # whole before the output opened, it peaked 1.6 MiB higher)
+    peaks = {}
+    for rows, stop in ((10001, 5.5), (40001, 20.5)):
+        cfg = write(tmp_path, _with_sweep(FIBER_DEFAULT.read_text(), "lb_km", 0.5, stop, 0.0005))
+        out = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            assert main(["rate", "--config", cfg, "--output", str(out)]) == 0
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes().count(b"\n") - 1 == rows
+    assert peaks[40001] - peaks[10001] <= 0.5 * 2**20, peaks

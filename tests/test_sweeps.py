@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.config import ConfigError, RunConfig, SweepSpec, load_config
@@ -10,7 +10,7 @@ from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import GkpAncilla, optimize_squeezing
 from gkpmdi.security import asymptotic_rate, conditioned_scalars
 from gkpmdi.sweeps import _link, frontier, link_sigma_r2, max_secure_distance, rate_point, \
-    rate_rows
+    rate_rows, residual_rows
 from shipped import FIBER_DEFAULT, reference_fading_config
 
 
@@ -238,7 +238,7 @@ def test_frontier_counts_the_unphysical_points_rate_rows_writes():
                 sweep=replace(fiber.sweep, mode="frontier"))
     km, unphysical = frontier(c, "lb_km")
     assert unphysical == 298 and round(km, 2) == 37.13
-    row = rate_rows(c)[0]
+    row = next(rate_rows(c))
     assert (row["max_secure_km"], row["unphysical_points"]) == (km, unphysical)
     assert frontier(fiber, "lb_km")[1] == 0
 
@@ -266,3 +266,21 @@ def test_rate_point_block_matches_single_points(mode):
             assert row.keys() == block.keys()
             for col, value in block.items():
                 assert (value[k] if isinstance(value, np.ndarray) else value) == row[col], col
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(la=st.floats(0.0, 40.0), squeezing_db=st.none() | st.floats(5.0, 40.0),
+       n_bar=st.just(0.0) | st.floats(0.0, 0.5))
+@example(la=17.5, squeezing_db=20.0, n_bar=0.0)  # sigma2 = 0.5533: the floor alone is 0.5645
+def test_residual_rows_never_fall_below_their_floor(la, squeezing_db, n_bar):
+    # sigma_lb2 bounds any single-layer correction from below, and leaving
+    # the noise uncorrected reaches sigma2: the written floor is the lower
+    c = RunConfig(protocol=ProtocolParams(n_bar=n_bar), ancilla=GkpAncilla(squeezing_db),
+                  finite_size=None, sweep=SweepSpec(axis="la_km", start=la, stop=la + 1.0,
+                                                    step=0.25))
+    try:
+        (block,) = residual_rows(c)
+    except ConfigError:  # sigma2 >= 1: no floor to write
+        assume(False)
+    assert np.all(block["sigma_r2"] >= block["sigma_lb2"])
+    assert np.all(block["sigma_lb2"] <= block["sigma2"])
