@@ -15,8 +15,11 @@ import numpy as np
 from .finite_size import correlation_shift, kappa_from_eps
 from .gkp import GkpAncilla, IDEAL, effective_estimator_gain, syndrome_reduce
 
+# samples per chunk of draws.  Not shrunk to save memory: a chunk's draws
+# come as one (4, m) array, so the chunk size fixes which random number lands
+# on which sample, and with it every residual estimate
 _CHUNK = 1_000_000
-_BLOCK = 1 << 14  # samples per cache-resident block of a chunk
+_BLOCK = 1 << 14  # samples per cache-resident block of a chunk; the estimates do not depend on it
 _MI_BLOCKS = 16  # block means behind the mutual-information standard error
 
 
@@ -67,12 +70,12 @@ def mc_residual_variance(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL,
     sums = np.zeros(2)
     sums2 = np.zeros(2)
     sums4 = np.zeros(2)
-    # the only chunk-sized arrays: the channel noise of a chunk and one
-    # quadrature's outputs; a block's temporaries stay in cache
+    # the only chunk-sized array is the channel noise of a chunk: each
+    # block's output overwrites the data-mode draws it is formed from, and a
+    # block's temporaries stay in cache
     size = min(_CHUNK, n_samples)
-    draws = np.zeros(4 * size)
-    out = np.empty(size)
-    scratch, noise = np.empty((2, min(_BLOCK, size)))
+    draws = np.empty(4 * size)
+    scratch, spare = np.empty((2, min(_BLOCK, size)))
     done = 0
     while done < n_samples:
         m = min(size, n_samples - done)
@@ -80,31 +83,32 @@ def mc_residual_variance(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL,
         if sd > 0:
             gen.standard_normal(out=xi)  # scaled: bit for bit gen.normal(0, sd, (4, m))
             xi *= sd
+        else:
+            xi.fill(0.0)  # the last chunk's outputs are still in the data rows
         # xi rows: q and p of the data mode d, then of the ancilla mode a.
         # The p output (z_pd + phi t1, u1 = z_pa), then the q output
         # (z_qd - phi t2, u2 = -z_qa); the syndrome-noise draws keep their order
         for d, a, sign in ((1, 3, 1.0), (0, 2, -1.0)):
             for i in range(0, m, _BLOCK):
                 j = min(i + _BLOCK, m)
-                xd, xa, o, u = xi[d, i:j], xi[a, i:j], out[i:j], scratch[:j - i]
+                xd, xa, u, v = xi[d, i:j], xi[a, i:j], scratch[:j - i], spare[:j - i]
                 np.multiply(xa, c, out=u)
-                np.multiply(xd, s, out=o)
-                u -= o                                        # z_a = c x_a - s x_d
+                np.multiply(xd, s, out=v)
+                u -= v                                        # z_a = c x_a - s x_d
                 if sign < 0:
                     np.negative(u, out=u)
                 if dsyn > 0:
                     # the ancilla readout, broadened by syndrome noise
-                    v = noise[:j - i]
                     gen.standard_normal(out=v)
                     v *= dsyn
                     u += v
                 t = syndrome_reduce(u)
-                np.multiply(xd, c, out=o)
                 np.multiply(xa, s, out=u)
-                o -= u                                        # z_d = c x_d - s x_a
+                xd *= c
+                xd -= u                                       # z_d = c x_d - s x_a
                 t *= sign * phi
-                o += t
-            o = out[:m]
+                xd += t                                       # the output, over x_d
+            o = xi[d]
             sums[d] += o.sum()
             o *= o
             sums2[d] += o.sum()
@@ -150,15 +154,19 @@ def mc_protocol_mutual_info(params, sigma_r2: float, n_samples: int = 1_000_000,
     ca = -k_a * sa2 / theta          # q_A coefficient on the q outcome
     cb = k_b * sb2 / theta           # q_B coefficient on the q outcome
     block = n_samples // _MI_BLOCKS
-    qa, pa, qb, pb, dq, dp, shot_q, shot_p, qr, pr, scratch = np.empty((11, block))
+    # qr and pr are drawn as the shot noise and become the relay outcomes;
+    # dq and dp are drawn as the correction noise (if any) and become
+    # k_a (qa + dq) and k_a (pa + dp)
+    qa, pa, qb, pb, dq, dp, qr, pr, scratch = np.empty((9, block))
     sd_a, sd_b, sd_r = np.sqrt(sa2), np.sqrt(sb2), np.sqrt(2.0 * sigma_r2)
     # every block's draws, in this order
     draws = [(qa, sd_a), (pa, sd_a), (qb, sd_b), (pb, sd_b)]
     if sigma_r2 > 0:
         draws += [(dq, sd_r), (dp, sd_r)]
+        noise_q, noise_p = dq, dp
     else:
-        dq = dp = 0.0
-    draws += [(shot_q, 1.0), (shot_p, 1.0)]
+        noise_q = noise_p = 0.0
+    draws += [(qr, 1.0), (pr, 1.0)]
 
     def dot(x, y):
         return np.multiply(x, y, out=scratch).sum()
@@ -171,12 +179,12 @@ def mc_protocol_mutual_info(params, sigma_r2: float, n_samples: int = 1_000_000,
         for buf, sd in draws:
             gen.standard_normal(out=buf)  # scaled: bit for bit gen.normal(0, sd, block)
             buf *= sd
-        np.multiply(qb, k_b, out=qr)
-        qr -= np.multiply(np.add(qa, dq, out=scratch), k_a, out=scratch)
-        qr += shot_q                                # k_b qb - k_a (qa + dq) + shot
-        np.multiply(pb, k_b, out=pr)
-        pr += np.multiply(np.add(pa, dp, out=scratch), k_a, out=scratch)
-        pr += shot_p                                # k_b pb + k_a (pa + dp) + shot
+        np.multiply(np.add(qa, noise_q, out=dq), k_a, out=dq)
+        qr += np.subtract(np.multiply(qb, k_b, out=scratch), dq, out=scratch)
+        # qr = shot + (k_b qb - k_a (qa + dq)), the same sum in either order
+        np.multiply(np.add(pa, noise_p, out=dp), k_a, out=dp)
+        pr += np.add(np.multiply(pb, k_b, out=scratch), dp, out=scratch)
+        # pr = shot + (k_b pb + k_a (pa + dp))
         qa -= np.multiply(qr, ca, out=scratch)      # the displaced keys, in place:
         qb -= np.multiply(qr, cb, out=scratch)      # qx, qy, px, py
         pa += np.multiply(pr, ca, out=scratch)

@@ -492,6 +492,19 @@ def test_validate_zero_budget(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("samples", [10_000, 1_000])
+def test_validate_relay_band_shrinks_with_the_budget(tmp_path, samples):
+    # the relay correlation's band is three standard errors, 3/sqrt(n), and
+    # never below 0.01; at 1e4 samples a fixed 0.01 fails seed 0 (0.0114)
+    out = str(tmp_path / "v.json")
+    assert main(["validate", "--samples", str(samples), "--seed", "0",
+                 "--format", "json", "--output", out]) == 0
+    checks = {c["name"]: c for c in json.loads(Path(out).read_text())["checks"]}
+    relay = checks["key_relay_decorrelated"]
+    assert relay["band"] == max(0.01, 3.0 / np.sqrt(samples))
+    assert relay["status"] == "PASS"
+
+
 def test_validate_small_budget_passes_and_is_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "v1.txt"), str(tmp_path / "v2.txt")
     assert main(["validate", "--samples", "40000", "--seed", "3",

@@ -72,16 +72,31 @@ def test_residual_paths_in_turn_match_all_at_once(monkeypatch):
         assert got == want, (r, sigma2, ancilla)
 
 
-def test_residual_peak_memory_is_one_draw_and_one_output_buffer():
-    # 40 bytes per sample of a chunk (38.1 MiB at 1e6) plus cache-sized block
-    # temporaries
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        mc_residual_variance(0.5, 0.129, GkpAncilla(20.0), 1_000_000, RngStream(0))
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 42 * 2**20, peak / 2**20
+    return peak
+
+
+def test_residual_peak_memory_is_one_draw_buffer():
+    # 32 bytes per sample of a chunk (30.5 MiB at 1e6) plus cache-sized block
+    # temporaries; the outputs overwrite the data-mode draws
+    peak = _traced_peak(lambda: mc_residual_variance(0.5, 0.129, GkpAncilla(20.0),
+                                                     1_000_000, RngStream(0)))
+    assert peak <= 33 * 2**20, peak / 2**20
+
+
+def test_protocol_mi_peak_memory_is_nine_block_buffers():
+    # 9 buffers of n/16 samples: 4.5 bytes per sample (4.29 MiB at 1e6)
+    params = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
+    mc_protocol_mutual_info(params, 0.02, 1_000, RngStream(0))  # numpy.random's lazy import
+    peak = _traced_peak(lambda: mc_protocol_mutual_info(params, 0.02, 1_000_000,
+                                                        RngStream(0)))
+    assert peak <= 4.5 * 2**20, peak / 2**20
 
 
 def _mi_fresh_arrays(params, sigma_r2, n_samples, rng):
