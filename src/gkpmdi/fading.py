@@ -8,12 +8,12 @@ the fixed-link closed forms (:mod:`gkpmdi.security`) with the conditioning
 scalar xi replaced by its fading average (``xi_integral``).
 
 Every average is a weighted sum over one node set, ``residual_nodes``: a
-composite Gauss-Legendre rule in the quantile variable with the residual
-evaluated exactly at each node transmittance, in one array call of
-``optimize_squeezing``.  Build the nodes once and pass them to every
-average: the mean residual is ``np.sum(w * sigma_r2)``, the mean
-transmittance ``np.sum(w * tau)``, and ``xi_integral``/``fading_scalars``
-take the nodes too.
+composite 16-point Gauss-Legendre rule in the quantile variable, read from
+a literal table (``_GL16``), with the residual evaluated exactly at each
+node transmittance, in one array call of ``optimize_squeezing``.  Build
+the nodes once and pass them to every average: the mean residual is
+``np.sum(w * sigma_r2)``, the mean transmittance ``np.sum(w * tau)``, and
+``xi_integral``/``fading_scalars`` take the nodes too.
 
 The distribution parameters (tau0, gamma0, r0, sigma_bw^2) are inputs; the
 shipped reference configurations carry values fitted to reproduce the
@@ -30,7 +30,19 @@ from .gkp import GkpAncilla, optimize_squeezing
 from .security import ConditionedScalars, _conditioned_entries
 
 _XI_PANELS = 64
-_XI_ORDER = 16
+# positive nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1]
+# (Abramowitz & Stegun, Table 25.4) as the reprs of numpy's exactly
+# symmetric leggauss(16); residual_nodes mirrors them
+_GL16 = np.array([
+    [0.09501250983763744, 0.18945061045506864],
+    [0.2816035507792589, 0.18260341504492364],
+    [0.45801677765722737, 0.16915651939500265],
+    [0.6178762444026438, 0.1495959888165767],
+    [0.755404408355003, 0.12462897125553407],
+    [0.8656312023878318, 0.0951585116824926],
+    [0.9445750230732326, 0.062253523938647456],
+    [0.9894009349916499, 0.027152459411754176],
+])
 
 
 @dataclass(frozen=True)
@@ -105,11 +117,13 @@ def residual_nodes(cfg: FadingConfig, ancilla: GkpAncilla):
     ``(weights, tau, sigma_r2)``.
 
     Composite Gauss-Legendre in the quantile variable (``_XI_PANELS`` panels
-    of ``_XI_ORDER`` nodes): substituting u = CDF(tau) makes the measure
-    uniform on (0, 1), which concentrates nodes wherever the density does
-    (near tau0 for weak fading).  The residual is exact at every node.
+    of the 16-point rule in the table ``_GL16``, which equals
+    ``np.polynomial.legendre.leggauss(16)`` bit for bit): substituting
+    u = CDF(tau) makes the measure uniform on (0, 1), which concentrates
+    nodes wherever the density does (near tau0 for weak fading).  The
+    residual is exact at every node.
     """
-    x, w = np.polynomial.legendre.leggauss(_XI_ORDER)
+    x, w = np.concatenate([_GL16[::-1] * [-1.0, 1.0], _GL16]).T
     edges = np.linspace(0.0, 1.0, _XI_PANELS + 1)
     mids = (edges[1:] + edges[:-1]) / 2.0
     halfs = (edges[1:] - edges[:-1]) / 2.0

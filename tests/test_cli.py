@@ -505,6 +505,26 @@ def test_validate_relay_band_shrinks_with_the_budget(tmp_path, samples):
     assert relay["status"] == "PASS"
 
 
+@pytest.mark.parametrize("samples", [1, 1_000])
+def test_validate_residual_checks_floor_their_budget(tmp_path, samples):
+    # a one-sample variance is 0 +- 0, so below 10^4 samples the residual
+    # checks draw 10^4: their rows are those of --samples 10000, and the
+    # detail says the floor applied (--samples 1 --seed 0 failed without it)
+    def residual_checks(n):
+        out = tmp_path / f"v{n}.json"
+        assert main(["validate", "--samples", str(n), "--seed", "0",
+                     "--format", "json", "--output", str(out)]) == 0
+        return [c for c in json.loads(out.read_text())["checks"]
+                if c["name"].startswith("residual_mc_")]
+
+    floored, full = residual_checks(samples), residual_checks(10_000)
+    assert len(floored) == 3
+    for a, b in zip(floored, full):
+        assert a["detail"] == b["detail"] + ", floored to 10000 samples"
+        assert {**a, "detail": ""} == {**b, "detail": ""}
+        assert a["status"] == "PASS"
+
+
 def test_validate_small_budget_passes_and_is_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "v1.txt"), str(tmp_path / "v2.txt")
     assert main(["validate", "--samples", "40000", "--seed", "3",
@@ -877,22 +897,29 @@ def test_squeezing_echo_only_where_a_code_acts(tmp_path, link):
         assert echoed == ({""} if link in ("direct", "preamp") else {"20.0"}), mode
 
 
-def test_cli_frontier_run_loads_no_scipy(tmp_path):
-    # scipy is a test dependency only: neither the import nor a run may load it
-    cfg = write(tmp_path, FIBER_DEFAULT.read_text().replace("axis = lb_km", "axis = la_km")
-                .replace("mode = grid", "mode = frontier"))
-    out = tmp_path / "front.csv"
-    argv = ["rate", "--config", cfg, "--output", str(out)]
+@pytest.mark.parametrize("command,ini", [
+    ("rate", FIBER_DEFAULT.read_text().replace("axis = lb_km", "axis = la_km")
+     .replace("mode = grid", "mode = frontier")),
+    ("fading", reference_fading_config(0.1).read_text()),
+    ("rate", reference_fading_config(0.1).read_text()),
+], ids=["la_frontier", "fading_a010", "rate_a010"])
+def test_cli_frontier_run_loads_no_scipy(tmp_path, command, ini):
+    # scipy is a test dependency only, and numpy.polynomial only the tests'
+    # oracle for the fading rule: neither the import nor a run may load them
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", write(tmp_path, ini), "--output", str(out)]
     script = ("import sys, gkpmdi.cli\n"
               f"assert gkpmdi.cli.main({argv!r}) == 0\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+              "             or m.split('.')[:2] == ['numpy', 'polynomial']))\n")
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    assert np.isfinite(float(rows_of(out)[0]["max_secure_km"]))
+    rows = rows_of(out)
+    assert rows and all(np.isfinite(float(r.get("max_secure_km", 0.0))) for r in rows)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -157,6 +157,20 @@ def test_xi_against_quad(nodes):
     assert xi_integral(nodes, PARAMS) == pytest.approx(expected, rel=1e-7)
 
 
+def test_node_rule_is_leggauss_16(nodes):
+    # the literal table, mirrored, is numpy's 16-point rule bit for bit, and
+    # so is the node set built from it: a changed digit fails here
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert np.all(fading._GL16[:, 0] == x[8:]) and np.all(fading._GL16[:, 1] == w[8:])
+    assert np.all(x == -x[::-1]) and np.all(w == w[::-1])
+    edges = np.linspace(0.0, 1.0, fading._XI_PANELS + 1)
+    mids, halfs = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    weights, tau, _ = nodes
+    assert np.all(weights == (halfs[:, None] * w[None, :]).ravel())
+    assert np.all(tau == fading_quantile((mids[:, None] + halfs[:, None] * x[None, :]).ravel(),
+                                         CFG))
+
+
 def test_xi_node_doubling_stability(nodes, monkeypatch):
     a = xi_integral(nodes, PARAMS)
     monkeypatch.setattr(fading, "_XI_PANELS", 2 * fading._XI_PANELS)
