@@ -536,6 +536,58 @@ def test_validate_small_budget_passes_and_is_deterministic(tmp_path):
     assert "PASS" in text and "FAIL" not in text
 
 
+@pytest.mark.parametrize("samples", [1, 1_000, 40_000])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_validate_oracle_values_are_the_serial_calls(tmp_path, seed, samples):
+    # the mutual-information oracle runs beside the residual oracles: every
+    # check still reads its own stream, so each value equals a direct serial
+    # call with that stream, bit for bit (JSON floats round-trip exactly)
+    from gkpmdi.channels import ProtocolParams, awgn_variance_preamp
+    from gkpmdi.gkp import GkpAncilla, optimize_squeezing, residual_variance
+    from gkpmdi.mc import RngStream, mc_protocol_mutual_info, mc_residual_variance
+    from gkpmdi.security import asymptotic_rate, conditioned_scalars
+
+    out = tmp_path / "v.json"
+    assert main(["validate", "--samples", str(samples), "--seed", str(seed),
+                 "--format", "json", "--output", str(out)]) in (0, 1)
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    anc = GkpAncilla(20.0)
+    for i, (r, s2, ancilla) in enumerate([(0.5, 0.129, anc), (0.8, 0.045, anc),
+                                          (0.46, 0.129, GkpAncilla(None))]):
+        est = mc_residual_variance(r, s2, ancilla, max(samples, 10_000),
+                                   RngStream(seed, 10 + i))
+        check = checks[f"residual_mc_r{r}_s{s2}_{'ideal' if ancilla.ideal else 'finite'}"]
+        assert check["value"] == est.variance - residual_variance(r, s2, ancilla)
+        assert check["band"] == 3.0 * est.stderr
+    params = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
+    _, sr2 = optimize_squeezing(awgn_variance_preamp(params.tau_a), anc)
+    est = mc_protocol_mutual_info(params, sr2, max(samples, 160), RngStream(seed, 20))
+    ref = asymptotic_rate(conditioned_scalars(params, sr2, "gkp"), params.beta0).mutual_info
+    assert checks["protocol_mi_mc"]["value"] == est.mutual_info - ref
+    assert checks["protocol_mi_mc"]["band"] == max(3.0 * est.stderr, 0.01 * ref)
+    assert checks["key_relay_decorrelated"]["value"] == est.corr_key_relay
+
+
+@pytest.mark.parametrize("error", [RuntimeError("oracle failed"), MemoryError()],
+                         ids=["RuntimeError", "MemoryError"])
+def test_validate_mutual_info_error_reaches_the_caller(tmp_path, monkeypatch, error):
+    # the mutual-information oracle's thread hands its exception, the same
+    # object, to the caller once the residual oracles are done; the run
+    # leaves no output and no temporary file, and no thread behind it
+    import gkpmdi.cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(gkpmdi.cli, "mc_protocol_mutual_info", fail)
+    before = set(threading.enumerate())
+    with pytest.raises(type(error)) as raised:
+        main(["validate", "--samples", "1000", "--output", str(tmp_path / "v.csv")])
+    assert raised.value is error
+    assert list(tmp_path.iterdir()) == []
+    assert set(threading.enumerate()) <= before
+
+
 @pytest.mark.parametrize("argv", [["rate", "--config", str(FIBER_DEFAULT)],
                                   ["rate", "--config", str(FIBER_DEFAULT), "--format", "json"],
                                   ["validate", "--samples", "1000"]],
