@@ -132,25 +132,27 @@ def residual_nodes(cfg: FadingConfig, ancilla: GkpAncilla):
     return (halfs[:, None] * w[None, :]).ravel(), tau, sigma_r2_of_tau(ancilla, tau)
 
 
+def _node_xi(nodes, params: ProtocolParams):
+    """The conditioning scalar at each node, on a trailing node axis."""
+    denom_const = params.sigma2_a + params.tau_b * params.sigma2_b + 2.0
+    return 1.0 / (np.asarray(denom_const)[..., None] + 2.0 * nodes[2])
+
+
 def xi_integral(nodes, params: ProtocolParams):
     """The fading-averaged conditioning scalar
     E[ 1 / (sigma_a^2 + 2 sigma_r^2(tau) + tau_b sigma_b^2 + 2) ] on
     ``nodes``, at every B-link length of ``params`` (a float for a scalar
     length)."""
-    w, _, sr2 = nodes
-    denom_const = params.sigma2_a + params.tau_b * params.sigma2_b + 2.0
-    denom = np.asarray(denom_const)[..., None] + 2.0 * sr2
-    return _as_output(np.sum(w * (1.0 / denom), axis=-1))
+    return _as_output(np.sum(nodes[0] * _node_xi(nodes, params), axis=-1))
 
 
 def fading_scalars(nodes, params: ProtocolParams) -> ConditionedScalars:
-    """Conditioned scalars of the fading-averaged state (corrected gkp link).
+    """Conditioned scalars of the fading-averaged state (corrected gkp link:
+    unit gain, excess sigma_r^2 at each node, averaged with xi).
 
     With a point-mass transmittance they coincide with the fiber-path
     conditioning at the matching transmittance and residual noise.
     """
-    # the corrected link has unit gain
-    phi_a, psi, phi_b = _conditioned_entries(params, params.tau_b, 1.0,
-                                             xi_integral(nodes, params))
-    return ConditionedScalars(phi_a=_as_output(phi_a), psi=_as_output(psi),
-                              phi_b=_as_output(phi_b))
+    w_xi = nodes[0] * _node_xi(nodes, params)
+    return _conditioned_entries(params, params.tau_b, 1.0, np.sum(w_xi, axis=-1),
+                                np.sum(w_xi * nodes[2], axis=-1))

@@ -6,9 +6,10 @@ correlation psi and raises the p correlation -psi by the same shift, so the
 worst-case state is again of the closed form [[phi_a I, psi' Z],
 [psi' Z, phi_b I]] with psi' = psi - shift.  :func:`composable_rate` takes
 the conditioned scalars and evaluates the asymptotic rate functional on
-(phi_a, psi', phi_b).  A block so small that the shift leaves the physical
-cone is reported as :class:`UnphysicalWorstCaseError`, never clamped; a
-frontier scan reads such a point as not secure.
+(phi_a, psi', phi_b), its margins raised by psi^2 - psi'^2.  A block so
+small that the shift leaves the physical cone is reported as
+:class:`UnphysicalWorstCaseError`, never clamped; a frontier scan reads such
+a point as not secure.
 The rates broadcast over arrays, block sizes (``n_total``, ``m_pe``) included.
 """
 from __future__ import annotations
@@ -117,8 +118,9 @@ def _worst_case(sc: ConditionedScalars, fs: FiniteSizeParams, strict: bool):
         raise UnphysicalWorstCaseError(
             f"worst-case state is unphysical at m_pe = {m_pe:g} (correlation "
             f"shift {shift:.6g} against psi {psi:.6g}): enlarge the parameter-estimation block")
-    # the unshifted state is physical: it stands in where the bound is not
-    return ConditionedScalars(phi_a, np.where(bad, psi, psi_wc), phi_b), bad
+    psi_wc = np.where(bad, psi, psi_wc)  # the unshifted state stands in where the bound is not
+    lift = (np.abs(psi) - np.abs(psi_wc)) * (np.abs(psi) + np.abs(psi_wc))  # psi^2 - psi'^2
+    return ConditionedScalars(phi_a, psi_wc, phi_b, sc.margin_a + lift, sc.margin_b + lift), bad
 
 
 def composable_rate(sc: ConditionedScalars, beta0: float, fs: FiniteSizeParams, *,

@@ -47,11 +47,6 @@ from .channels import ProtocolParams, _as_output, awgn_variance_preamp
 # state; anything smaller is an unphysical input.
 PHYSICALITY_TOL = 1e-9
 
-# Below this value of psi^2/(Phi+phi)^2 the two-mode state is numerically
-# product-like and the Holevo terms are evaluated through cancellation-free
-# differences instead of the direct eigenvalue formulas.
-_TAIL_THRESHOLD = 1e-10
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -63,17 +58,17 @@ class RateReport:
 
 @dataclass(frozen=True)
 class ConditionedScalars:
-    """Closed-form entries of the conditioned two-mode matrix.
-
-    ``phi_a_m1`` is phi_a minus one, computed without cancellation; it feeds
-    the deep-loss evaluation path and is ``None`` where no such form is
-    available (fading averages, worst-case states).
-    """
+    """Closed-form entries of the conditioned two-mode matrix and its
+    physicality margins (phi_a -/+ 1)(phi_b +/- 1) - psi^2, both >= 0 iff the
+    state is physical.  The margins are formed as products of non-negative
+    terms, free of the cancellation the entries suffer on a nearly pure or
+    nearly product state; the Holevo bound reads its spectrum from them."""
 
     phi_a: float
     psi: float
     phi_b: float
-    phi_a_m1: float | None = None
+    margin_a: float
+    margin_b: float
 
     @property
     def cm(self) -> np.ndarray:
@@ -100,14 +95,17 @@ def h_function(v):
     return _as_output(out)
 
 
-def h_function_1p(e):
-    """h(1 + e) for small e >= 0, evaluated without cancellation."""
-    e = np.asarray(e, dtype=float)
-    out = np.zeros_like(e)
-    live = ~(e <= 0.0)
-    half = e[live] / 2.0
-    out[live] = (1.0 + half) * np.log1p(half) / np.log(2.0) - half * np.log2(half)
-    return _as_output(out)
+def _entropy_rise(e, d):
+    """h(1 + e + d) - h(1 + e) in bits for e, d >= 0, free of cancellation.
+
+    With u = e/2 and t = d/2 it is [ln(1 + t/(1 + u)) - u ln(1 + t/(u (1 + u + t)))
+    + t ln(1 + 1/(u + t))] / ln 2, a term with a vanishing factor u or t being 0.
+    """
+    u, t = e / 2.0, d / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low = np.where(u > 0.0, u * np.log1p(t / (u * (1.0 + u + t))), 0.0)
+        top = np.where(t > 0.0, t * np.log1p(1.0 / (u + t)), 0.0)
+    return (np.log1p(t / (1.0 + u)) - low + top) / np.log(2.0)
 
 
 def _link_coefficients(mode: str, tau_a, sigma_r2, n_bar: float = 0.0):
@@ -123,67 +121,60 @@ def _link_coefficients(mode: str, tau_a, sigma_r2, n_bar: float = 0.0):
     raise ValueError(f"unknown link mode {mode!r}")
 
 
-def _conditioned_entries(params: ProtocolParams, tau_b, gain, xi):
-    """(phi_a, psi, phi_b) for the A-link ``gain`` and the conditioning
-    scalar ``xi``: the one place the conditioned entries are formed.
-    ``tau_b`` is ``params.tau_b``, passed in because callers already hold it."""
+def _conditioned_entries(params: ProtocolParams, tau_b, gain, xi,
+                         excess_xi) -> ConditionedScalars:
+    """The conditioned scalars for the A-link ``gain``, the conditioning
+    scalar ``xi`` and the A-link excess noise times xi: the one place they
+    are formed.  The margins are linear in xi, so a fading link passes the
+    averages of xi and excess * xi.  ``tau_b`` is ``params.tau_b``."""
     sa2, sb2 = params.sigma2_a, params.sigma2_b
     ca2 = gain * sa2 * (sa2 + 2.0)
     cb2 = tau_b * sb2 * (sb2 + 2.0)
-    return sa2 + 1.0 - ca2 * xi, np.sqrt(ca2 * cb2) * xi, sb2 + 1.0 - cb2 * xi
+    margin_a = 2.0 * sa2 * (sb2 + 2.0) * ((1.0 - gain) * xi + excess_xi)
+    margin_b = 2.0 * sb2 * (sa2 + 2.0) * ((1.0 - tau_b) * xi + excess_xi)
+    return ConditionedScalars(*(_as_output(x) for x in (
+        sa2 + 1.0 - ca2 * xi, np.sqrt(ca2 * cb2) * xi, sb2 + 1.0 - cb2 * xi, margin_a, margin_b)))
 
 
 def conditioned_scalars(params: ProtocolParams, sigma_r2=0.0,
                         mode: str = "gkp") -> ConditionedScalars:
     """Conditioned scalars of a fixed link, xi = 1/(v_A' + v_B')."""
-    sa2, sb2 = params.sigma2_a, params.sigma2_b
     tau_b = params.tau_b
     gain, excess = _link_coefficients(mode, params.tau_a, sigma_r2, params.n_bar)
-    va = gain * sa2 + 1.0 + 2.0 * excess
-    vb = tau_b * sb2 + 1.0
-    xi = 1.0 / (va + vb)
-    phi_a, psi, phi_b = _conditioned_entries(params, tau_b, gain, xi)
-    # phi_a - 1 = (sa2 (v_A' + v_B') - ca2) xi, free of cancellation
-    phi_a_m1 = sa2 * (tau_b * sb2 + 2.0 * (excess + (1.0 - gain))) * xi
-    return ConditionedScalars(phi_a=_as_output(phi_a), psi=_as_output(psi),
-                              phi_b=_as_output(phi_b), phi_a_m1=_as_output(phi_a_m1))
+    xi = 1.0 / ((gain * params.sigma2_a + 1.0 + 2.0 * excess) + (tau_b * params.sigma2_b + 1.0))
+    return _conditioned_entries(params, tau_b, gain, xi, excess * xi)
 
 
 def asymptotic_rate(sc: ConditionedScalars, beta0: float) -> RateReport:
     """Mutual information, Holevo bound and rate beta0*I - chi (may be < 0).
 
     The reverse-reconciliation mutual information compares Bob's conditional
-    variance before and after heterodyne conditioning on mode a.  For
-    strongly attenuated links (psi^2 far below the variances) the Holevo
-    terms are evaluated through exact small-difference algebra so that the
-    bound stays positive instead of drowning in rounding noise; this path
-    needs the cancellation-free ``sc.phi_a_m1`` and is skipped where that is
-    None (worst-case and fading states).  Each element takes its own branch.
+    variance before and after heterodyne conditioning on mode a.  The Holevo
+    bound h(v1) + h(v2) - h(v3) = [h(v1) - h(v3)] + [h(v2) - h(1)] takes its
+    spectrum's excesses over 1 from the margins p, q with no difference of
+    large terms, so every state, nearly pure or nearly product, takes one
+    route.  A negative margin is an unphysical input and raises.
     """
-    phi_a, psi, phi_b = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                              for x in (sc.phi_a, sc.psi, sc.phi_b)))
+    phi_a, psi, phi_b, p, q = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (
+        sc.phi_a, sc.psi, sc.phi_b, sc.margin_a, sc.margin_b)))
+    if np.any((p < 0.0) | (q < 0.0)):
+        raise ValueError("unphysical conditioned state: a physicality margin is negative")
     psi2 = psi * psi
-    v3 = phi_b - psi2 / (phi_a + 1.0)
-    mutual = np.log2((1.0 + phi_b) / (1.0 + v3))
-    s = phi_a + phi_b
-    disc = np.sqrt(s * s - 4.0 * psi2)
-    v1 = np.array((disc + (phi_b - phi_a)) / 2.0)
-    v2 = np.array((disc - (phi_b - phi_a)) / 2.0)
-    holevo = np.empty(s.shape)
-    tail = (sc.phi_a_m1 is not None) & ~(psi2 / (s * s) > _TAIL_THRESHOLD)
-    full = ~tail
-    holevo[full] = h_function(v1[full]) + h_function(v2[full]) - h_function(v3[full])
-    if np.any(tail):
-        # v1 - v3 and v2 - 1 without catastrophic cancellation
-        p2, pa, pb, ss = psi2[tail], phi_a[tail], phi_b[tail], s[tail]
-        d13 = p2 * (1.0 / (pa + 1.0) - 2.0 / (disc[tail] + ss))
-        dh13 = 0.5 * d13 * np.log2((pb + 1.0) / (pb - 1.0))
-        m1 = np.broadcast_to(np.asarray(sc.phi_a_m1, dtype=float), s.shape)[tail]
-        e2 = np.maximum(m1 - 2.0 * p2 / (disc[tail] + ss), 0.0)
-        holevo[tail] = dh13 + h_function_1p(e2)
-        v1[tail] = v3[tail] + d13
-        v2[tail] = 1.0 + e2
-    holevo = np.maximum(holevo, 0.0)
+    # the direct form, bit for bit: criterion 04's frontier sits on its rounding floor
+    mutual = np.log2((1.0 + phi_b) / (1.0 + (phi_b - psi2 / (phi_a + 1.0))))
+    e3 = q / (phi_a + 1.0)  # v3 - 1, the excess of b conditioned on a
+    ea = p / (phi_b + 1.0)  # the excess of a conditioned on b
+    # phi_b - phi_a = v1 - v2; (q - p)/2 would cancel on two lossy links
+    gap = (e3 - ea) * (phi_a + 1.0) / (ea + 2.0)
+    det = 1.0 + (p + q) / 2.0
+    disc = np.sqrt(gap * gap + 4.0 * det)
+    # v1 - 1 and v2 - 1 have sum (gap^2 + 2(p + q))/(disc + 2) and product
+    # pq/(det + 1 + disc); a pure state has both 0
+    big = ((gap * gap + 2.0 * (p + q)) / (disc + 2.0) + np.abs(gap)) / 2.0
+    small = p * q / (det + 1.0 + disc) / np.where(big > 0.0, big, 1.0)
+    e1, e2 = np.where(gap >= 0.0, big, small), np.where(gap >= 0.0, small, big)
+    d13 = 2.0 * psi2 * e1 / ((phi_a + 1.0) * (phi_a + phi_b + disc))  # v1 - v3
+    holevo = np.maximum(_entropy_rise(e3, d13) + _entropy_rise(0.0, e2), 0.0)
     return RateReport(mutual_info=_as_output(mutual), holevo=_as_output(holevo),
                       rate=_as_output(beta0 * mutual - holevo),
-                      spectrum=(_as_output(v1), _as_output(v2), _as_output(v3)))
+                      spectrum=(_as_output(1.0 + e1), _as_output(1.0 + e2), _as_output(1.0 + e3)))

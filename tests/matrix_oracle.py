@@ -9,12 +9,17 @@ entropic quantities, kept for tests only:
   update, and mutual information, Holevo bound and CI/RCI from the
   resulting 4x4 matrix;
 * the explicit worst-case matrix of the finite-size layer;
-* the 4x4 decoded-noise model of the GKP-TMS code.
+* the 4x4 decoded-noise model of the GKP-TMS code;
+* a 60-digit ``decimal`` evaluation of the conditioned state and its Holevo
+  bound, fixed link, fading average and worst case, for states whose
+  double-precision entries cancel (nearly pure or deep-loss);
+* :func:`scalars_from_entries`, conditioned scalars with their physicality
+  margins taken from the entries, for states built by hand.
 
-The conditioning shares no code with production (only the entropy function
-and the tail-bound shift are imported): the per-mode A' variance and
-correlation are derived below from the channel steps (thermal loss,
-amplification), so a comparison against
+The conditioning shares no code with production (only the entropy function,
+the tail-bound shift and the ``ConditionedScalars`` type are imported): the
+per-mode A' variance and correlation are derived below from the channel
+steps (thermal loss, amplification), so a comparison against
 :func:`gkpmdi.security.conditioned_scalars` also checks its link table.
 
 Conventions: quadrature ordering (q1, p1, q2, p2, ...); covariance matrices
@@ -25,13 +30,15 @@ conversion happens once, inside the conditioning step.
 """
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.finite_size import FiniteSizeParams, correlation_shift, kappa_from_eps
-from gkpmdi.security import h_function
+from gkpmdi.security import ConditionedScalars, h_function
 
 
 def _thermal_loss(v, c2, tau, n_bar):
@@ -374,3 +381,75 @@ def linear_estimator(r: float) -> np.ndarray:
     syndrome component that carries it, with the sign that subtracts noise.
     """
     return mu_tilde(r) * symplectic_form(1)
+
+
+def scalars_from_entries(phi_a, psi, phi_b) -> ConditionedScalars:
+    """Conditioned scalars of [[phi_a I, psi Z], [psi Z, phi_b I]] with the
+    margins as direct products, exact enough away from pure and product states."""
+    psi2 = psi * psi
+    return ConditionedScalars(phi_a, psi, phi_b, (phi_a - 1.0) * (phi_b + 1.0) - psi2,
+                              (phi_a + 1.0) * (phi_b - 1.0) - psi2)
+
+
+_DIGITS = decimal.Context(prec=60)
+
+
+def _dec(x) -> Decimal:
+    return Decimal(float(x))  # the double exactly
+
+
+def decimal_conditioned(params: ProtocolParams, mode: str = "gkp", sigma_r2: float = 0.0,
+                        nodes=None) -> tuple[Decimal, Decimal, Decimal]:
+    """(phi_a, psi, phi_b) of the conditioned state to 60 digits, from the
+    double inputs taken exactly.
+
+    A fixed link composes its A' mode from the channel steps, as
+    :func:`link_coefficients` does (``qt`` is the ``gkp`` form); with
+    ``nodes`` = (w, tau, sigma_r2) of a fading link, the corrected link's
+    conditioning scalar is averaged over the nodes.  Lengths are scalars.
+    """
+    with decimal.localcontext(_DIGITS):
+        sa2, sb2, tau_b = _dec(params.sigma2_a), _dec(params.sigma2_b), _dec(params.tau_b)
+        va, ca2 = sa2 + 1, sa2 * (sa2 + 2)
+        vb, cb2 = tau_b * sb2 + 1, tau_b * sb2 * (sb2 + 2)
+        if nodes is not None:
+            xi = sum(_dec(w) / (va + 2 * _dec(s) + vb) for w, s in zip(nodes[0], nodes[2]))
+        else:
+            tau_a, n_bar = _dec(params.tau_a), _dec(params.n_bar)
+            if mode == "preamp":  # amplify by 1/tau_a; the loss then restores ca2
+                va, ca2 = (va + 1) / tau_a - 1, ca2 / tau_a
+            if mode in ("direct", "preamp"):
+                va, ca2 = tau_a * va + (1 - tau_a) * (2 * n_bar + 1), tau_a * ca2
+            elif mode in ("gkp", "qt"):
+                va += 2 * _dec(sigma_r2)
+            else:
+                raise ValueError(f"unknown link mode {mode!r}")
+            xi = 1 / (va + vb)
+        return sa2 + 1 - ca2 * xi, (ca2 * cb2).sqrt() * xi, sb2 + 1 - cb2 * xi
+
+
+def _decimal_h(v: Decimal) -> Decimal:
+    """Bosonic entropy in nats; v - 1 below 0 is the 60-digit rounding of a pure mode."""
+    x = (v - 1) / 2
+    return (x + 1) * (x + 1).ln() - x * x.ln() if x > 0 else Decimal(0)
+
+
+def decimal_holevo(state: tuple[Decimal, Decimal, Decimal],
+                   fs: FiniteSizeParams | None = None) -> float:
+    """chi = h(v1) + h(v2) - h(v3) in bits of the 60-digit ``state``.
+
+    With ``fs`` the finite-size worst case is taken first: |psi| lowered by
+    the tail-bound shift sqrt(kappa/m_pe)(phi_a + phi_b), never past 0.
+    """
+    with decimal.localcontext(_DIGITS):
+        phi_a, psi, phi_b = state
+        psi = abs(psi)
+        if fs is not None:
+            kappa = (4 / _dec(fs.eps_pe)).ln()
+            psi = max(psi - (kappa / _dec(fs.pe_signals)).sqrt() * (phi_a + phi_b), Decimal(0))
+        psi2 = psi * psi
+        disc = ((phi_a + phi_b) ** 2 - 4 * psi2).sqrt()
+        v1, v2 = (disc + phi_b - phi_a) / 2, (disc - phi_b + phi_a) / 2
+        v3 = phi_b - psi2 / (phi_a + 1)
+        chi = _decimal_h(v1) + _decimal_h(v2) - _decimal_h(v3)
+        return float(chi / Decimal(2).ln())

@@ -175,6 +175,21 @@ mode = frontier
     assert abs(float(rows[0]["max_secure_km"]) - 852.0) <= 5.0
 
 
+@pytest.mark.parametrize("link_mode", ["direct", "preamp", "gkp"])
+@pytest.mark.parametrize("modulation", ["20", "10000", "1e6", "1e9"])
+def test_rate_runs_on_nearly_pure_states(tmp_path, link_mode, modulation):
+    # a lossless A link at large modulation: the conditioned state is nearly
+    # pure, and pure at la = lb = 0, where chi = 0 (modulation 1e4 once
+    # raised "symplectic eigenvalue 0.9999999962747097 < 1" here)
+    ini = (f"[protocol]\nmodulation_variance = {modulation}\nla_km = 0\nlink_mode = {link_mode}\n"
+           "\n[sweep]\naxis = lb_km\nstart = 0\nstop = 1\nstep = 0.5\n")
+    out = str(tmp_path / "pure.csv")
+    assert main(["rate", "--config", write(tmp_path, ini), "--output", out]) == 0
+    rows = rows_of(out)
+    assert [float(r["lb_km"]) for r in rows] == [0.0, 0.5, 1.0]
+    assert abs(float(rows[0]["holevo_bits"])) <= 1e-12
+
+
 def test_rate_frontier_without_secure_point_writes_null(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     ini = "[protocol]\nla_km = 40.0\nlink_mode = direct\n\n[sweep]\naxis = lb_km\nmode = frontier\n"

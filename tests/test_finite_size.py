@@ -9,10 +9,11 @@ from gkpmdi.config import load_config
 from gkpmdi.finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, _worst_case,
                                 aep_delta, composable_rate, correlation_shift,
                                 epsilon_total, kappa_from_eps)
-from gkpmdi.security import ConditionedScalars, asymptotic_rate, conditioned_scalars
+from gkpmdi.security import asymptotic_rate, conditioned_scalars
 from gkpmdi.sweeps import rate_point
 from matrix_oracle import (ConditionedState, conditioned_state, holevo_bound,
-                           mutual_information, symplectic_eigenvalues, worst_case_cm)
+                           mutual_information, scalars_from_entries, symplectic_eigenvalues,
+                           worst_case_cm)
 from shipped import FIBER_DEFAULT
 
 FS = FiniteSizeParams()
@@ -59,7 +60,7 @@ def _state():
 def _worst_case_scalars(sc, fs):
     """The worst-case state: psi lowered by the tail-bound correlation shift."""
     shift = correlation_shift(sc.phi_a, sc.phi_b, kappa_from_eps(fs.eps_pe), fs.pe_signals)
-    return ConditionedScalars(sc.phi_a, sc.psi - shift, sc.phi_b)
+    return scalars_from_entries(sc.phi_a, sc.psi - shift, sc.phi_b)
 
 
 def test_worst_case_shift_signs():
@@ -112,7 +113,7 @@ def test_worst_case_flag_is_physicality_of_the_far_end(phi_a, phi_b, u, log_m_pe
         symplectic_eigenvalues(cm)
     except ValueError:  # not positive-definite, or an eigenvalue below 1
         physical = False
-    _, bad = _worst_case(ConditionedScalars(phi_a, psi, phi_b), fs, strict=False)
+    _, bad = _worst_case(scalars_from_entries(phi_a, psi, phi_b), fs, strict=False)
     assert bool(bad) is not physical
 
 

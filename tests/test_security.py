@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams, awgn_variance_preamp
+from gkpmdi.config import MODULATION_RANGE, load_config
+from gkpmdi.fading import FadingConfig, fading_scalars, residual_nodes
+from gkpmdi.finite_size import FiniteSizeParams, _worst_case
 from gkpmdi.gkp import GkpAncilla, optimize_squeezing
 from gkpmdi.mc import RngStream, mc_protocol_mutual_info
 from gkpmdi.security import asymptotic_rate, conditioned_scalars, h_function
 from matrix_oracle import (assemble_global_cm, ci_rci, condition_on_bell, conditioned_state,
-                           holevo_bound, mutual_information, theta_value)
+                           decimal_conditioned, decimal_holevo, holevo_bound,
+                           mutual_information, scalars_from_entries, theta_value)
+from shipped import reference_fading_config
 
 TABLE = ProtocolParams()  # reference defaults
 
@@ -21,6 +26,12 @@ def params(l_a=1.0, l_b=10.0, **kw):
 def link_rate(p, sigma_r2, mode):
     """The asymptotic rate of a fixed link: its conditioned scalars, then the rate."""
     return asymptotic_rate(conditioned_scalars(p, sigma_r2, mode), p.beta0)
+
+
+def _assert_margins_are_the_products(sc):
+    direct = scalars_from_entries(sc.phi_a, sc.psi, sc.phi_b)
+    assert sc.margin_a == pytest.approx(direct.margin_a, rel=1e-9)
+    assert sc.margin_b == pytest.approx(direct.margin_b, rel=1e-9)
 
 
 def test_global_cm_vacuum_limit():
@@ -94,8 +105,8 @@ def test_scalar_path_matches_matrix_path(batch):
         assert state.cm[0, 0] == pytest.approx(sc.phi_a[k], rel=1e-11)
         assert state.cm[0, 2] == pytest.approx(sc.psi[k], rel=1e-11)
         assert state.cm[2, 2] == pytest.approx(sc.phi_b[k], rel=1e-11)
-    # the cancellation-free variant agrees in the moderate regime
-    assert sc.phi_a_m1 == pytest.approx(sc.phi_a - 1.0, rel=1e-9)
+    # the cancellation-free margins agree with their direct products in the moderate regime
+    _assert_margins_are_the_products(sc)
 
 
 def test_mutual_information_zero_without_correlation():
@@ -149,6 +160,78 @@ def test_holevo_dual_path():
         report = link_rate(p, sr2, "gkp")
         assert holevo_bound(state) == pytest.approx(report.holevo, rel=1e-9, abs=1e-12)
         assert mutual_information(state) == pytest.approx(report.mutual_info, rel=1e-9)
+
+
+_MODES = ("direct", "preamp", "gkp", "qt")
+# lengths up to 1200 km: 0, uniform, and log-uniform down to 1 m
+_LENGTH = st.one_of(st.just(0.0), st.floats(0.0, 1200.0),
+                    st.floats(-6.0, np.log10(1200.0)).map(lambda x: 10.0 ** x))
+_DECADES = range(round(np.log10(MODULATION_RANGE[0])), round(np.log10(MODULATION_RANGE[1])))
+
+
+def _modulation(decade):
+    return st.floats(0.0, 1.0).map(lambda x: 10.0 ** (decade + x))
+
+
+def _assert_holevo_matches_oracle(sc, state, fs):
+    """chi of the state and of its finite-size worst case against the 60-digit oracle."""
+    assert abs(asymptotic_rate(sc, 1.0).holevo - decimal_holevo(state)) <= 1e-8
+    wc, bad = _worst_case(sc, fs, strict=False)
+    if not bad:
+        assert abs(asymptotic_rate(wc, 1.0).holevo - decimal_holevo(state, fs)) <= 1e-8
+
+
+@pytest.mark.parametrize("decade", _DECADES)
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_holevo_matches_the_60_digit_oracle_on_fixed_links(decade, data):
+    # nearly pure states (large modulation, short links) and nearly product
+    # ones (long links) alike: each decade of MODULATION_RANGE separately
+    variance = _modulation(decade)
+    p = data.draw(st.builds(ProtocolParams, sigma2_a=variance, sigma2_b=variance,
+                            l_a_km=_LENGTH, l_b_km=_LENGTH, n_bar=st.sampled_from([0.0, 0.05])))
+    mode = data.draw(st.sampled_from(_MODES))
+    sr2 = data.draw(st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda x: 10.0 ** x)))
+    fs = FiniteSizeParams(n_total=data.draw(st.floats(3.0, 14.0).map(lambda x: 10.0 ** x)))
+    _assert_holevo_matches_oracle(conditioned_scalars(p, sr2, mode),
+                                  decimal_conditioned(p, mode, sr2), fs)
+
+
+@pytest.fixture(scope="module")
+def a010_nodes():
+    cfg = load_config(reference_fading_config(0.1))
+    return residual_nodes(cfg.fading, cfg.ancilla)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(_DECADES).flatmap(_modulation), _LENGTH,
+       st.one_of(st.none(), st.floats(0.5, 1.0)), st.floats(3.0, 14.0))
+def test_holevo_matches_the_60_digit_oracle_on_fading_links(a010_nodes, modulation, lb,
+                                                             point_mass, log_n):
+    # the shipped a010 law, or a point mass at tau0 (vanishing wander)
+    nodes = a010_nodes if point_mass is None else residual_nodes(
+        FadingConfig(tau0=point_mass, gamma0=2.0, r0_m=0.02, sigma_bw2_m2=1e-30),
+        GkpAncilla(20.0))
+    p = ProtocolParams(l_b_km=lb, sigma2_a=modulation, sigma2_b=modulation)
+    _assert_holevo_matches_oracle(fading_scalars(nodes, p), decimal_conditioned(p, nodes=nodes),
+                                  FiniteSizeParams(n_total=10.0 ** log_n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from(_MODES), st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       st.floats(300.0, 1200.0), st.floats(0.0, 0.3))
+def test_deep_loss_holevo_is_exact_to_1e12_relative(mode, la, lb, sr2):
+    # psi^2 down to 1e-24 of the variances at the shipped modulation 20
+    p = params(la, lb)
+    chi = asymptotic_rate(conditioned_scalars(p, sr2, mode), p.beta0).holevo
+    assert chi == pytest.approx(decimal_holevo(decimal_conditioned(p, mode, sr2)),
+                                rel=1e-12, abs=0.0)
+
+
+def test_unphysical_margins_raise():
+    sc = conditioned_scalars(params(1.0, 10.0), 0.02, "gkp")
+    with pytest.raises(ValueError, match="physicality margin"):
+        asymptotic_rate(replace(sc, margin_b=-1e-3), 1.0)
 
 
 def test_rate_negative_when_bob_channel_dies():
@@ -206,7 +289,7 @@ def test_thermal_background_lowers_the_rate():
     state = conditioned_state(p, 0.0, "direct")
     sc = conditioned_scalars(p, 0.0, "direct")
     assert state.cm[0, 0] == pytest.approx(sc.phi_a, rel=1e-11)
-    assert sc.phi_a_m1 == pytest.approx(sc.phi_a - 1.0, rel=1e-9)
+    _assert_margins_are_the_products(sc)
 
 
 def test_thermal_background_vanishes_on_a_lossless_link():
@@ -228,7 +311,6 @@ def test_conditioned_scalars_qt_link_is_the_gkp_form():
     # a qt link has unit gain and its code residual as excess noise, as a gkp link
     p = params(1.5, 6.0)
     qt, gkp = conditioned_scalars(p, 0.03, "qt"), conditioned_scalars(p, 0.03, "gkp")
-    assert (qt.phi_a, qt.psi, qt.phi_b, qt.phi_a_m1) == \
-        (gkp.phi_a, gkp.psi, gkp.phi_b, gkp.phi_a_m1)
+    assert qt == gkp
     with pytest.raises(ValueError, match="unknown link mode 'warp'"):
         conditioned_scalars(p, 0.03, "warp")
