@@ -20,8 +20,7 @@ from .gkp import (GkpAncilla, concat_variance, lower_bound_variance, optimize_sq
                   residual_variance, syndrome_reduce)
 from .mc import (McMutualInfo, McVariance, RngStream, mc_pe_coverage,
                  mc_protocol_mutual_info, mc_residual_variance)
-from .security import (ConditionedScalars, RateReport, asymptotic_rate,
-                       conditioned_scalars, h_function)
+from .security import ConditionedScalars, RateReport, asymptotic_rate, conditioned_scalars
 
 __all__ = [
     # channels
@@ -32,7 +31,6 @@ __all__ = [
     "optimize_squeezing", "residual_variance", "syndrome_reduce",
     # security
     "ConditionedScalars", "RateReport", "asymptotic_rate", "conditioned_scalars",
-    "h_function",
     # finite_size
     "FiniteSizeParams", "UnphysicalWorstCaseError", "aep_delta", "composable_rate",
     "epsilon_total", "kappa_from_eps",

@@ -6,10 +6,10 @@ correlation psi and raises the p correlation -psi by the same shift, so the
 worst-case state is again of the closed form [[phi_a I, psi' Z],
 [psi' Z, phi_b I]] with psi' = psi - shift.  :func:`composable_rate` takes
 the conditioned scalars and evaluates the asymptotic rate functional on
-(phi_a, psi', phi_b), its margins raised by psi^2 - psi'^2.  A block so
-small that the shift leaves the physical cone is reported as
-:class:`UnphysicalWorstCaseError`, never clamped; a frontier scan reads such
-a point as not secure.
+(phi_a, psi', phi_b), its margins raised by psi^2 - psi'^2.  The same
+margins tell, with no tolerance, a block so small that the shift leaves the
+physical cone; it is reported as :class:`UnphysicalWorstCaseError`, never
+clamped, and a frontier scan reads such a point as not secure.
 The rates broadcast over arrays, block sizes (``n_total``, ``m_pe``) included.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _as_output
-from .security import PHYSICALITY_TOL, ConditionedScalars, asymptotic_rate
+from .security import ConditionedScalars, asymptotic_rate
 
 
 class UnphysicalWorstCaseError(ValueError):
@@ -98,21 +98,16 @@ def _worst_case(sc: ConditionedScalars, fs: FiniteSizeParams, strict: bool):
     The tail bound puts the true correlation within ``shift`` of psi; the
     worst case is the least correlation in that range, psi' = sign(psi)
     max(|psi| - shift, 0), so it is never more correlated than the estimate.
-    The flag is a block-size rule: a state [[a I, c Z], [c Z, b I]] is
-    physical iff c^2 <= (min(a, b) - 1)(max(a, b) + 1), so the bound's far
-    end |psi| - shift leaves the physical cone, and the estimation block is
-    too small, iff shift > |psi| + sqrt((phi_min - 1)(phi_max + 1)) (with
-    the symplectic-eigenvalue tolerance in place of the 1s).
+    The flag is a block-size rule read from the margins: a correlation c in
+    place of psi moves both margins by psi^2 - c^2, so the bound's far end
+    |psi| - shift leaves the physical cone, and the estimation block is too
+    small, iff shift (shift - 2|psi|) > min(margin_a, margin_b).
     A separate function, so its temporaries are freed before the rate runs."""
     phi_a, psi, phi_b = sc.phi_a, sc.psi, sc.phi_b
     m_pe = fs.pe_signals
     shift = correlation_shift(phi_a, phi_b, kappa_from_eps(fs.eps_pe), m_pe)
     psi_wc = np.sign(psi) * np.maximum(np.abs(psi) - shift, 0.0)
-    nu = 1.0 - PHYSICALITY_TOL  # the least symplectic eigenvalue accepted
-    # a phi_min that rounds below nu bounds |c| by 0, not by a NaN
-    reach = np.sqrt(np.maximum(np.minimum(phi_a, phi_b) - nu, 0.0)
-                    * (np.maximum(phi_a, phi_b) + nu))
-    bad = shift > np.abs(psi) + reach
+    bad = shift * (shift - 2.0 * np.abs(psi)) > np.minimum(sc.margin_a, sc.margin_b)
     if strict and np.any(bad):
         m_pe, shift, psi = (np.broadcast_to(x, bad.shape)[bad][0] for x in (m_pe, shift, psi))
         raise UnphysicalWorstCaseError(

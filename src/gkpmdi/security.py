@@ -43,10 +43,6 @@ import numpy as np
 
 from .channels import ProtocolParams, _as_output, awgn_variance_preamp
 
-# Symplectic eigenvalues this far below 1 are rounding noise of a physical
-# state; anything smaller is an unphysical input.
-PHYSICALITY_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -78,30 +74,14 @@ class ConditionedScalars:
                          [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]])
 
 
-def h_function(v):
-    """Bosonic entropy of a thermal mode with symplectic eigenvalue v, in bits.
-
-    h(1) = 0 with the 0*log(0) = 0 convention.  Values in [1 - 1e-9, 1]
-    are clamped to 1; smaller values raise.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 1.0 - PHYSICALITY_TOL):
-        raise ValueError(f"symplectic eigenvalue {np.min(v)} < 1")
-    out = np.zeros_like(v)
-    live = ~(v <= 1.0)
-    up = (v[live] + 1.0) / 2.0
-    dn = (v[live] - 1.0) / 2.0
-    out[live] = up * np.log2(up) - dn * np.log2(dn)
-    return _as_output(out)
-
-
 def _entropy_rise(e, d):
     """h(1 + e + d) - h(1 + e) in bits for e, d >= 0, free of cancellation.
 
     With u = e/2 and t = d/2 it is [ln(1 + t/(1 + u)) - u ln(1 + t/(u (1 + u + t)))
     + t ln(1 + 1/(u + t))] / ln 2, a term with a vanishing factor u or t being 0.
+    Floats are halved into numpy scalars, whose division by 0 is masked, not raised.
     """
-    u, t = e / 2.0, d / 2.0
+    u, t = np.divide(e, 2.0), np.divide(d, 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         low = np.where(u > 0.0, u * np.log1p(t / (u * (1.0 + u + t))), 0.0)
         top = np.where(t > 0.0, t * np.log1p(1.0 / (u + t)), 0.0)

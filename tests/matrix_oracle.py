@@ -5,6 +5,7 @@ entropic quantities, kept for tests only:
 
 * symplectic tools (forms, building-block symplectics, symplectic spectra,
   heterodyne conditioning by Schur complement);
+* the bosonic entropy :func:`h_function` of a symplectic eigenvalue;
 * the 8x8 covariance matrix of (a, b, A', B'), the relay's Bell-measurement
   update, and mutual information, Holevo bound and CI/RCI from the
   resulting 4x4 matrix;
@@ -16,8 +17,8 @@ entropic quantities, kept for tests only:
 * :func:`scalars_from_entries`, conditioned scalars with their physicality
   margins taken from the entries, for states built by hand.
 
-The conditioning shares no code with production (only the entropy function,
-the tail-bound shift and the ``ConditionedScalars`` type are imported): the
+The conditioning and the entropy share no code with production (only the
+tail-bound shift and the ``ConditionedScalars`` type are imported): the
 per-mode A' variance and correlation are derived below from the channel
 steps (thermal loss, amplification), so a comparison against
 :func:`gkpmdi.security.conditioned_scalars` also checks its link table.
@@ -38,7 +39,7 @@ import numpy as np
 
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.finite_size import FiniteSizeParams, correlation_shift, kappa_from_eps
-from gkpmdi.security import ConditionedScalars, h_function
+from gkpmdi.security import ConditionedScalars
 
 
 def _thermal_loss(v, c2, tau, n_bar):
@@ -141,6 +142,24 @@ def symplectic_eigenvalues(v: np.ndarray) -> tuple[float, ...]:
     if np.any(nus < 1.0 - PHYSICALITY_TOL):
         raise ValueError(f"unphysical state: symplectic eigenvalue {nus.min():.12g} < 1")
     return tuple(float(x) for x in nus)
+
+
+def h_function(v):
+    """Bosonic entropy of a thermal mode with symplectic eigenvalue v, in bits.
+
+    h(1) = 0 with the 0*log(0) = 0 convention.  Values in
+    [1 - PHYSICALITY_TOL, 1] are rounding noise of a pure mode and give 0;
+    smaller values raise.
+    """
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 1.0 - PHYSICALITY_TOL):
+        raise ValueError(f"symplectic eigenvalue {np.min(v)} < 1")
+    out = np.zeros_like(v)
+    live = ~(v <= 1.0)
+    up = (v[live] + 1.0) / 2.0
+    dn = (v[live] - 1.0) / 2.0
+    out[live] = up * np.log2(up) - dn * np.log2(dn)
+    return float(out) if out.ndim == 0 else out
 
 
 def schur_condition(block_a: np.ndarray, block_b: np.ndarray, cross: np.ndarray) -> np.ndarray:
@@ -247,10 +266,6 @@ def conditioned_state(params: ProtocolParams, sigma_r2: float = 0.0,
     return condition_on_bell(assemble_global_cm(params, sigma_r2, mode), theta)
 
 
-def _clamped_h(v: float) -> float:
-    return h_function(max(v, 1.0)) if v >= 1.0 - 1e-9 else h_function(v)
-
-
 def mutual_information(state: ConditionedState) -> float:
     """Reverse-reconciliation mutual information of the conditioned state."""
     v = state.cm
@@ -269,7 +284,7 @@ def holevo_bound(state: ConditionedState) -> float:
     v1, v2 = symplectic_eigenvalues(v)
     v_b_cond = schur_condition(v[0:2, 0:2], v[2:4, 2:4], v[0:2, 2:4])
     (v3,) = symplectic_eigenvalues(v_b_cond)
-    chi = _clamped_h(v1) + _clamped_h(v2) - _clamped_h(v3)
+    chi = h_function(v1) + h_function(v2) - h_function(v3)
     return float(max(chi, 0.0))
 
 
@@ -286,8 +301,8 @@ def ci_rci(state: ConditionedState) -> tuple[float, float]:
     v1, v2 = symplectic_eigenvalues(v)
     nu_a = float(np.sqrt(np.linalg.det(v[0:2, 0:2])))
     nu_b = float(np.sqrt(np.linalg.det(v[2:4, 2:4])))
-    ent = _clamped_h(v1) + _clamped_h(v2)
-    return float(_clamped_h(nu_a) - ent), float(_clamped_h(nu_b) - ent)
+    ent = h_function(v1) + h_function(v2)
+    return float(h_function(nu_a) - ent), float(h_function(nu_b) - ent)
 
 
 @dataclass(frozen=True)

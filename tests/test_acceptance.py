@@ -18,7 +18,7 @@ from gkpmdi.gkp import ELL, GkpAncilla, IDEAL, lower_bound_variance, optimize_sq
     residual_variance
 from gkpmdi.mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, \
     mc_residual_variance
-from gkpmdi.security import conditioned_scalars, h_function
+from gkpmdi.security import _entropy_rise, conditioned_scalars
 from gkpmdi.sweeps import frontier, residual_rows
 from gkpmdi.config import load_config
 from matrix_oracle import conditioned_state, mutual_information, symplectic_eigenvalues, \
@@ -246,7 +246,7 @@ def test_criterion_10_invariant_suite():
         s = tms_symplectic(rng.uniform(-1.5, 1.5))
         worst = max(worst, float(np.max(np.abs(s @ omega @ s.T - omega))))
     checks["symplectic identity"] = worst < 1e-12
-    checks["h(1) = 0"] = h_function(1.0) == 0.0
+    checks["h(1) = 0"] = _entropy_rise(0.0, 0.0) == 0.0
     dev = 0.0
     for _ in range(10):
         v = np.eye(4) * rng.uniform(1.5, 5.0)

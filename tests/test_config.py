@@ -213,7 +213,7 @@ def test_drawn_values_cover_the_key_table():
     assert set(DRAWN) == set(_KEYS)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(st.booleans().flatmap(_assignments), st.booleans(), st.booleans(),
        st.sampled_from([None, "la_km", "layers"]))
 def test_every_loadable_config_runs_or_exits_2(tmp_path_factory, assignments, finite, fading,

@@ -77,7 +77,7 @@ def _point_mass(tau_star):
 point_mass_cases = given(
     tau0=st.floats(0.5, 0.9999), l_b=st.floats(0.0, 30.0),
     ancilla=st.sampled_from([IDEAL, GkpAncilla(12.0), GkpAncilla(20.0), GkpAncilla(30.0)]))
-point_mass_settings = settings(derandomize=True, deadline=None, max_examples=60)
+point_mass_settings = settings(max_examples=60)
 
 
 def _point_mass_case(tau0, l_b, ancilla):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams
-from gkpmdi.config import load_config
+from gkpmdi.config import MODULATION_RANGE, load_config
 from gkpmdi.finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, _worst_case,
                                 aep_delta, composable_rate, correlation_shift,
                                 epsilon_total, kappa_from_eps)
 from gkpmdi.security import asymptotic_rate, conditioned_scalars
 from gkpmdi.sweeps import rate_point
-from matrix_oracle import (ConditionedState, conditioned_state, holevo_bound,
+from matrix_oracle import (PHYSICALITY_TOL, ConditionedState, conditioned_state, holevo_bound,
                            mutual_information, scalars_from_entries, symplectic_eigenvalues,
                            worst_case_cm)
 from shipped import FIBER_DEFAULT
@@ -93,7 +93,7 @@ def test_worst_case_unphysical_is_flagged():
         composable_rate(conditioned_scalars(p, 0.02, "gkp"), p.beta0, fs_small)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.floats(1.0, 50.0), st.floats(1.0, 50.0), st.floats(-1.0, 1.0), st.floats(1.0, 11.0))
 def test_worst_case_flag_is_physicality_of_the_far_end(phi_a, phi_b, u, log_m_pe):
     # the closed-form block-size rule against the symplectic spectrum of the
@@ -115,6 +115,34 @@ def test_worst_case_flag_is_physicality_of_the_far_end(phi_a, phi_b, u, log_m_pe
         physical = False
     _, bad = _worst_case(scalars_from_entries(phi_a, psi, phi_b), fs, strict=False)
     assert bool(bad) is not physical
+
+
+_DECADES = range(round(np.log10(MODULATION_RANGE[0])), round(np.log10(MODULATION_RANGE[1])))
+_MODULATION = st.sampled_from(_DECADES).flatmap(
+    lambda decade: st.floats(0.0, 1.0).map(lambda x: 10.0 ** (decade + x)))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(("direct", "preamp", "gkp", "qt")), _MODULATION, _MODULATION,
+       st.floats(0.0, 100.0), st.floats(0.0, 1200.0), st.sampled_from([0.0, 0.05]),
+       st.floats(0.0, 0.5), st.floats(2.0, 10.0))
+def test_worst_case_flag_matches_the_matrix_oracle(mode, sa2, sb2, la, lb, n_bar, sr2, log_n):
+    # the margin rule on production scalars against the symplectic spectrum
+    # of the explicit worst-case matrix of the matrix route's conditioned state
+    p = ProtocolParams(sigma2_a=sa2, sigma2_b=sb2, l_a_km=la, l_b_km=lb, n_bar=n_bar)
+    fs = FiniteSizeParams(n_total=10.0**log_n)
+    sc = conditioned_scalars(p, sr2, mode)
+    _, bad = _worst_case(sc, fs, strict=False)
+    shift = correlation_shift(sc.phi_a, sc.phi_b, kappa_from_eps(fs.eps_pe), fs.pe_signals)
+    least = min(sc.margin_a, sc.margin_b)
+    # off the edge by more than 1e-9 relative and by more than twice the band
+    # of squared correlations past it that the oracle's eigenvalue tolerance
+    # still accepts, PHYSICALITY_TOL (2 + |phi_b - phi_a|)
+    edge = abs(shift * (shift - 2.0 * abs(sc.psi)) - least)
+    assume(edge > 1e-9 * (sc.psi**2 + least)
+           + 2.0 * PHYSICALITY_TOL * (2.0 + abs(sc.phi_b - sc.phi_a)))
+    state = conditioned_state(p, sr2, "gkp" if mode == "qt" else mode)  # qt is the gkp form
+    assert bool(bad) is not worst_case_cm(state.cm, fs).physical
 
 
 def test_epsilon_total():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gkpmdi.channels import ProtocolParams
-from gkpmdi.security import asymptotic_rate, conditioned_scalars, h_function
-from matrix_oracle import (beamsplitter_symplectic, conditioned_state, is_symplectic,
+from gkpmdi.security import asymptotic_rate, conditioned_scalars
+from matrix_oracle import (beamsplitter_symplectic, conditioned_state, h_function, is_symplectic,
                            schur_condition, squeezer_symplectic, symplectic_eigenvalues,
                            symplectic_form, tms_symplectic)
 

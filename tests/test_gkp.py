@@ -256,7 +256,6 @@ def test_optimize_never_worse_than_break_even():
         assert v >= lower_bound_variance(s2) if s2 < 1.0 else True
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.floats(1e-3, 0.9), st.sampled_from(ANCILLAS))
 @example(0.01, DB20)
 def test_optimize_reports_no_gain_as_r_zero(s2, ancilla):
@@ -265,7 +264,7 @@ def test_optimize_reports_no_gain_as_r_zero(s2, ancilla):
     assert (r_opt == 0.0) == (v == s2)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=30), st.sampled_from(ANCILLAS))
 def test_optimized_residual_never_exceeds_channel_noise(drawn, ancilla):
     # one array call across the noise range, a noiseless channel included
@@ -274,7 +273,6 @@ def test_optimized_residual_never_exceeds_channel_noise(drawn, ancilla):
     assert np.all((0.0 <= v) & (v <= s2))
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.floats(1e-6, 0.9), st.sampled_from(ANCILLAS))
 @example(1e-5, IDEAL)
 @example(1.7e-4, IDEAL)
@@ -316,7 +314,7 @@ def scalar_reference_optimize(s2, ancilla):
     return (0.0, s2) if v >= s2 * (1.0 - 1e-12) else (r, v)
 
 
-@settings(derandomize=True, deadline=None, max_examples=4)
+@settings(max_examples=4)
 @given(st.lists(st.floats(1e-6, 0.9), min_size=1, max_size=90), st.sampled_from(ANCILLAS))
 def test_optimize_batch_matches_single_calls(drawn, ancilla):
     # window-extended (1e-6 .. 1.7e-4 ideal) and no-gain (0.9) elements always ride along
@@ -334,7 +332,6 @@ def test_optimize_batch_matches_single_calls(drawn, ancilla):
     assert isinstance(optimize_squeezing(0.1, ancilla)[0], float)
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([0.0, 0.2, 1.0, 3.0]) | st.floats(0.0, 4.0),
                           st.sampled_from([0.0, 1e-9]) | st.floats(1e-12, 1.0)),
                 min_size=1, max_size=60),
@@ -350,7 +347,7 @@ def test_residual_batch_matches_single_calls(pairs, ancilla):
     assert isinstance(residual_variance(0.4, 0.1, ancilla), float)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), st.data())
 def test_negative_element_anywhere_raises(values, data):
     bad = np.array(values)
@@ -391,7 +388,7 @@ _NOISE = (st.floats(0.0, 1.0, exclude_max=True)
           | st.sampled_from([0.0, 5e-324, 1e-310, TINY, 3e-308, 1e-200, 1e-12]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(st.floats(0.0, 16.0), _NOISE, st.sampled_from(ANCILLAS))
 @example(11.4, 1e-12, IDEAL)
 @example(2.0, 5e-324, IDEAL)
@@ -403,7 +400,7 @@ def test_residual_variance_is_bounded(r, s2, ancilla):
     assert 0.0 <= v <= (s2 * np.cosh(2.0 * r) + phi * phi * np.pi / 6.0) * (1.0 + 2e-15)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(st.floats(1e-12, 0.999),
        st.just(IDEAL) | st.floats(5.0, 40.0).map(GkpAncilla))
 @example(1e-12, IDEAL)
@@ -416,7 +413,7 @@ def test_residual_variance_is_unimodal_in_r(s2, ancilla):
     assert np.all(np.diff(v[:k + 1]) <= 0.0) and np.all(np.diff(v[k:]) >= 0.0)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(_NOISE, st.sampled_from(ANCILLAS))
 @example(1e-200, IDEAL)
 @example(1e-160, IDEAL)
@@ -447,7 +444,7 @@ _BRANCH_R = 0.5 * np.arccosh(np.array([0.49, 0.51]) / 0.1)  # Var(w) either side
 _LOG_NOISE = st.floats(-12.0, np.log10(0.999)).map(lambda e: 10.0 ** e)  # 1e-12 .. 0.999
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.floats(0.0, 16.0), _LOG_NOISE | st.floats(1e-12, 0.999),
        st.just(IDEAL) | st.floats(5.0, 40.0).map(GkpAncilla))
 @example(_BRANCH_R[0], 0.1, IDEAL)
@@ -470,7 +467,7 @@ def test_slope_kernel_matches_central_differences(r, s2, ancilla):
     assert abs(dg - dg_fd) <= 1e-7 * (abs(dg) + abs(g) + v)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(_LOG_NOISE, st.just(IDEAL) | st.floats(5.0, 40.0).map(GkpAncilla))
 @example(0.2963, DB20)  # a gain of 9e-9: the optimum sits at r ~ 0.008
 @example(1e-12, IDEAL)

@@ -35,7 +35,7 @@ def _same_report(batch, singles):
         _same(batch.spectrum[i], [s.spectrum[i] for s in singles])
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.lists(_POINT, min_size=1, max_size=12))
 def test_array_rate_layer_matches_length1_calls(points):
     points = points + [_DEEP]

@@ -10,9 +10,9 @@ from gkpmdi.fading import FadingConfig, fading_scalars, residual_nodes
 from gkpmdi.finite_size import FiniteSizeParams, _worst_case
 from gkpmdi.gkp import GkpAncilla, optimize_squeezing
 from gkpmdi.mc import RngStream, mc_protocol_mutual_info
-from gkpmdi.security import asymptotic_rate, conditioned_scalars, h_function
+from gkpmdi.security import asymptotic_rate, conditioned_scalars
 from matrix_oracle import (assemble_global_cm, ci_rci, condition_on_bell, conditioned_state,
-                           decimal_conditioned, decimal_holevo, holevo_bound,
+                           decimal_conditioned, decimal_holevo, h_function, holevo_bound,
                            mutual_information, scalars_from_entries, theta_value)
 from shipped import reference_fading_config
 
@@ -93,7 +93,6 @@ def _link_batches(draw):
     return p, column(0.0, 0.3), mode
 
 
-@settings(derandomize=True, deadline=None)
 @given(_link_batches())
 def test_scalar_path_matches_matrix_path(batch):
     # the oracle derives the link table from the channel, so this also checks
@@ -182,7 +181,7 @@ def _assert_holevo_matches_oracle(sc, state, fs):
 
 
 @pytest.mark.parametrize("decade", _DECADES)
-@settings(derandomize=True, deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_holevo_matches_the_60_digit_oracle_on_fixed_links(decade, data):
     # nearly pure states (large modulation, short links) and nearly product
@@ -203,7 +202,7 @@ def a010_nodes():
     return residual_nodes(cfg.fading, cfg.ancilla)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(st.sampled_from(_DECADES).flatmap(_modulation), _LENGTH,
        st.one_of(st.none(), st.floats(0.5, 1.0)), st.floats(3.0, 14.0))
 def test_holevo_matches_the_60_digit_oracle_on_fading_links(a010_nodes, modulation, lb,
@@ -217,7 +216,7 @@ def test_holevo_matches_the_60_digit_oracle_on_fading_links(a010_nodes, modulati
                                   FiniteSizeParams(n_total=10.0 ** log_n))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(st.sampled_from(_MODES), st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
        st.floats(300.0, 1200.0), st.floats(0.0, 0.3))
 def test_deep_loss_holevo_is_exact_to_1e12_relative(mode, la, lb, sr2):
