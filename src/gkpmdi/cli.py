@@ -21,14 +21,13 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import __version__
-from .channels import ProtocolParams, awgn_variance_preamp
-from .config import ConfigError, load_config
+from .config import ConfigError, RunConfig, load_config
 from .finite_size import UnphysicalWorstCaseError
-from .gkp import ELL, GkpAncilla, optimize_squeezing, residual_variance, syndrome_reduce
+from .gkp import ELL, GkpAncilla, residual_variance, syndrome_reduce
 from .mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, mc_residual_variance
 from .security import asymptotic_rate, conditioned_scalars
 from .sweeps import (FADING_COLUMNS, FRONTIER_COLUMNS, RATE_COLUMNS, RESIDUAL_COLUMNS,
-                     SCHEMA_VERSION, fading_rows, rate_rows, residual_rows)
+                     SCHEMA_VERSION, fading_rows, link_sigma_r2, rate_rows, residual_rows)
 
 
 def _columns(block: dict, columns: list[str]) -> list:
@@ -146,8 +145,10 @@ def _noted(block: dict) -> dict:  # a frontier block, noted as it passes to the 
         print(f"note: the frontier scan met {block['unphysical_points']} points whose "
               "worst-case state is unphysical; they count as not secure", file=sys.stderr)
     if block["max_secure_km"] is None:
-        print(f"note: no secure point found along {block['frontier_axis']}; "
-              "max_secure_km is left empty", file=sys.stderr)
+        axis = block["frontier_axis"]
+        found = (f"the rate along {axis} stays secure up to the end of the scan"
+                 if block["secure_past_scan"] else f"no secure point found along {axis}")
+        print(f"note: {found}; max_secure_km is left empty", file=sys.stderr)
     return block
 
 
@@ -176,9 +177,8 @@ def _validate_checks(seed: int, samples: int) -> list[dict]:
         checks.append({"name": name, "value": value, "band": band,
                        "status": "PASS" if ok else "FAIL", "detail": detail})
 
-    anc = GkpAncilla(20.0)
-    params = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
-    _, sr2 = optimize_squeezing(awgn_variance_preamp(params.tau_a), anc)
+    cfg = RunConfig()  # the default operating point
+    anc, params, sr2 = cfg.ancilla, cfg.protocol, link_sigma_r2(cfg, cfg.protocol.l_a_km)[0]
     n_mi = max(samples, 160)
     # the mutual-information oracle runs on a second thread while the
     # residual oracles run here: each owns its stream, and numpy's draws and

@@ -3,7 +3,9 @@
 ``_KEYS`` is the file format: every accepted key, the object keyword it sets
 and its cast.  A key the file leaves out keeps that keyword's default, stated
 once on the object; a section or key not in the table is a ConfigError, and
-so is a key that cannot act beside the others the file gives.
+so is a key that cannot act beside the others the file gives.  ``SWEEPS``
+is the one table of the axes each command sweeps per mode (a frontier's
+with their initial scan windows, km), checked by ``SweepSpec.require``.
 """
 from __future__ import annotations
 
@@ -20,8 +22,9 @@ from .finite_size import FiniteSizeParams
 from .gkp import IDEAL, GkpAncilla
 
 LINK_MODES = ("direct", "preamp", "gkp", "qt")
-SWEEP_AXES = ("lb_km", "la_km", "total_pulse", "layers")
-SWEEP_MODES = ("grid", "frontier")
+SWEEPS = {"rate": {"grid": ("lb_km", "la_km", "total_pulse"),
+                   "frontier": {"lb_km": (0.05, 1200.0), "la_km": (0.05, 30.0)}},
+          "residual": {"grid": ("la_km", "layers")}, "fading": {"grid": ("lb_km",)}}
 MAX_GRID_POINTS = 1_000_000
 # shot-noise units: below, phi - 1 is lost to rounding; far above, the rate
 # arithmetic overflows
@@ -65,6 +68,14 @@ class SweepSpec:
                 yield value
             x += self.step
 
+    def require(self, command: str) -> None:
+        """Raise a ConfigError unless ``command`` sweeps this axis in this mode."""
+        if self.axis not in (modes := SWEEPS[command]).get(self.mode, ()):
+            runs = "; ".join(f"{mode} mode sweeps {', '.join(axes)}"
+                             for mode, axes in modes.items())
+            raise ConfigError(f"{command} does not sweep axis = {self.axis} in mode = "
+                              f"{self.mode}: {runs}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -80,9 +91,10 @@ class RunConfig:
     def __post_init__(self):
         if self.link_mode not in LINK_MODES:
             raise ConfigError(f"unknown link_mode {self.link_mode!r}")
-        if self.sweep.axis not in SWEEP_AXES:
+        if not any(self.sweep.axis in axes for modes in SWEEPS.values()
+                   for axes in modes.values()):
             raise ConfigError(f"unknown sweep axis {self.sweep.axis!r}")
-        if self.sweep.mode not in SWEEP_MODES:
+        if not any(self.sweep.mode in modes for modes in SWEEPS.values()):
             raise ConfigError(f"unknown sweep mode {self.sweep.mode!r}")
         if self.sweep.axis == "total_pulse" and self.finite_size is None:
             raise ConfigError("total_pulse sweep requires a [finite_size] section")

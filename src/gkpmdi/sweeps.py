@@ -5,7 +5,8 @@ value or to a 1-D array with one element per row.  A sweep grid comes in
 consecutive blocks of at most ``_GRID_BLOCK`` rows, each computed (and
 checked) only when it is drawn; every operation on a row is elementwise, so
 the rows do not depend on where the blocks split.  A frontier block also
-carries ``unphysical_points``, a diagnostic that no output column holds.
+carries ``unphysical_points`` and ``secure_past_scan``, diagnostics that no
+output column holds.  Each builder checks its sweep against ``config.SWEEPS``.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import _as_output, awgn_variance_preamp, awgn_variance_qt, fiber_transmittance
-from .config import ConfigError, RunConfig
+from .config import SWEEPS, ConfigError, RunConfig, SweepSpec
 from .fading import fading_pdf, fading_quantile, fading_scalars, residual_nodes, \
     sigma_r2_of_tau, xi_integral
 from .finite_size import composable_rate
@@ -27,7 +28,6 @@ from .security import asymptotic_rate, conditioned_scalars
 SCHEMA_VERSION = "2"
 _FRONTIER_POINTS = 400
 _FRONTIER_RESOLUTION_KM = 0.01
-_WINDOW_KM = {"lb_km": (0.05, 1200.0), "la_km": (0.05, 30.0)}  # initial scan windows
 _PDF_ROWS = 1000
 _GRID_BLOCK = 1 << 12  # rows per block of a sweep grid
 
@@ -153,7 +153,8 @@ def max_secure_distance(rate_fn, lo: float, hi: float) -> float:
     touches the last cell.  One more call refines the bracketing cell: it
     evaluates the 2^n - 1 points that split the cell into sub-cells no wider
     than 0.01 km (every point bisection could probe), and the result is the
-    midpoint of the last sub-cell that starts at a positive rate.
+    midpoint of the last sub-cell that starts at a positive rate.  It is NaN
+    if no scanned point is secure and inf if the guard's last window ends secure.
     """
     for _ in range(8):
         grid = np.linspace(lo, hi, _FRONTIER_POINTS)
@@ -170,38 +171,37 @@ def max_secure_distance(rate_fn, lo: float, hi: float) -> float:
         pos = np.nonzero(rate_fn(edges[1:-1]) > 0.0)[0]
         j = pos[-1] + 1 if len(pos) else 0  # the last sub-cell starting positive (a is)
         return float((edges[j] + edges[j + 1]) / 2.0)
-    return float("nan")
+    return float("inf")
 
 
-def _reject_fading_la(cfg: RunConfig, axis: str) -> None:
-    """Reject an la_km sweep on a ``[fading]`` link: no fiber length to vary."""
+def _rate_along(cfg: RunConfig, axis: str, strict: bool = True):
+    """:func:`rate_point` over an array of ``axis`` values, the rest as
+    configured: the one axis dispatch of rate grids and frontiers.  A
+    ``[fading]`` link's nodes are built here, once for every call."""
     if cfg.fading is not None and axis == "la_km":
         raise ConfigError("axis = la_km does not act on a [fading] link: "
                           "the fading law, not a fiber length, sets its A link")
+    nodes = None if cfg.fading is None else residual_nodes(cfg.fading, cfg.ancilla)
+    p = cfg.protocol
+    return lambda x: rate_point(cfg, x if axis == "la_km" else p.l_a_km,
+                                x if axis == "lb_km" else p.l_b_km,
+                                x if axis == "total_pulse" else None, strict=strict, nodes=nodes)
 
 
 def frontier(cfg: RunConfig, axis: str) -> tuple[float, int]:
-    """Largest secure distance along ``axis`` (``lb_km`` or ``la_km``, each
-    with its own scan window), the other link at its configured length, and
-    the number of scanned points whose worst-case state was unphysical: their
-    NaN rate counts as not secure.  The distance is NaN when no probe is
-    secure."""
-    if axis not in _WINDOW_KM:
-        raise ConfigError("frontier mode supports axes lb_km and la_km")
-    _reject_fading_la(cfg, axis)
-    unphysical = 0
-    # a [fading] link's nodes serve every probe
-    nodes = None if cfg.fading is None else residual_nodes(cfg.fading, cfg.ancilla)
+    """Largest secure distance along ``axis``, scanned from its window in
+    ``SWEEPS`` (NaN or inf as :func:`max_secure_distance` returns them), the
+    other link at its configured length, and the number of scanned points
+    whose worst-case state was unphysical: their NaN rate counts as not secure."""
+    SweepSpec(axis, mode="frontier").require("rate")
+    rate_at, unphysical = _rate_along(cfg, axis, strict=False), []
 
     def rate_fn(x):
-        nonlocal unphysical
-        rate = rate_point(cfg, x if axis == "la_km" else cfg.protocol.l_a_km,
-                          x if axis == "lb_km" else cfg.protocol.l_b_km, strict=False,
-                          nodes=nodes)["rate_bits"]
-        unphysical += int(np.count_nonzero(np.isnan(rate)))
+        rate = rate_at(x)["rate_bits"]
+        unphysical.append(int(np.count_nonzero(np.isnan(rate))))
         return rate
 
-    return max_secure_distance(rate_fn, *_WINDOW_KM[axis]), unphysical
+    return max_secure_distance(rate_fn, *SWEEPS["rate"]["frontier"][axis]), sum(unphysical)
 
 
 RESIDUAL_COLUMNS = ["schema_version", "la_km", "layers", "sigma2", "sigma_r2", "sigma_lb2",
@@ -216,13 +216,10 @@ def residual_rows(cfg: RunConfig) -> Iterator[dict]:
     if cfg.link_mode != "gkp" or cfg.fading is not None:
         raise ConfigError("residual sweeps model the gkp link over fiber "
                           "(gkpmdi fading gives a [fading] link's residuals)")
-    if sweep.mode != "grid":
-        raise ConfigError("residual sweeps run in grid mode: mode = frontier is a rate sweep")
+    sweep.require("residual")
     if sweep.axis == "la_km" and cfg.layers != 1:
         raise ConfigError("use axis = layers for concatenation")
     alpha0 = cfg.protocol.alpha0_db_per_km
-    if sweep.axis not in ("la_km", "layers"):
-        raise ConfigError("residual sweeps support axes la_km and layers")
     for x in _row_blocks(sweep.values()):
         if sweep.axis == "layers" and np.any((x < 1) | (x != np.floor(x))):
             raise ConfigError("a layers sweep takes integer values >= 1")
@@ -244,24 +241,17 @@ def rate_rows(cfg: RunConfig) -> Iterator[dict]:
     """Key-rate sweep (grid mode) or secure-distance frontier (frontier mode)
     of a fiber or ``[fading]`` A link."""
     sweep = cfg.sweep
-    _reject_fading_la(cfg, sweep.axis)
+    sweep.require("rate")
     if sweep.mode == "frontier":
         value, unphysical = frontier(cfg, sweep.axis)
         fixed = ({"la_km": cfg.protocol.l_a_km if cfg.fading is None else ""}
                  if sweep.axis == "lb_km" else {"lb_km": cfg.protocol.l_b_km})
         yield {**_echo(cfg), **fixed, "unphysical_points": unphysical,
-               "frontier_axis": sweep.axis, "max_secure_km": None if np.isnan(value) else value,
+               "secure_past_scan": value == np.inf, "frontier_axis": sweep.axis,
+               "max_secure_km": value if np.isfinite(value) else None,
                "rate_kind": "composable" if cfg.finite_size is not None else "asymptotic"}
         return
-    if sweep.axis not in ("lb_km", "la_km", "total_pulse"):
-        raise ConfigError("rate sweeps support axes lb_km, la_km and total_pulse")
-    base = cfg.protocol
-    # a [fading] link's nodes serve every block
-    nodes = None if cfg.fading is None else residual_nodes(cfg.fading, cfg.ancilla)
-    for x in _row_blocks(sweep.values()):
-        yield rate_point(cfg, x if sweep.axis == "la_km" else base.l_a_km,
-                         x if sweep.axis == "lb_km" else base.l_b_km,
-                         x if sweep.axis == "total_pulse" else None, nodes=nodes)
+    yield from map(_rate_along(cfg, sweep.axis), _row_blocks(sweep.values()))
 
 
 FADING_COLUMNS = _layout("row_kind", "tau_a", "pdf_density", "sigma_r2_of_tau", "mean_sigma_r2",
@@ -278,9 +268,7 @@ def fading_rows(cfg: RunConfig) -> Iterator[dict]:
     """
     if cfg.fading is None:
         raise ConfigError("fading command requires a [fading] section")
-    if cfg.sweep.axis != "lb_km" or cfg.sweep.mode != "grid":
-        raise ConfigError(f"fading rate rows run on an lb_km grid, not on axis = "
-                          f"{cfg.sweep.axis} with mode = {cfg.sweep.mode}")
+    cfg.sweep.require("fading")
     fad, echo = cfg.fading, _echo(cfg)
     lo = fading_quantile(1e-7, fad)
     # for gamma0 > 2 the density diverges (integrably) at tau0: stop one step short

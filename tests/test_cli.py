@@ -1,5 +1,6 @@
 import csv
 import errno
+import itertools
 import json
 import os
 import stat
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from gkpmdi.cli import main, write_rows
-from gkpmdi.config import ConfigError, load_config
+from gkpmdi.config import SWEEPS, ConfigError, load_config
 from gkpmdi.sweeps import (FADING_COLUMNS, FRONTIER_COLUMNS, RATE_COLUMNS, _echo, fading_rows,
                            rate_rows, residual_rows)
 from shipped import FIBER_DEFAULT, reference_fading_config
@@ -210,12 +211,68 @@ def test_rate_frontier_without_secure_point_writes_null(tmp_path, capsys):
     assert rows_of(out_csv)[0]["max_secure_km"] == ""
 
 
+@pytest.mark.parametrize("axis, attenuation", [
+    ("lb_km", "0"), ("la_km", "0"), ("la_km", "0.0001")])
+def test_frontier_secure_past_the_scan_says_so(tmp_path, capsys, axis, attenuation):
+    # over (nearly) lossless fiber the rate is still secure at the end of the
+    # last scan window: the cell stays empty and the note must not claim that
+    # no point is secure
+    ini = (f"[protocol]\nattenuation_db_per_km = {attenuation}\n\n"
+           f"[sweep]\naxis = {axis}\nmode = frontier\n")
+    out = tmp_path / "front.csv"
+    assert main(["rate", "--config", write(tmp_path, ini), "--output", str(out)]) == 0
+    (row,) = rows_of(out)
+    assert row["frontier_axis"] == axis and row["max_secure_km"] == ""
+    assert capsys.readouterr().err == (f"note: the rate along {axis} stays secure up to the end "
+                                       "of the scan; max_secure_km is left empty\n")
+
+
+_MATRIX_RANGES = {"lb_km": "start = 2\nstop = 4\nstep = 1",
+                  "la_km": "start = 0.5\nstop = 1.5\nstep = 0.5",
+                  "total_pulse": "start = 1e8\nstop = 3e8\nstep = 1e8",
+                  "layers": "start = 1\nstop = 3\nstep = 1"}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEPS))
+@pytest.mark.parametrize("shipped", ["fiber_default", "free_space_a010"])
+def test_every_command_runs_the_sweeps_its_table_lists(tmp_path, capsys, shipped, command):
+    # each (axis, mode) on a shipped config: a sweep that config.SWEEPS lists
+    # for the command writes rows unless a link rule of the command rejects
+    # the config (residual models gkp over fiber, fading needs a [fading]
+    # link, la_km does not act on one); anything else exits 2 on one line
+    # and leaves no file
+    fading = shipped != "fiber_default"
+    text = (reference_fading_config(0.1) if fading else FIBER_DEFAULT).read_text()
+    sweep = text[:text.index("[sweep]")]
+    link_rule = command == "residual" and fading or command == "fading" and not fading
+    ran = []
+    for axis, mode in itertools.product(_MATRIX_RANGES, ("grid", "frontier")):
+        ini = f"{sweep}[sweep]\naxis = {axis}\n{_MATRIX_RANGES[axis]}\nmode = {mode}\n"
+        out = tmp_path / f"{axis}-{mode}.csv"
+        code = main([command, "--config", write(tmp_path, ini), "--output", str(out)])
+        err = capsys.readouterr().err
+        listed = axis in SWEEPS[command].get(mode, ())
+        if listed and not link_rule and not (fading and axis == "la_km"):
+            assert code == 0 and rows_of(out), (axis, mode, err)
+            ran.append((axis, mode))
+            continue
+        assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        if not listed and not link_rule:
+            assert f"{command} does not sweep axis = {axis} in mode = {mode}: " in err
+    assert len(ran) == {("fiber_default", "rate"): 5, ("fiber_default", "residual"): 2,
+                        ("free_space_a010", "rate"): 3,
+                        ("free_space_a010", "fading"): 1}.get((shipped, command), 0)
+
+
 def test_rate_grid_rejects_layers_axis(tmp_path, capsys):
     ini = FIBER_INI.replace("axis = lb_km", "axis = layers").replace(
         "start = 6", "start = 1").replace("stop = 10", "stop = 3").replace("step = 2", "step = 1")
     cfg = write(tmp_path, ini)
     assert main(["rate", "--config", cfg]) == 2
-    assert "rate sweeps support axes lb_km, la_km and total_pulse" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: rate does not sweep axis = layers in mode = grid: grid mode sweeps "
+        "lb_km, la_km, total_pulse; frontier mode sweeps lb_km, la_km\n")
 
 
 def test_rate_with_unphysical_worst_case_is_a_config_error(tmp_path, capsys):
@@ -236,7 +293,8 @@ def test_residual_rejects_settings_it_does_not_model(tmp_path, capsys):
         (RESIDUAL_INI.replace("gkp_squeezing_db = 20", "gkp_squeezing_db = 20\nlayers = 3"),
          "use axis = layers for concatenation"),
         (RESIDUAL_INI.replace("mode = grid", "mode = frontier"),
-         "residual sweeps run in grid mode: mode = frontier"),
+         "residual does not sweep axis = la_km in mode = frontier: "
+         "grid mode sweeps la_km, layers"),
         (reference_fading_config(0.1).read_text().replace("axis = lb_km", "axis = la_km"),
          "residual sweeps model the gkp link over fiber"),
         # a thermal background pushes the 3 km link's noise past 1, where the

@@ -110,6 +110,11 @@ def test_max_secure_distance_no_secure_region():
     assert np.isnan(max_secure_distance(lambda x: np.full(np.shape(x), -1.0), 0.1, 100.0))
 
 
+def test_max_secure_distance_secure_past_the_scan():
+    # secure at the end of every extended window: the frontier lies past the scan
+    assert max_secure_distance(lambda x: np.ones(np.shape(x)), 0.1, 100.0) == np.inf
+
+
 def test_max_secure_distance_expands_window():
     assert max_secure_distance(lambda x: 250.0 - x, 0.1, 100.0) == pytest.approx(250.0, abs=0.01)
 
@@ -278,7 +283,8 @@ def test_frontier_counts_the_unphysical_points_rate_rows_writes():
 
 def test_frontier_rejects_axes_it_cannot_scan():
     for axis in ("total_pulse", "layers"):
-        with pytest.raises(ConfigError, match="frontier mode supports axes lb_km and la_km"):
+        with pytest.raises(ConfigError, match=f"rate does not sweep axis = {axis} in mode = "
+                                              "frontier: .*frontier mode sweeps lb_km, la_km$"):
             frontier(cfg(), axis)
     fading = load_config(reference_fading_config(0.1))
     with pytest.raises(ConfigError, match="axis = la_km does not act on a \\[fading\\] link"):
