@@ -10,33 +10,31 @@ Carlo oracles (:mod:`mc`), and a sweep/CLI front end (:mod:`sweeps`,
 
 __version__ = "0.1.0"
 
-from .channels import (ProtocolParams, awgn_variance_preamp, awgn_variance_qt,
-                       fiber_transmittance, plob_bound)
-from .fading import (FadingConfig, fading_cdf, fading_pdf, fading_quantile, fading_scalars,
-                     residual_nodes, xi_integral)
+from .channels import ProtocolParams, awgn_variance_preamp, awgn_variance_qt, fiber_transmittance
+from .fading import (FadingConfig, fading_cdf, fading_pdf, fading_quantile, residual_nodes,
+                     xi_integral)
 from .finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, aep_delta,
-                          composable_rate, epsilon_total, kappa_from_eps)
+                          composable_rate, kappa_from_eps)
 from .gkp import (GkpAncilla, concat_variance, lower_bound_variance, optimize_squeezing,
                   residual_variance, syndrome_reduce)
 from .mc import (McMutualInfo, McVariance, RngStream, mc_pe_coverage,
                  mc_protocol_mutual_info, mc_residual_variance)
-from .security import ConditionedScalars, RateReport, asymptotic_rate, conditioned_scalars
+from .security import ConditionedScalars, RateReport, asymptotic_rate, fiber_link, link_scalars
 
 __all__ = [
     # channels
     "ProtocolParams", "awgn_variance_preamp", "awgn_variance_qt", "fiber_transmittance",
-    "plob_bound",
     # gkp
     "GkpAncilla", "concat_variance", "lower_bound_variance",
     "optimize_squeezing", "residual_variance", "syndrome_reduce",
     # security
-    "ConditionedScalars", "RateReport", "asymptotic_rate", "conditioned_scalars",
+    "ConditionedScalars", "RateReport", "asymptotic_rate", "fiber_link", "link_scalars",
     # finite_size
     "FiniteSizeParams", "UnphysicalWorstCaseError", "aep_delta", "composable_rate",
-    "epsilon_total", "kappa_from_eps",
+    "kappa_from_eps",
     # fading
-    "FadingConfig", "fading_cdf", "fading_pdf", "fading_quantile", "fading_scalars",
-    "residual_nodes", "xi_integral",
+    "FadingConfig", "fading_cdf", "fading_pdf", "fading_quantile", "residual_nodes",
+    "xi_integral",
     # mc
     "McMutualInfo", "McVariance", "RngStream", "mc_pe_coverage",
     "mc_protocol_mutual_info", "mc_residual_variance",

@@ -91,10 +91,3 @@ def awgn_variance_qt(tau_a, s0_db: float):
     root = np.sqrt(tau_a)
     return root * 10.0 ** (-s0_db / 10.0) + 1.0 - root
 
-
-def plob_bound(tau):
-    """Repeaterless secret-key capacity ceiling -log2(1 - tau), bits per use."""
-    tau = np.asarray(tau, dtype=float)
-    if not np.all((0.0 <= tau) & (tau < 1.0)):
-        raise ValueError("transmittance must be in [0, 1)")
-    return _as_output(-np.log2(1.0 - tau))

@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, load_config
 from .finite_size import UnphysicalWorstCaseError
 from .gkp import ELL, GkpAncilla, residual_variance, syndrome_reduce
 from .mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, mc_residual_variance
-from .security import asymptotic_rate, conditioned_scalars
+from .security import asymptotic_rate, fiber_link, link_scalars
 from .sweeps import (FADING_COLUMNS, FRONTIER_COLUMNS, RATE_COLUMNS, RESIDUAL_COLUMNS,
                      SCHEMA_VERSION, fading_rows, link_sigma_r2, rate_rows, residual_rows)
 
@@ -211,7 +211,7 @@ def _validate_checks(seed: int, samples: int) -> list[dict]:
     if "error" in mi:
         raise mi["error"]
     est = mi["est"]
-    sc = conditioned_scalars(params, sr2, "gkp")
+    sc = link_scalars(fiber_link(params, sr2, "gkp"), params)
     ref = asymptotic_rate(sc, params.beta0).mutual_info
     band = max(3.0 * est.stderr, 0.01 * ref)
     add("protocol_mi_mc", est.mutual_info - ref, band,

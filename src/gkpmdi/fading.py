@@ -5,7 +5,8 @@ variable on (0, tau0] with a Weibull-like density in log-transmittance.
 The code is dynamic: its squeezing is re-optimized at every transmittance
 (``sigma_r2_of_tau``).  The conditioned scalars of the averaged state are
 the fixed-link closed forms (:mod:`gkpmdi.security`) with the conditioning
-scalar xi replaced by its fading average (``xi_integral``).
+scalar xi replaced by its fading average (``xi_integral``): the link is the
+node set (w, 1, sigma_r2) that :func:`gkpmdi.security.link_scalars` takes.
 
 Every average is a weighted sum over one node set, ``residual_nodes``: a
 composite 16-point Gauss-Legendre rule in the quantile variable, read from
@@ -13,7 +14,7 @@ a literal table (``_GL16``), with the residual evaluated exactly at each
 node transmittance, in one array call of ``optimize_squeezing``.  Build
 the nodes once and pass them to every average: the mean residual is
 ``np.sum(w * sigma_r2)``, the mean transmittance ``np.sum(w * tau)``, and
-``xi_integral``/``fading_scalars`` take the nodes too.
+``xi_integral`` takes the nodes too.
 
 The distribution parameters (tau0, gamma0, r0, sigma_bw^2) are inputs; the
 shipped reference configurations carry values fitted to reproduce the
@@ -27,7 +28,7 @@ import numpy as np
 
 from .channels import ProtocolParams, _as_output
 from .gkp import GkpAncilla, optimize_squeezing
-from .security import ConditionedScalars, _conditioned_entries
+from .security import _link_xi
 
 _XI_PANELS = 64
 # positive nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1]
@@ -132,27 +133,10 @@ def residual_nodes(cfg: FadingConfig, ancilla: GkpAncilla):
     return (halfs[:, None] * w[None, :]).ravel(), tau, sigma_r2_of_tau(ancilla, tau)
 
 
-def _node_xi(nodes, params: ProtocolParams):
-    """The conditioning scalar at each node, on a trailing node axis."""
-    denom_const = params.sigma2_a + params.tau_b * params.sigma2_b + 2.0
-    return 1.0 / (np.asarray(denom_const)[..., None] + 2.0 * nodes[2])
-
-
 def xi_integral(nodes, params: ProtocolParams):
     """The fading-averaged conditioning scalar
     E[ 1 / (sigma_a^2 + 2 sigma_r^2(tau) + tau_b sigma_b^2 + 2) ] on
     ``nodes``, at every B-link length of ``params`` (a float for a scalar
-    length)."""
-    return _as_output(np.sum(nodes[0] * _node_xi(nodes, params), axis=-1))
-
-
-def fading_scalars(nodes, params: ProtocolParams) -> ConditionedScalars:
-    """Conditioned scalars of the fading-averaged state (corrected gkp link:
-    unit gain, excess sigma_r^2 at each node, averaged with xi).
-
-    With a point-mass transmittance they coincide with the fiber-path
-    conditioning at the matching transmittance and residual noise.
-    """
-    w_xi = nodes[0] * _node_xi(nodes, params)
-    return _conditioned_entries(params, params.tau_b, 1.0, np.sum(w_xi, axis=-1),
-                                np.sum(w_xi * nodes[2], axis=-1))
+    length): the xi of the link (w, 1, sigma_r2) that ``link_scalars`` forms."""
+    w, _, sigma_r2 = nodes
+    return _as_output(np.sum(_link_xi((w, 1.0, sigma_r2), params, params.tau_b), axis=-1))

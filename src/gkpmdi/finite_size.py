@@ -87,11 +87,6 @@ def aep_delta(d: int, eps_s: float) -> float:
     return float(4.0 * np.log2(np.sqrt(d) + 2.0) * np.sqrt(1.0 - 2.0 * np.log2(eps_s)))
 
 
-def epsilon_total(fs: FiniteSizeParams) -> float:
-    """Overall security parameter eps_cor + eps_s + eps_h + p_ec * eps_pe."""
-    return fs.eps_cor + fs.eps_s + fs.eps_h + fs.p_ec * fs.eps_pe
-
-
 def _worst_case(sc: ConditionedScalars, fs: FiniteSizeParams, strict: bool):
     """The worst-case state and the mask where the estimate cannot bound it.
 

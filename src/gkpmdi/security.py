@@ -13,24 +13,21 @@ tau_b sigma_b^2 (sigma_b^2 + 2) and xi the conditioning scalar, they are
     phi_a = sigma_a^2 + 1 - c_a^2 xi,   phi_b = sigma_b^2 + 1 - c_b^2 xi,
     psi   = sqrt(c_a^2 c_b^2) xi.
 
-On a fixed link xi = 1/(v_A' + v_B') is the inverse sum of the travelling
-mode variances; a fading link averages it over the transmittance
-(:func:`gkpmdi.fading.xi_integral`).  Mutual information, the eavesdropper's
-Holevo bound and the key rate follow from the scalars in closed form:
-:func:`asymptotic_rate` is the one rate functional on them.
+The A link is one node set (weights, gain, excess) on a trailing axis: at
+each node A' has variance gain * sigma_a^2 + 1 + 2 * excess, and xi is the
+weighted sum of 1/(v_A' + v_B') (:func:`link_scalars`).  A fading link is
+the ``residual_nodes`` of :mod:`gkpmdi.fading` with unit gain and excess
+sigma_r2(tau); a fiber link is one node (:func:`fiber_link`) of a mode:
 
-Four A-side link configurations are supported:
-
-* ``direct``  - the plain lossy link,
-* ``preamp``  - loss compensated by a pre-amplifier (additive noise
-                2*(1 + n_bar)(1 - tau_a) replaces the loss),
-* ``gkp``     - pre-amplified link followed by error correction, leaving
-                residual noise 2*sigma_r2,
+* ``direct``  - the plain lossy link: gain tau_a, excess n_bar (1 - tau_a),
+* ``preamp``  - loss compensated by a pre-amplifier: unit gain, excess
+                (1 + n_bar)(1 - tau_a), the ``gkp`` link with that sigma_r2,
+* ``gkp``     - pre-amplified link then error correction: excess sigma_r2,
 * ``qt``      - loss compensated by teleportation over a two-mode squeezed
-                resource, then error correction: as ``gkp``, residual noise
-                2*sigma_r2.
+                resource, then error correction: as ``gkp``.
 
-``preamp`` is the ``gkp`` link with sigma_r2 = (1 + n_bar)(1 - tau_a).
+Mutual information, the Holevo bound and the key rate follow from the
+scalars in closed form: :func:`asymptotic_rate` is the one rate functional.
 
 Everything here broadcasts over arrays (link lengths, sigma_r2, the scalars);
 a scalar call is the length-1 case.
@@ -88,25 +85,41 @@ def _entropy_rise(e, d):
     return (np.log1p(t / (1.0 + u)) - low + top) / np.log(2.0)
 
 
-def _link_coefficients(mode: str, tau_a, sigma_r2, n_bar: float = 0.0):
-    """(gain, excess noise) of the A link: A' has variance
-    gain * sigma_a^2 + 1 + 2 * excess and squared a-A' correlation
+def fiber_link(params: ProtocolParams, sigma_r2=0.0, mode: str = "gkp"):
+    """A fiber link of ``mode`` as a one-node set (weights, gain, excess),
+    the node axis of length 1 trailing; the squared a-A' correlation is
     gain * sigma_a^2 (sigma_a^2 + 2)."""
+    tau_a, n_bar = params.tau_a, params.n_bar
     if mode in ("gkp", "qt"):
-        return 1.0, sigma_r2
-    if mode == "preamp":
-        return 1.0, awgn_variance_preamp(tau_a, n_bar)
-    if mode == "direct":
-        return tau_a, n_bar * (1.0 - tau_a)
-    raise ValueError(f"unknown link mode {mode!r}")
+        gain, excess = 1.0, sigma_r2
+    elif mode == "preamp":
+        gain, excess = 1.0, awgn_variance_preamp(tau_a, n_bar)
+    elif mode == "direct":
+        gain, excess = tau_a, n_bar * (1.0 - tau_a)
+    else:
+        raise ValueError(f"unknown link mode {mode!r}")
+    return tuple(np.asarray(x, dtype=float)[..., None] for x in (1.0, gain, excess))
 
 
-def _conditioned_entries(params: ProtocolParams, tau_b, gain, xi,
-                         excess_xi) -> ConditionedScalars:
-    """The conditioned scalars for the A-link ``gain``, the conditioning
-    scalar ``xi`` and the A-link excess noise times xi: the one place they
-    are formed.  The margins are linear in xi, so a fading link passes the
-    averages of xi and excess * xi.  ``tau_b`` is ``params.tau_b``."""
+def _link_xi(link, params: ProtocolParams, tau_b):
+    """w / (v_A' + v_B') at each node of ``link`` (``tau_b`` is ``params.tau_b``)."""
+    w, gain, excess = link
+    v_b = np.asarray(tau_b * params.sigma2_b + 1.0)[..., None]
+    return w / ((gain * params.sigma2_a + 1.0 + 2.0 * excess) + v_b)
+
+
+def link_scalars(link, params: ProtocolParams) -> ConditionedScalars:
+    """Conditioned scalars of the node set ``link``: the one place they are
+    formed.  They are linear in xi, so they read the sums of xi and excess *
+    xi over the nodes.  A set of more than one node must have unit gain:
+    psi of a mixture with varying gain has no closed form."""
+    tau_b = params.tau_b
+    xi_k = _link_xi(link, params, tau_b)
+    gain = np.asarray(link[1], dtype=float)
+    if xi_k.shape[-1] > 1 and np.any(gain != 1.0):
+        raise ValueError("a link of more than one node must have unit gain")
+    gain = gain[..., 0] if gain.ndim else gain
+    xi, excess_xi = np.sum(xi_k, axis=-1), np.sum(xi_k * link[2], axis=-1)
     sa2, sb2 = params.sigma2_a, params.sigma2_b
     ca2 = gain * sa2 * (sa2 + 2.0)
     cb2 = tau_b * sb2 * (sb2 + 2.0)
@@ -114,15 +127,6 @@ def _conditioned_entries(params: ProtocolParams, tau_b, gain, xi,
     margin_b = 2.0 * sb2 * (sa2 + 2.0) * ((1.0 - tau_b) * xi + excess_xi)
     return ConditionedScalars(*(_as_output(x) for x in (
         sa2 + 1.0 - ca2 * xi, np.sqrt(ca2 * cb2) * xi, sb2 + 1.0 - cb2 * xi, margin_a, margin_b)))
-
-
-def conditioned_scalars(params: ProtocolParams, sigma_r2=0.0,
-                        mode: str = "gkp") -> ConditionedScalars:
-    """Conditioned scalars of a fixed link, xi = 1/(v_A' + v_B')."""
-    tau_b = params.tau_b
-    gain, excess = _link_coefficients(mode, params.tau_a, sigma_r2, params.n_bar)
-    xi = 1.0 / ((gain * params.sigma2_a + 1.0 + 2.0 * excess) + (tau_b * params.sigma2_b + 1.0))
-    return _conditioned_entries(params, tau_b, gain, xi, excess * xi)
 
 
 def asymptotic_rate(sc: ConditionedScalars, beta0: float) -> RateReport:

@@ -19,11 +19,10 @@ import numpy as np
 
 from .channels import _as_output, awgn_variance_preamp, awgn_variance_qt, fiber_transmittance
 from .config import SWEEPS, ConfigError, RunConfig, SweepSpec
-from .fading import fading_pdf, fading_quantile, fading_scalars, residual_nodes, \
-    sigma_r2_of_tau, xi_integral
+from .fading import fading_pdf, fading_quantile, residual_nodes, sigma_r2_of_tau, xi_integral
 from .finite_size import composable_rate
 from .gkp import concat_variance, lower_bound_variance, optimize_squeezing
-from .security import asymptotic_rate, conditioned_scalars
+from .security import asymptotic_rate, fiber_link, link_scalars
 
 SCHEMA_VERSION = "2"
 _FRONTIER_POINTS = 400
@@ -112,23 +111,24 @@ def rate_point(cfg: RunConfig, l_a_km, l_b_km, n_total=None, strict: bool = True
     output columns.
 
     ``l_a_km``, ``l_b_km`` and ``n_total`` (None keeps the configured block
-    size) are scalars or equal-length 1-D arrays.  A ``[fading]`` link's
-    scalars are averaged over ``nodes``, its ``residual_nodes`` (built here
-    when None).  The conditioned scalars are formed once and feed both the
-    asymptotic and the composable columns.  ``strict`` is passed to
-    :func:`composable_rate`: when False, an unphysical worst-case state
-    gives a NaN composable rate, not an error.
+    size) are scalars or equal-length 1-D arrays.  The A link is one node
+    set: a fiber link's ``fiber_link``, or a ``[fading]`` link's ``nodes``
+    (its ``residual_nodes``, built here when None) with unit gain, whose
+    ``la_km`` is blank and ``sigma_r2`` the mean.  Its conditioned scalars
+    feed both the asymptotic and the composable columns.  ``strict`` is
+    passed to :func:`composable_rate`: when False, an unphysical worst-case
+    state gives a NaN composable rate, not an error.
     """
     if cfg.fading is None:
         sigma_r2 = (link_sigma_r2 if np.ndim(l_a_km) == 0 else _link)(cfg, l_a_km)[0]
         params = replace(cfg.protocol, l_a_km=l_a_km, l_b_km=l_b_km)
-        sc = conditioned_scalars(params, sigma_r2, cfg.link_mode)
-    else:  # the fading law, not l_a_km, sets the link: la_km is blank, sigma_r2 the mean
-        nodes = residual_nodes(cfg.fading, cfg.ancilla) if nodes is None else nodes
-        w, _, node_sigma_r2 = nodes
+        link = fiber_link(params, sigma_r2, cfg.link_mode)
+    else:  # the fading law, not l_a_km, sets the link
+        w, _, node_sigma_r2 = residual_nodes(cfg.fading, cfg.ancilla) if nodes is None else nodes
         sigma_r2, l_a_km = float(np.sum(w * node_sigma_r2)), ""
         params = replace(cfg.protocol, l_b_km=l_b_km)
-        sc = fading_scalars(nodes, params)
+        link = (w, 1.0, node_sigma_r2)
+    sc = link_scalars(link, params)
     report = asymptotic_rate(sc, params.beta0)
     block = {**_echo(cfg), "la_km": l_a_km, "lb_km": l_b_km, "sigma_r2": sigma_r2,
              "mutual_info_bits": report.mutual_info, "holevo_bits": report.holevo,

@@ -15,13 +15,21 @@ entropic quantities, kept for tests only:
   bound, fixed link, fading average and worst case, for states whose
   double-precision entries cancel (nearly pure or deep-loss);
 * :func:`scalars_from_entries`, conditioned scalars with their physicality
-  margins taken from the entries, for states built by hand.
+  margins taken from the entries, for states built by hand;
+* :func:`conditioned_scalars`, the closed-form fixed-link scalars as the
+  library formed them before one node set described every A link: the
+  bit-for-bit reference of :func:`gkpmdi.security.link_scalars` on
+  :func:`gkpmdi.security.fiber_link`;
+* :func:`plob_bound`, the repeaterless secret-key capacity of a pure-loss
+  channel, the ceiling every rate is checked against.
 
 The conditioning and the entropy share no code with production (only the
-tail-bound shift and the ``ConditionedScalars`` type are imported): the
-per-mode A' variance and correlation are derived below from the channel
-steps (thermal loss, amplification), so a comparison against
-:func:`gkpmdi.security.conditioned_scalars` also checks its link table.
+tail-bound shift, ``awgn_variance_preamp`` in the reference and the
+``ConditionedScalars`` type are imported): the per-mode A' variance and
+correlation are derived below from the channel steps (thermal loss,
+amplification), so a comparison against
+:func:`gkpmdi.security.link_scalars` also checks
+:func:`gkpmdi.security.fiber_link`'s link table.
 
 Conventions: quadrature ordering (q1, p1, q2, p2, ...); covariance matrices
 in shot-noise units with vacuum variance 1, so a physical state satisfies
@@ -37,7 +45,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from gkpmdi.channels import ProtocolParams
+from gkpmdi.channels import ProtocolParams, _as_output, awgn_variance_preamp
 from gkpmdi.finite_size import FiniteSizeParams, correlation_shift, kappa_from_eps
 from gkpmdi.security import ConditionedScalars
 
@@ -406,6 +414,38 @@ def scalars_from_entries(phi_a, psi, phi_b) -> ConditionedScalars:
                               (phi_a + 1.0) * (phi_b - 1.0) - psi2)
 
 
+def conditioned_scalars(params: ProtocolParams, sigma_r2=0.0,
+                        mode: str = "gkp") -> ConditionedScalars:
+    """Conditioned scalars of a fixed link, xi = 1/(v_A' + v_B'), in the
+    order of operations the production route keeps bit for bit."""
+    tau_a, tau_b, n_bar = params.tau_a, params.tau_b, params.n_bar
+    if mode in ("gkp", "qt"):
+        gain, excess = 1.0, sigma_r2
+    elif mode == "preamp":
+        gain, excess = 1.0, awgn_variance_preamp(tau_a, n_bar)
+    elif mode == "direct":
+        gain, excess = tau_a, n_bar * (1.0 - tau_a)
+    else:
+        raise ValueError(f"unknown link mode {mode!r}")
+    sa2, sb2 = params.sigma2_a, params.sigma2_b
+    xi = 1.0 / ((gain * sa2 + 1.0 + 2.0 * excess) + (tau_b * sb2 + 1.0))
+    ca2 = gain * sa2 * (sa2 + 2.0)
+    cb2 = tau_b * sb2 * (sb2 + 2.0)
+    margin_a = 2.0 * sa2 * (sb2 + 2.0) * ((1.0 - gain) * xi + excess * xi)
+    margin_b = 2.0 * sb2 * (sa2 + 2.0) * ((1.0 - tau_b) * xi + excess * xi)
+    return ConditionedScalars(*(_as_output(x) for x in (
+        sa2 + 1.0 - ca2 * xi, np.sqrt(ca2 * cb2) * xi, sb2 + 1.0 - cb2 * xi, margin_a, margin_b)))
+
+
+def plob_bound(tau):
+    """Repeaterless secret-key capacity ceiling -log2(1 - tau), bits per use
+    (Pirandola et al., Nat. Commun. 8, 15043 (2017))."""
+    tau = np.asarray(tau, dtype=float)
+    if not np.all((0.0 <= tau) & (tau < 1.0)):
+        raise ValueError("transmittance must be in [0, 1)")
+    return _as_output(-np.log2(1.0 - tau))
+
+
 _DIGITS = decimal.Context(prec=60)
 
 
@@ -421,14 +461,18 @@ def decimal_conditioned(params: ProtocolParams, mode: str = "gkp", sigma_r2: flo
     A fixed link composes its A' mode from the channel steps, as
     :func:`link_coefficients` does (``qt`` is the ``gkp`` form); with
     ``nodes`` = (w, tau, sigma_r2) of a fading link, the corrected link's
-    conditioning scalar is averaged over the nodes.  Lengths are scalars.
+    conditioning scalar is averaged over the nodes, their weights taken as
+    a law of unit mass: the double weights miss it by rounding (a010's by
+    -5.6e-17), which a nearly pure state amplifies to 4e-8 bits of chi at
+    modulation 1e7.  Lengths are scalars.
     """
     with decimal.localcontext(_DIGITS):
         sa2, sb2, tau_b = _dec(params.sigma2_a), _dec(params.sigma2_b), _dec(params.tau_b)
         va, ca2 = sa2 + 1, sa2 * (sa2 + 2)
         vb, cb2 = tau_b * sb2 + 1, tau_b * sb2 * (sb2 + 2)
         if nodes is not None:
-            xi = sum(_dec(w) / (va + 2 * _dec(s) + vb) for w, s in zip(nodes[0], nodes[2]))
+            xi = sum(_dec(w) / (va + 2 * _dec(s) + vb) for w, s in zip(nodes[0], nodes[2])) \
+                / sum(map(_dec, nodes[0]))
         else:
             tau_a, n_bar = _dec(params.tau_a), _dec(params.n_bar)
             if mode == "preamp":  # amplify by 1/tau_a; the loss then restores ca2

@@ -12,13 +12,13 @@ import pytest
 from gkpmdi.channels import ProtocolParams, awgn_variance_preamp, awgn_variance_qt, \
     fiber_transmittance
 from gkpmdi.config import RunConfig, SweepSpec
-from gkpmdi.fading import fading_pdf, fading_scalars, residual_nodes
+from gkpmdi.fading import fading_pdf, residual_nodes
 from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import ELL, GkpAncilla, IDEAL, lower_bound_variance, optimize_squeezing, \
     residual_variance
 from gkpmdi.mc import RngStream, mc_pe_coverage, mc_protocol_mutual_info, \
     mc_residual_variance
-from gkpmdi.security import _entropy_rise, conditioned_scalars
+from gkpmdi.security import _entropy_rise, fiber_link, link_scalars
 from gkpmdi.sweeps import frontier, residual_rows
 from gkpmdi.config import load_config
 from matrix_oracle import conditioned_state, mutual_information, symplectic_eigenvalues, \
@@ -161,7 +161,7 @@ def test_criterion_06_block_size_threshold():
     t0 = time.time()
     p = ProtocolParams(l_a_km=3.0, l_b_km=5.0)
     _, sr2 = optimize_squeezing(_sigma2(3.0), DB20)
-    sc = conditioned_scalars(p, sr2, "gkp")
+    sc = link_scalars(fiber_link(p, sr2, "gkp"), p)
     r_small = composable_rate(sc, p.beta0, FiniteSizeParams(n_total=1e8))
     r_large = composable_rate(sc, p.beta0, FiniteSizeParams(n_total=2e9))
     ok = (r_small <= 0.0) and (r_large > 0.0)
@@ -267,7 +267,8 @@ def test_criterion_10_invariant_suite():
     _, sr2 = optimize_squeezing(1.0 - point.tau0, DB20)
     l_a_eq = -10.0 * np.log10(point.tau0) / 0.2
     fib = conditioned_state(ProtocolParams(l_a_km=l_a_eq, l_b_km=8.0), sr2, "gkp")
-    fad = fading_scalars(residual_nodes(point, DB20), params)
+    w, _, node_sr2 = residual_nodes(point, DB20)
+    fad = link_scalars((w, 1.0, node_sr2), params)
     checks["point-mass fading == fiber"] = float(np.max(np.abs(fad.cm - fib.cm))) < 1e-9
 
     checks["r=0 recovery"] = abs(residual_variance(0.0, 0.129, DB20) - 0.129) / 0.129 < 1e-9

@@ -36,6 +36,14 @@ def test_benchmark_contract():
         assert f"gkpmdi.{short}" in sys.modules, short
     info = gkpmdi.sweeps.link_sigma_r2.cache_info()
     assert isinstance(info.hits, int) and isinstance(info.misses, int)
+    # a scalar-la fiber rate_point reads its A link through the cache, so a
+    # repeat on one config is a hit: perfbench's hit and miss counts keep their meaning
+    cfg = gkpmdi.config.RunConfig()
+    for lb in (10.0, 12.0):
+        gkpmdi.sweeps.rate_point(cfg, cfg.protocol.l_a_km, lb)
+    after = gkpmdi.sweeps.link_sigma_r2.cache_info()
+    assert after.hits + after.misses == info.hits + info.misses + 2
+    assert after.hits >= info.hits + 1
     assert "path" in inspect.signature(gkpmdi.cli.write_rows).parameters
     mc = gkpmdi.mc
     assert {"n_trials", "m_pe"} <= set(inspect.signature(mc.mc_pe_coverage).parameters)
@@ -55,9 +63,9 @@ def test_rate_layers_import_no_private_security_names():
                 assert not private, (module, private)
 
 
-def test_rate_functions_called_only_in_rate_point():
-    # one rate route: every A link, fiber or [fading], becomes rate columns
-    # in sweeps.rate_point, and fading_rows reaches the rates through it
+def _callers(module: str) -> dict[str, set[str]]:
+    """Each name called in the src module ``module``, mapped to the functions
+    (or ``<lambda>``, ``<module>``) whose bodies call it."""
     callers = {}
 
     def visit(node, scope):
@@ -69,9 +77,31 @@ def test_rate_functions_called_only_in_rate_point():
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
-    visit(ast.parse((SRC / "sweeps.py").read_text(encoding="utf-8")), "<module>")
+    visit(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")), "<module>")
+    return callers
+
+
+def _callers_in_src(name: str) -> set[tuple[str, str]]:
+    """(module, function) of every call of ``name`` in the package."""
+    return {(path.stem, scope) for path in SRC.glob("*.py")
+            for scope in _callers(path.stem).get(name, ())}
+
+
+def test_rate_functions_called_only_in_rate_point():
+    # one rate route: every A link, fiber or [fading], becomes rate columns
+    # in sweeps.rate_point, and fading_rows reaches the rates through it
+    callers = _callers("sweeps")
     assert callers["asymptotic_rate"] == callers["composable_rate"] == {"rate_point"}
     assert "fading_rows" in callers["rate_point"]
+
+
+def test_conditioned_scalars_have_one_production_route():
+    # one A-link node set: link_scalars forms the conditioned scalars of
+    # every link, and only the finite-size worst case builds a state of its own
+    assert _callers_in_src("ConditionedScalars") == {("security", "link_scalars"),
+                                                     ("finite_size", "_worst_case")}
+    assert _callers_in_src("link_scalars") == {("sweeps", "rate_point"),
+                                               ("cli", "_validate_checks")}
 
 
 def test_params_level_rate_calls_fail():

@@ -618,7 +618,7 @@ def test_validate_oracle_values_are_the_serial_calls(tmp_path, seed, samples):
     from gkpmdi.channels import ProtocolParams, awgn_variance_preamp
     from gkpmdi.gkp import GkpAncilla, optimize_squeezing, residual_variance
     from gkpmdi.mc import RngStream, mc_protocol_mutual_info, mc_residual_variance
-    from gkpmdi.security import asymptotic_rate, conditioned_scalars
+    from gkpmdi.security import asymptotic_rate, fiber_link, link_scalars
 
     out = tmp_path / "v.json"
     assert main(["validate", "--samples", str(samples), "--seed", str(seed),
@@ -635,7 +635,8 @@ def test_validate_oracle_values_are_the_serial_calls(tmp_path, seed, samples):
     params = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
     _, sr2 = optimize_squeezing(awgn_variance_preamp(params.tau_a), anc)
     est = mc_protocol_mutual_info(params, sr2, max(samples, 160), RngStream(seed, 20))
-    ref = asymptotic_rate(conditioned_scalars(params, sr2, "gkp"), params.beta0).mutual_info
+    sc = link_scalars(fiber_link(params, sr2, "gkp"), params)
+    ref = asymptotic_rate(sc, params.beta0).mutual_info
     assert checks["protocol_mi_mc"]["value"] == est.mutual_info - ref
     assert checks["protocol_mi_mc"]["band"] == max(3.0 * est.stderr, 0.01 * ref)
     assert checks["key_relay_decorrelated"]["value"] == est.corr_key_relay

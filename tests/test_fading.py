@@ -7,11 +7,11 @@ from gkpmdi import fading
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.config import RunConfig
 from gkpmdi.fading import (FadingConfig, fading_cdf, fading_pdf, fading_quantile,
-                           fading_scalars, residual_nodes, sigma_r2_of_tau, xi_integral)
+                           residual_nodes, sigma_r2_of_tau, xi_integral)
 from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import IDEAL, GkpAncilla, optimize_squeezing, residual_variance
 from gkpmdi.mc import RngStream
-from gkpmdi.security import conditioned_scalars
+from gkpmdi.security import fiber_link, link_scalars
 from gkpmdi.sweeps import rate_point
 from matrix_oracle import conditioned_state, symplectic_eigenvalues
 
@@ -107,7 +107,7 @@ def test_mean_residual_point_mass(tau0, l_b, ancilla):
 @point_mass_settings
 def test_fading_cm_point_mass_matches_fiber_path(tau0, l_b, ancilla):
     nodes, sr2, params, fiber = _point_mass_case(tau0, l_b, ancilla)
-    sc = fading_scalars(nodes, params)
+    sc = link_scalars((nodes[0], 1.0, nodes[2]), params)
     assert np.max(np.abs(sc.cm - conditioned_state(fiber, sr2, "gkp").cm)) < 1e-9
 
 
@@ -116,8 +116,10 @@ def test_fading_cm_point_mass_matches_fiber_path(tau0, l_b, ancilla):
 def test_average_composable_point_mass_matches_fiber(tau0, l_b, ancilla):
     nodes, sr2, params, fiber = _point_mass_case(tau0, l_b, ancilla)
     fs = FiniteSizeParams()
-    assert composable_rate(fading_scalars(nodes, params), params.beta0, fs) == pytest.approx(
-        composable_rate(conditioned_scalars(fiber, sr2, "gkp"), fiber.beta0, fs), abs=1e-9)
+    fading_sc = link_scalars((nodes[0], 1.0, nodes[2]), params)
+    fiber_sc = link_scalars(fiber_link(fiber, sr2, "gkp"), fiber)
+    assert composable_rate(fading_sc, params.beta0, fs) == pytest.approx(
+        composable_rate(fiber_sc, fiber.beta0, fs), abs=1e-9)
 
 
 @point_mass_cases
@@ -179,7 +181,7 @@ def test_xi_node_doubling_stability(nodes, monkeypatch):
 
 
 def test_fading_cm_structure(nodes):
-    v = fading_scalars(nodes, PARAMS).cm
+    v = link_scalars((nodes[0], 1.0, nodes[2]), PARAMS).cm
     assert min(symplectic_eigenvalues(v)) >= 1.0  # the averaged state is physical
     assert np.allclose(v, v.T)
     assert v[0, 0] == pytest.approx(v[1, 1])

@@ -7,9 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.config import MODULATION_RANGE, load_config
 from gkpmdi.finite_size import (FiniteSizeParams, UnphysicalWorstCaseError, _worst_case,
-                                aep_delta, composable_rate, correlation_shift,
-                                epsilon_total, kappa_from_eps)
-from gkpmdi.security import asymptotic_rate, conditioned_scalars
+                                aep_delta, composable_rate, correlation_shift, kappa_from_eps)
+from gkpmdi.security import asymptotic_rate, fiber_link, link_scalars
 from gkpmdi.sweeps import rate_point
 from matrix_oracle import (PHYSICALITY_TOL, ConditionedState, conditioned_state, holevo_bound,
                            mutual_information, scalars_from_entries, symplectic_eigenvalues,
@@ -90,7 +89,7 @@ def test_worst_case_unphysical_is_flagged():
     # the production path flags the same state instead of evaluating it
     with pytest.raises(UnphysicalWorstCaseError, match="m_pe = 20"):
         p = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
-        composable_rate(conditioned_scalars(p, 0.02, "gkp"), p.beta0, fs_small)
+        composable_rate(link_scalars(fiber_link(p, 0.02, "gkp"), p), p.beta0, fs_small)
 
 
 @settings(max_examples=300)
@@ -131,7 +130,7 @@ def test_worst_case_flag_matches_the_matrix_oracle(mode, sa2, sb2, la, lb, n_bar
     # of the explicit worst-case matrix of the matrix route's conditioned state
     p = ProtocolParams(sigma2_a=sa2, sigma2_b=sb2, l_a_km=la, l_b_km=lb, n_bar=n_bar)
     fs = FiniteSizeParams(n_total=10.0**log_n)
-    sc = conditioned_scalars(p, sr2, mode)
+    sc = link_scalars(fiber_link(p, sr2, mode), p)
     _, bad = _worst_case(sc, fs, strict=False)
     shift = correlation_shift(sc.phi_a, sc.phi_b, kappa_from_eps(fs.eps_pe), fs.pe_signals)
     least = min(sc.margin_a, sc.margin_b)
@@ -145,6 +144,11 @@ def test_worst_case_flag_matches_the_matrix_oracle(mode, sa2, sb2, la, lb, n_bar
     assert bool(bad) is not worst_case_cm(state.cm, fs).physical
 
 
+def epsilon_total(fs: FiniteSizeParams) -> float:
+    """Overall security parameter eps_cor + eps_s + eps_h + p_ec * eps_pe."""
+    return fs.eps_cor + fs.eps_s + fs.eps_h + fs.p_ec * fs.eps_pe
+
+
 def test_epsilon_total():
     assert epsilon_total(FS) == pytest.approx(3.9e-10, rel=1e-9)
     fs = FiniteSizeParams(p_ec=1.0)
@@ -153,7 +157,7 @@ def test_epsilon_total():
 
 def test_composable_below_scaled_asymptotic():
     p = ProtocolParams(l_a_km=1.0, l_b_km=8.0)
-    sc = conditioned_scalars(p, 0.02, "gkp")
+    sc = link_scalars(fiber_link(p, 0.02, "gkp"), p)
     r_asy = asymptotic_rate(sc, p.beta0).rate
     r_com = composable_rate(sc, p.beta0, FS)
     assert r_com <= FS.p_ec * r_asy
@@ -161,7 +165,7 @@ def test_composable_below_scaled_asymptotic():
 
 def test_composable_recovers_asymptotic_in_the_large_block_limit():
     p = ProtocolParams(l_a_km=1.0, l_b_km=8.0)
-    sc = conditioned_scalars(p, 0.02, "gkp")
+    sc = link_scalars(fiber_link(p, 0.02, "gkp"), p)
     r_asy = asymptotic_rate(sc, p.beta0).rate
     fs = FiniteSizeParams(n_total=1e20, m_pe=1e15)
     r_com = composable_rate(sc, p.beta0, fs)
@@ -171,7 +175,7 @@ def test_composable_recovers_asymptotic_in_the_large_block_limit():
 def test_composable_rate_with_tiny_epsilons_is_finite():
     # eps_h^2 eps_cor underflows to 0 at 1e-300: its log2 is taken term by term
     p = ProtocolParams(l_a_km=1.0, l_b_km=8.0)
-    sc = conditioned_scalars(p, 0.02, "gkp")
+    sc = link_scalars(fiber_link(p, 0.02, "gkp"), p)
     fs = FiniteSizeParams(eps_cor=1e-300, eps_s=1e-300, eps_h=1e-300)
     assert np.isfinite(composable_rate(sc, p.beta0, fs))
     assert composable_rate(sc, p.beta0, fs) < composable_rate(sc, p.beta0, FS)
@@ -179,7 +183,7 @@ def test_composable_rate_with_tiny_epsilons_is_finite():
 
 def test_composable_monotone_in_block_size():
     p = ProtocolParams(l_a_km=1.0, l_b_km=12.0)
-    sc = conditioned_scalars(p, 0.02, "gkp")
+    sc = link_scalars(fiber_link(p, 0.02, "gkp"), p)
     rates = [composable_rate(sc, p.beta0, FiniteSizeParams(n_total=n))
              for n in (1e7, 1e8, 1e9, 1e10)]
     assert all(b >= a for a, b in zip(rates, rates[1:]))
@@ -190,8 +194,8 @@ def test_composable_dual_path():
     for (l_a, l_b, sr2) in [(1.0, 8.0, 0.02), (2.0, 5.0, 0.08), (0.5, 15.0, 0.0)]:
         p = ProtocolParams(l_a_km=l_a, l_b_km=l_b)
         state = conditioned_state(p, sr2, "gkp")
-        direct = asymptotic_rate(_worst_case_scalars(conditioned_scalars(p, sr2, "gkp"), FS),
-                                 p.beta0).rate
+        sc = link_scalars(fiber_link(p, sr2, "gkp"), p)
+        direct = asymptotic_rate(_worst_case_scalars(sc, FS), p.beta0).rate
         wc = worst_case_cm(state.cm, FS)
         wc_state = ConditionedState(cm=wc.v_wc, theta=state.theta)
         r_pe = p.beta0 * mutual_information(wc_state) - holevo_bound(wc_state)
@@ -205,7 +209,7 @@ def test_composable_dual_path():
 
 def test_worst_case_rate_below_nominal():
     p = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
-    sc = conditioned_scalars(p, 0.02, "gkp")
+    sc = link_scalars(fiber_link(p, 0.02, "gkp"), p)
     r_wc = asymptotic_rate(_worst_case_scalars(sc, FS), p.beta0).rate
     assert r_wc < asymptotic_rate(sc, p.beta0).rate
     # the composable rate is the finite-size bracket around that worst-case rate
@@ -225,7 +229,7 @@ def test_worst_case_is_no_more_correlated_than_the_estimate(l_b_km):
     fs = cfg.finite_size
     block = rate_point(cfg, cfg.protocol.l_a_km, l_b_km)
     params = replace(cfg.protocol, l_b_km=l_b_km)
-    sc = conditioned_scalars(params, block["sigma_r2"], "gkp")
+    sc = link_scalars(fiber_link(params, block["sigma_r2"], "gkp"), params)
     assert sc.psi < correlation_shift(sc.phi_a, sc.phi_b, kappa_from_eps(fs.eps_pe), fs.pe_signals)
     ell = fs.key_signals
     at_estimate = fs.p_ec * (ell * asymptotic_rate(sc, params.beta0).rate

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gkpmdi.channels import ProtocolParams
-from gkpmdi.security import asymptotic_rate, conditioned_scalars
+from gkpmdi.security import asymptotic_rate, fiber_link, link_scalars
 from matrix_oracle import (beamsplitter_symplectic, conditioned_state, h_function, is_symplectic,
                            schur_condition, squeezer_symplectic, symplectic_eigenvalues,
                            symplectic_form, tms_symplectic)
@@ -108,7 +108,7 @@ def test_two_mode_pair_matches_general_route():
                            sigma2_a=rng.uniform(1.2, 20.0), sigma2_b=rng.uniform(1.2, 20.0))
         sr2 = rng.uniform(0, 0.3)
         mode = ("gkp", "preamp", "direct")[rng.integers(3)]
-        report = asymptotic_rate(conditioned_scalars(p, sr2, mode), p.beta0)
+        report = asymptotic_rate(link_scalars(fiber_link(p, sr2, mode), p), p.beta0)
         pair = sorted(report.spectrum[:2], reverse=True)
         assert np.allclose(pair, symplectic_eigenvalues(conditioned_state(p, sr2, mode).cm),
                            rtol=1e-10)

@@ -9,7 +9,7 @@ from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, effective_estimator_gain, optimi
                         syndrome_reduce)
 from gkpmdi.mc import (McMutualInfo, McVariance, RngStream, mc_pe_coverage,
                        mc_protocol_mutual_info, mc_residual_variance)
-from gkpmdi.security import conditioned_scalars
+from gkpmdi.security import fiber_link, link_scalars
 
 
 def test_stream_determinism():
@@ -192,7 +192,8 @@ def test_protocol_mi_relay_decorrelation():
 
 
 def test_pe_coverage_within_bound():
-    cm = conditioned_scalars(ProtocolParams(l_a_km=1.0, l_b_km=10.0), 0.02, "gkp").cm
+    p = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
+    cm = link_scalars(fiber_link(p, 0.02, "gkp"), p).cm
     frac = mc_pe_coverage(cm, m_pe=2_000, eps_pe=0.05, n_trials=2_000,
                           rng=RngStream(6))
     bound = 0.05 + 3.0 * np.sqrt(0.05 * 0.95 / 2_000)
@@ -200,7 +201,8 @@ def test_pe_coverage_within_bound():
 
 
 def test_pe_coverage_deterministic():
-    cm = conditioned_scalars(ProtocolParams(l_a_km=1.0, l_b_km=10.0), 0.02, "gkp").cm
+    p = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
+    cm = link_scalars(fiber_link(p, 0.02, "gkp"), p).cm
     f1 = mc_pe_coverage(cm, 1_000, 0.05, 500, RngStream(8, 3))
     f2 = mc_pe_coverage(cm, 1_000, 0.05, 500, RngStream(8, 3))
     assert f1 == f2
@@ -227,7 +229,7 @@ def test_pe_coverage_matches_pair_level_simulation():
     # sampled law of (sum x^2, sum x y) is exercised, not only the bound.
     params = ProtocolParams(l_a_km=1.0, l_b_km=10.0)
     _, sr2 = optimize_squeezing(awgn_variance_preamp(params.tau_a), GkpAncilla(20.0))
-    cm = conditioned_scalars(params, sr2, "gkp").cm
+    cm = link_scalars(fiber_link(params, sr2, "gkp"), params).cm
     m_pe, n = 200, 20_000
     for i, eps in enumerate((0.5, 2.0)):
         frac = mc_pe_coverage(cm, m_pe, eps, n, RngStream(11, i))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams
 from gkpmdi.finite_size import FiniteSizeParams, UnphysicalWorstCaseError, composable_rate
-from gkpmdi.security import ConditionedScalars, asymptotic_rate, conditioned_scalars
+from gkpmdi.security import ConditionedScalars, asymptotic_rate, fiber_link, link_scalars
 
 _POINT = st.tuples(st.sampled_from(("direct", "preamp", "gkp")), st.floats(0.0, 5.0),
                    st.one_of(st.floats(0.0, 40.0), st.floats(400.0, 800.0)),
@@ -18,6 +18,11 @@ _FIELDS = ("phi_a", "psi", "phi_b", "margin_a", "margin_b")
 
 def _params(la, lb):
     return ProtocolParams(l_a_km=la, l_b_km=lb, sigma2_a=18.0, sigma2_b=24.0, beta0=0.95)
+
+
+def _scalars(la, lb, sr2, mode):
+    p = _params(la, lb)
+    return link_scalars(fiber_link(p, sr2, mode), p)
 
 
 def _fs(n_total):
@@ -41,10 +46,10 @@ def test_array_rate_layer_matches_length1_calls(points):
     points = points + [_DEEP]
     modes = np.array([p[0] for p in points])
     la, lb, sr2, n_total = (np.array([p[i] for p in points]) for i in range(1, 5))
-    one = [conditioned_scalars(_params(la[k], lb[k]), sr2[k], modes[k]) for k in range(len(points))]
+    one = [_scalars(la[k], lb[k], sr2[k], modes[k]) for k in range(len(points))]
     for mode in set(modes.tolist()):
         idx = np.flatnonzero(modes == mode)
-        sc = conditioned_scalars(_params(la[idx], lb[idx]), sr2[idx], mode)
+        sc = _scalars(la[idx], lb[idx], sr2[idx], mode)
         for field in _FIELDS:
             _same(getattr(sc, field), [getattr(one[k], field) for k in idx])
         _same_report(asymptotic_rate(sc, 0.95), [asymptotic_rate(one[k], 0.95) for k in idx])
@@ -71,13 +76,12 @@ def test_array_rate_layer_matches_length1_calls(points):
     _same(lenient[ok], [r for r in single if r is not None])
     for mode in set(modes[ok].tolist()):
         idx = np.flatnonzero(ok & (modes == mode))
-        sc = conditioned_scalars(_params(la[idx], lb[idx]), sr2[idx], mode)
+        sc = _scalars(la[idx], lb[idx], sr2[idx], mode)
         _same(composable_rate(sc, 0.95, _fs(n_total[idx])), [single[k] for k in idx])
 
 
 def test_one_unphysical_element_raises_naming_its_block():
-    sc = conditioned_scalars(_params(np.array([1.0, 1.0, 1.0]), np.array([10.0, 10.0, 10.0])),
-                             0.02, "gkp")
+    sc = _scalars(np.array([1.0, 1.0, 1.0]), np.array([10.0, 10.0, 10.0]), 0.02, "gkp")
     fs = _fs(np.array([1e8, 100.0, 1e9]))
     with pytest.raises(UnphysicalWorstCaseError, match="m_pe = 10 "):
         composable_rate(sc, 0.95, fs)

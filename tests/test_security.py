@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from gkpmdi.channels import ProtocolParams, awgn_variance_preamp
 from gkpmdi.config import MODULATION_RANGE, load_config
-from gkpmdi.fading import FadingConfig, fading_scalars, residual_nodes
+from gkpmdi.fading import FadingConfig, residual_nodes
 from gkpmdi.finite_size import FiniteSizeParams, _worst_case
 from gkpmdi.gkp import GkpAncilla, optimize_squeezing
 from gkpmdi.mc import RngStream, mc_protocol_mutual_info
-from gkpmdi.security import asymptotic_rate, conditioned_scalars
-from matrix_oracle import (assemble_global_cm, ci_rci, condition_on_bell, conditioned_state,
-                           decimal_conditioned, decimal_holevo, h_function, holevo_bound,
-                           mutual_information, scalars_from_entries, theta_value)
+from gkpmdi.security import asymptotic_rate, fiber_link, link_scalars
+from matrix_oracle import (assemble_global_cm, ci_rci, condition_on_bell, conditioned_scalars,
+                           conditioned_state, decimal_conditioned, decimal_holevo, h_function,
+                           holevo_bound, mutual_information, scalars_from_entries, theta_value)
 from shipped import reference_fading_config
 
 TABLE = ProtocolParams()  # reference defaults
@@ -25,7 +25,7 @@ def params(l_a=1.0, l_b=10.0, **kw):
 
 def link_rate(p, sigma_r2, mode):
     """The asymptotic rate of a fixed link: its conditioned scalars, then the rate."""
-    return asymptotic_rate(conditioned_scalars(p, sigma_r2, mode), p.beta0)
+    return asymptotic_rate(link_scalars(fiber_link(p, sigma_r2, mode), p), p.beta0)
 
 
 def _assert_margins_are_the_products(sc):
@@ -96,9 +96,9 @@ def _link_batches(draw):
 @given(_link_batches())
 def test_scalar_path_matches_matrix_path(batch):
     # the oracle derives the link table from the channel, so this also checks
-    # _link_coefficients; the closed forms run on the whole batch at once
+    # fiber_link's link table; the closed forms run on the whole batch at once
     p, sr2, mode = batch
-    sc = conditioned_scalars(p, sr2, mode)
+    sc = link_scalars(fiber_link(p, sr2, mode), p)
     for k in range(len(sr2)):
         state = conditioned_state(replace(p, l_a_km=p.l_a_km[k], l_b_km=p.l_b_km[k]), sr2[k], mode)
         assert state.cm[0, 0] == pytest.approx(sc.phi_a[k], rel=1e-11)
@@ -192,7 +192,7 @@ def test_holevo_matches_the_60_digit_oracle_on_fixed_links(decade, data):
     mode = data.draw(st.sampled_from(_MODES))
     sr2 = data.draw(st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda x: 10.0 ** x)))
     fs = FiniteSizeParams(n_total=data.draw(st.floats(3.0, 14.0).map(lambda x: 10.0 ** x)))
-    _assert_holevo_matches_oracle(conditioned_scalars(p, sr2, mode),
+    _assert_holevo_matches_oracle(link_scalars(fiber_link(p, sr2, mode), p),
                                   decimal_conditioned(p, mode, sr2), fs)
 
 
@@ -212,8 +212,64 @@ def test_holevo_matches_the_60_digit_oracle_on_fading_links(a010_nodes, modulati
         FadingConfig(tau0=point_mass, gamma0=2.0, r0_m=0.02, sigma_bw2_m2=1e-30),
         GkpAncilla(20.0))
     p = ProtocolParams(l_b_km=lb, sigma2_a=modulation, sigma2_b=modulation)
-    _assert_holevo_matches_oracle(fading_scalars(nodes, p), decimal_conditioned(p, nodes=nodes),
+    _assert_holevo_matches_oracle(link_scalars((nodes[0], 1.0, nodes[2]), p),
+                                  decimal_conditioned(p, nodes=nodes),
                                   FiniteSizeParams(n_total=10.0 ** log_n))
+
+
+_FIELDS = ("phi_a", "psi", "phi_b", "margin_a", "margin_b")
+
+
+def _same_bits(x, y):
+    return type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("decade", _DECADES)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_fiber_link_scalars_equal_the_reference_bit_for_bit(decade, data):
+    # a fiber link as a one-node set reproduces the fixed-link closed forms
+    # in their order of operations: every mode, scalar and array lengths
+    n = data.draw(st.integers(1, 6))
+
+    def value(elements):  # a scalar or a length-n array
+        return data.draw(st.one_of(elements, st.lists(elements, min_size=n, max_size=n)
+                                   .map(np.array)))
+
+    p = ProtocolParams(sigma2_a=data.draw(_modulation(decade)),
+                       sigma2_b=data.draw(st.sampled_from(_DECADES).flatmap(_modulation)),
+                       l_a_km=value(_LENGTH), l_b_km=value(_LENGTH),
+                       n_bar=data.draw(st.sampled_from([0.0, 0.05, 0.5])))
+    mode, sr2 = data.draw(st.sampled_from(_MODES)), value(st.floats(0.0, 0.5))
+    got, want = link_scalars(fiber_link(p, sr2, mode), p), conditioned_scalars(p, sr2, mode)
+    for field in _FIELDS:
+        assert _same_bits(getattr(got, field), getattr(want, field)), field
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 1023), st.floats(0.0, 100.0), st.floats(1.0, 100.0))
+def test_splitting_a_node_leaves_the_link_scalars(a010_nodes, k, lb, variance):
+    # a node split into two half-weight copies is the same law
+    w, _, sr2 = a010_nodes
+    split = (np.insert(w, k, w[k] / 2.0), 1.0, np.insert(sr2, k, sr2[k]))
+    split[0][k + 1] = w[k] / 2.0
+    p = ProtocolParams(l_b_km=lb, sigma2_a=variance, sigma2_b=variance)
+    got, want = link_scalars(split, p), link_scalars((w, 1.0, sr2), p)
+    # the sums xi and e xi agree to 1e-15, so do psi and the margins; phi_a
+    # and phi_b are sigma^2 + 1 less c^2 xi, equal to 1e-15 of sigma^2 + 1
+    for field in _FIELDS:
+        scale = variance + 1.0 if field.startswith("phi") else abs(getattr(want, field))
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-15 * scale, field
+
+
+def test_a_node_set_with_gain_needs_one_node():
+    # psi of a mixture with varying gain has no closed form: a direct link's
+    # gain tau_a stands on one node only
+    p = params(2.0, 10.0, n_bar=0.05)
+    w, gain, excess = fiber_link(p, 0.0, "direct")
+    assert gain[0] < 1.0 and link_scalars((w, gain, excess), p).margin_a > 0.0
+    with pytest.raises(ValueError, match="unit gain"):
+        link_scalars((np.array([0.5, 0.5]), np.repeat(gain, 2), np.repeat(excess, 2)), p)
 
 
 @settings(max_examples=100)
@@ -222,13 +278,14 @@ def test_holevo_matches_the_60_digit_oracle_on_fading_links(a010_nodes, modulati
 def test_deep_loss_holevo_is_exact_to_1e12_relative(mode, la, lb, sr2):
     # psi^2 down to 1e-24 of the variances at the shipped modulation 20
     p = params(la, lb)
-    chi = asymptotic_rate(conditioned_scalars(p, sr2, mode), p.beta0).holevo
+    chi = asymptotic_rate(link_scalars(fiber_link(p, sr2, mode), p), p.beta0).holevo
     assert chi == pytest.approx(decimal_holevo(decimal_conditioned(p, mode, sr2)),
                                 rel=1e-12, abs=0.0)
 
 
 def test_unphysical_margins_raise():
-    sc = conditioned_scalars(params(1.0, 10.0), 0.02, "gkp")
+    p = params(1.0, 10.0)
+    sc = link_scalars(fiber_link(p, 0.02, "gkp"), p)
     with pytest.raises(ValueError, match="physicality margin"):
         asymptotic_rate(replace(sc, margin_b=-1e-3), 1.0)
 
@@ -286,7 +343,7 @@ def test_thermal_background_lowers_the_rate():
     # scalar and matrix paths stay consistent with a thermal background
     p = params(1.5, 6.0, n_bar=0.1)
     state = conditioned_state(p, 0.0, "direct")
-    sc = conditioned_scalars(p, 0.0, "direct")
+    sc = link_scalars(fiber_link(p, 0.0, "direct"), p)
     assert state.cm[0, 0] == pytest.approx(sc.phi_a, rel=1e-11)
     _assert_margins_are_the_products(sc)
 
@@ -309,7 +366,7 @@ def test_condition_rejects_bad_theta():
 def test_conditioned_scalars_qt_link_is_the_gkp_form():
     # a qt link has unit gain and its code residual as excess noise, as a gkp link
     p = params(1.5, 6.0)
-    qt, gkp = conditioned_scalars(p, 0.03, "qt"), conditioned_scalars(p, 0.03, "gkp")
+    qt, gkp = (link_scalars(fiber_link(p, 0.03, mode), p) for mode in ("qt", "gkp"))
     assert qt == gkp
     with pytest.raises(ValueError, match="unknown link mode 'warp'"):
-        conditioned_scalars(p, 0.03, "warp")
+        fiber_link(p, 0.03, "warp")

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gkpmdi.channels import ProtocolParams, fiber_transmittance, plob_bound
+from gkpmdi.channels import ProtocolParams, fiber_transmittance
 from gkpmdi.config import MODULATION_RANGE, ConfigError, RunConfig, SweepSpec, load_config
 from gkpmdi.finite_size import FiniteSizeParams, composable_rate
 from gkpmdi.gkp import GkpAncilla, optimize_squeezing
-from gkpmdi.security import asymptotic_rate, conditioned_scalars
+from gkpmdi.security import asymptotic_rate, fiber_link, link_scalars
 from gkpmdi.sweeps import _link, frontier, link_sigma_r2, max_secure_distance, rate_point, \
     rate_rows, residual_rows
+from matrix_oracle import plob_bound
 from shipped import FIBER_DEFAULT, reference_fading_config
 
 
@@ -229,7 +230,7 @@ def test_rate_point_is_the_public_rate_functions(link, lbs, n_total):
     c = replace(cfg(mode, ancilla, la=la), finite_size=fs)
     row = rate_point(c, la, lb, strict=False)
     params = replace(c.protocol, l_b_km=lb)
-    sc = conditioned_scalars(params, _link(c, la)[0], mode)
+    sc = link_scalars(fiber_link(params, _link(c, la)[0], mode), params)
     report = asymptotic_rate(sc, params.beta0)
     expected = {"mutual_info_bits": report.mutual_info, "holevo_bits": report.holevo,
                 "v1": report.spectrum[0], "v2": report.spectrum[1], "v3": report.spectrum[2],
