@@ -14,7 +14,9 @@ a literal table (``_GL16``), with the residual evaluated exactly at each
 node transmittance, in one array call of ``optimize_squeezing``.  Build
 the nodes once and pass them to every average: the mean residual is
 ``np.sum(w * sigma_r2)``, the mean transmittance ``np.sum(w * tau)``, and
-``xi_integral`` takes the nodes too.
+``xi_integral`` takes the nodes too.  A caller that needs residuals at
+other transmittances as well (``gkpmdi fading``'s density rows) takes the
+rule from ``_node_rule`` and optimizes every transmittance in one call.
 
 The distribution parameters (tau0, gamma0, r0, sigma_bw^2) are inputs; the
 shipped reference configurations carry values fitted to reproduce the
@@ -98,19 +100,37 @@ def fading_cdf(tau_a, cfg: FadingConfig):
 
 
 def fading_quantile(u, cfg: FadingConfig):
-    """Inverse CDF; u in (0, 1)."""
+    """Inverse CDF; u in (0, 1] (u = 1 gives tau0).  A u outside it raises
+    ValueError."""
     u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u <= 1.0)):
+        raise ValueError("u must be in (0, 1]")
     arg = (2.0 * cfg.sigma_bw2_m2 / cfg.r0_m**2) * (-np.log(u))
     out = cfg.tau0 * np.exp(-(arg ** (cfg.gamma0 / 2.0)))
     return _as_output(out)
 
 
 def sigma_r2_of_tau(ancilla: GkpAncilla, tau):
-    """Residual variance of the dynamic code at transmittance tau.
+    """Residual variance of the dynamic code at transmittance tau in [0, 1].
 
     The channel noise is 1 - tau; where it vanishes, so does the residual.
+    A tau outside [0, 1] raises ValueError.
     """
-    return optimize_squeezing(1.0 - np.asarray(tau, dtype=float), ancilla)[1]
+    tau = np.asarray(tau, dtype=float)
+    if not np.all((tau >= 0.0) & (tau <= 1.0)):
+        raise ValueError("tau must be in [0, 1]")
+    return optimize_squeezing(1.0 - tau, ancilla)[1]
+
+
+def _node_rule(cfg: FadingConfig):
+    """The weights and transmittances of :func:`residual_nodes`, without the
+    residual: a caller that needs it elsewhere too optimizes both at once."""
+    x, w = np.concatenate([_GL16[::-1] * [-1.0, 1.0], _GL16]).T
+    edges = np.linspace(0.0, 1.0, _XI_PANELS + 1)
+    mids = (edges[1:] + edges[:-1]) / 2.0
+    halfs = (edges[1:] - edges[:-1]) / 2.0
+    u = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
+    return (halfs[:, None] * w[None, :]).ravel(), fading_quantile(u, cfg)
 
 
 def residual_nodes(cfg: FadingConfig, ancilla: GkpAncilla):
@@ -122,15 +142,10 @@ def residual_nodes(cfg: FadingConfig, ancilla: GkpAncilla):
     ``np.polynomial.legendre.leggauss(16)`` bit for bit): substituting
     u = CDF(tau) makes the measure uniform on (0, 1), which concentrates
     nodes wherever the density does (near tau0 for weak fading).  The
-    residual is exact at every node.
+    residual is exact at every node, from one ``sigma_r2_of_tau`` call.
     """
-    x, w = np.concatenate([_GL16[::-1] * [-1.0, 1.0], _GL16]).T
-    edges = np.linspace(0.0, 1.0, _XI_PANELS + 1)
-    mids = (edges[1:] + edges[:-1]) / 2.0
-    halfs = (edges[1:] - edges[:-1]) / 2.0
-    u = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    tau = fading_quantile(u, cfg)
-    return (halfs[:, None] * w[None, :]).ravel(), tau, sigma_r2_of_tau(ancilla, tau)
+    w, tau = _node_rule(cfg)
+    return w, tau, sigma_r2_of_tau(ancilla, tau)
 
 
 def xi_integral(nodes, params: ProtocolParams):

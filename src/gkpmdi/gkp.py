@@ -36,13 +36,13 @@ ELL = np.sqrt(2.0 * np.pi)  # square-lattice pitch
 # Var(w) from which the theta series replaces the cell sum.  Below it three
 # cells suffice, and every cell edge but 0 has z >= sqrt(pi).
 _THETA_MIN_VAR = 0.5
-_HALF_CELLS = np.array([[0.5], [1.5], [2.5]])  # upper edges of cells 0 to 2, in ell
+_CELL_EDGES = np.array([[0.5], [1.5], [2.5]]) * ELL  # upper edges c_n of cells 0 to 2
 _THETA_TERMS = 5  # first neglected term: exp(-36 pi var_w) <= exp(-18 pi) ~ 3e-25
 
 # erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and exp(-x^2) R(x)/S(x) for
 # x >= 8: the large-argument branches of Cephes ndtr.c (S. L. Moshier).  The
 # columns hold P, Q, R, S, highest power first; R and S are padded with
-# leading zeros, so one Horner loop evaluates all four.
+# leading zeros to the length of P and Q.
 _ERFC_PQRS = np.array([
     [2.46196981473530512524e-10, 1.0, 0.0, 0.0],
     [5.64189564831068821977e-1, 1.32281951154744992508e1, 0.0, 0.0],
@@ -59,6 +59,8 @@ _ERFC_PQRS = np.array([
      7.40974269950448939160e0, 9.60896809063285878198e0],
     [5.57535335369399327526e2, 5.57535340817727675546e2,
      2.97886665372100240670e0, 3.36907645100081516050e0]])
+# each branch's (numerator, denominator) rows: R and S from S's leading 1
+_ERFC_PQ, _ERFC_RS = _ERFC_PQRS[:, :2, None], _ERFC_PQRS[2:, 2:, None]
 _MAXLOG = 7.09782712893383996843e2  # Cephes: past x^2 = MAXLOG the tail is 0
 _R_LIMIT = _MAXLOG / 2.0  # largest squeezing r with a finite exp(2r), and so cosh 2r
 
@@ -120,23 +122,69 @@ def syndrome_reduce(x):
     return _as_output(x - n * ELL)
 
 
+def _select(mask, x, out, branch, *args):
+    """out[..., mask] = branch(x[mask], *args) for an elementwise ``branch``,
+    with no gather or scatter where ``mask`` selects every element and no
+    call where it selects none."""
+    n = np.count_nonzero(mask)
+    if n == mask.size:
+        out[...] = branch(x, *args)
+    elif n:
+        out[..., mask] = branch(x[mask], *args)
+
+
+def _erfc_quotient(x, rows):
+    """exp(-x^2) N(x) / D(x) / 2 over a flat ``x``, for one branch's Horner
+    ``rows`` of (N, D) coefficients, highest power first."""
+    poly = np.repeat(rows[0], x.size, axis=1)
+    for coef in rows[1:]:
+        poly *= x
+        poly += coef
+    return 0.5 * (np.exp(-x * x) * poly[0] / poly[1])
+
+
 def _normal_tail(z):
     """Phi(-z) = erfc(z/sqrt(2))/2 elementwise, for z >= sqrt(2).
 
     The two branches of Cephes' erfc for arguments x = z/sqrt(2) >= 1, with
     its arithmetic order; within 6e-16 relative of ``scipy.special.ndtr(-z)``
-    wherever the tail is a normal float.
+    wherever the tail is a normal float.  Each element evaluates only its
+    own branch, P/Q below x = 8 and R/S from 8 to the underflow at x^2 =
+    _MAXLOG, and is 0 past it.
     """
-    x = z * np.sqrt(0.5)
-    xp = np.minimum(x, 27.0)  # past sqrt(MAXLOG) ~ 26.6 the tail is 0: keeps the polynomials finite
-    poly = np.zeros((4,) + xp.shape)
-    for coef in _ERFC_PQRS:
-        poly *= xp
-        poly += coef.reshape((4,) + (1,) * xp.ndim)
-    p, q, r, s = poly
-    e = np.exp(-xp * xp)
-    y = np.where(xp < 8.0, e * p / q, e * r / s)
-    return np.where(xp * xp > _MAXLOG, 0.0, 0.5 * y)
+    x = np.minimum(z * np.sqrt(0.5), 27.0).ravel()  # capped: the polynomials stay finite
+    out = np.zeros_like(x)
+    near = x < 8.0
+    _select(near, x, out, _erfc_quotient, _ERFC_PQ)
+    _select(~near & (x * x <= _MAXLOG), x, out, _erfc_quotient, _ERFC_RS)
+    return out.reshape(np.shape(z))
+
+
+def _theta_terms(v):
+    """E[D^2], E' and E'' of broad syndromes: the theta series."""
+    vc = np.minimum(v, 300.0)  # every q_k underflows past 240: keeps 4 vc finite
+    s = s1 = s2 = 0.0
+    for k in range(_THETA_TERMS, 0, -1):  # smallest term first
+        qk = (-1.0) ** k * np.exp(-np.pi * vc * (k * k))
+        s = s + qk * (2.0 / (np.pi * k * k) + 4.0 * vc)
+        s1 = s1 + qk * (2.0 - 4.0 * np.pi * k * k * vc)
+        s2 = s2 + qk * (np.pi * k * k * (4.0 * np.pi * k * k * vc - 6.0))
+    return v + np.pi / 6.0 + s, 1.0 + s1, s2
+
+
+def _cell_sum(a):
+    """sum_n (2n - 1) a_n over the three cells, largest weight first."""
+    return (5.0 * a[2] + 3.0 * a[1]) + a[0]
+
+
+def _cell_terms(v):
+    """E[D^2], E' and E'' of narrow syndromes: three lattice cells."""
+    # capped where the density underflows; the tail caps x = z / sqrt(2) at 27 < 40 / sqrt(2)
+    z, c2 = np.minimum(_CELL_EDGES / np.sqrt(v), 40.0), _CELL_EDGES**2
+    shift = 2.0 * ELL**2 * _cell_sum(_normal_tail(z))
+    p = np.exp(-0.5 * z * z) / ELL * z**3 / c2  # pdf z^3 / c^2, with ELL = sqrt(2 pi)
+    q = p * (z * z - 3.0) * z * z / c2
+    return shift, ELL**2 * _cell_sum(p), 0.5 * ELL**2 * _cell_sum(q)
 
 
 def _shift_terms(var):
@@ -153,29 +201,11 @@ def _shift_terms(var):
     branch: E' = 1 + sum_k (-1)^k q_k (2 - 4 pi k^2 var) and
     E'' = sum_k (-1)^k q_k pi k^2 (4 pi k^2 var - 6).
     """
-    shift, d1, d2 = np.zeros_like(var), np.zeros_like(var), np.zeros_like(var)
+    terms = np.zeros((3,) + var.shape)
     broad = var >= _THETA_MIN_VAR
-    if np.any(broad):
-        v = var[broad]
-        vc = np.minimum(v, 300.0)  # every q_k underflows past 240: keeps 4 vc finite
-        s = s1 = s2 = 0.0
-        for k in range(_THETA_TERMS, 0, -1):  # smallest term first
-            qk = (-1.0) ** k * np.exp(-np.pi * vc * (k * k))
-            s = s + qk * (2.0 / (np.pi * k * k) + 4.0 * vc)
-            s1 = s1 + qk * (2.0 - 4.0 * np.pi * k * k * vc)
-            s2 = s2 + qk * (np.pi * k * k * (4.0 * np.pi * k * k * vc - 6.0))
-        shift[broad], d1[broad], d2[broad] = v + np.pi / 6.0 + s, 1.0 + s1, s2
-    narrow = ~broad
-    if np.any(narrow):
-        z = _HALF_CELLS * ELL / np.sqrt(var[narrow])
-        t1, t3, t5 = _normal_tail(z)
-        shift[narrow] = 2.0 * ELL**2 * ((5.0 * t5 + 3.0 * t3) + t1)
-        zc, c2 = np.minimum(z, 40.0), (_HALF_CELLS * ELL) ** 2
-        p = np.exp(-0.5 * zc * zc) / np.sqrt(2.0 * np.pi) * zc**3 / c2  # pdf z^3 / c^2
-        q = p * (zc * zc - 3.0) * zc * zc / c2
-        d1[narrow] = ELL**2 * ((5.0 * p[2] + 3.0 * p[1]) + p[0])
-        d2[narrow] = 0.5 * ELL**2 * ((5.0 * q[2] + 3.0 * q[1]) + q[0])
-    return shift, d1, d2
+    _select(broad, var, terms, _theta_terms)
+    _select(~broad, var, terms, _cell_terms)
+    return terms
 
 
 def lattice_shift_variance(var_w):
@@ -249,14 +279,20 @@ def residual_variance(r, sigma2, ancilla: GkpAncilla = IDEAL):
         noise = ancilla.syndrome_noise_variance
         var_w = out[live] + noise
         shift = lattice_shift_variance(var_w)  # raises first on a NaN or infinite var_w
-        phi = cov / var_w
-        out[live] = s2 * ((s2 + noise * c2r) / var_w) + phi * phi * shift
+        out[live] = _residual(s2, c2r, var_w, cov / var_w, shift, noise)
     return _as_output(out)
 
 
+def _residual(s2, c2r, var_w, phi, shift, noise):
+    """The residual variance where phi != 0, from its parts at one r:
+    sigma^2 (sigma^2 + delta_syn^2 cosh 2r) / Var(w) + phi^2 E[D^2].  The one
+    formula of :func:`residual_variance` and of the optimizer's minimum."""
+    return s2 * ((s2 + noise * c2r) / var_w) + phi * phi * shift
+
+
 def _log_slope_ratio(r, s2, noise):
-    """ln(P/N) and its derivative in r, elementwise (unchecked: needs
-    s2 > noise >= 0 and r in [0, _R_LIMIT]).
+    """ln(P/N), its derivative in r and the residual variance at r,
+    elementwise (unchecked: needs s2 > noise >= 0 and r in [0, _R_LIMIT]).
 
     With W = Var(w), phi the regression gain and E the lattice-shift
     variance, the slope of :func:`residual_variance` splits as
@@ -273,7 +309,8 @@ def _log_slope_ratio(r, s2, noise):
 
     P, P' and N are formed divided by W, which keeps them finite for any
     finite W.  Where E underflows, P = 0 and the log is -inf, with
-    derivative 0.
+    derivative 0.  The residual is :func:`_residual` of the same parts, so
+    it equals ``residual_variance(r, s2)`` bit for bit.
     """
     c2r = np.cosh(2.0 * r)
     var_w = s2 * c2r + noise
@@ -287,7 +324,7 @@ def _log_slope_ratio(r, s2, noise):
     has = rise > 0.0
     ratio = np.log(rise, out=np.full_like(rise, -np.inf), where=has) - log_fall
     slope = np.where(has, phi * (np.divide(drise, rise, out=np.zeros_like(rise), where=has) + 2.0), 0.0)
-    return ratio, slope
+    return ratio, slope, _residual(s2, c2r, var_w, phi, shift, noise)
 
 
 _R_MAX = 3.0  # the initial search window is [0, _R_MAX]
@@ -307,13 +344,17 @@ def optimize_squeezing(sigma2, ancilla: GkpAncilla = IDEAL):
     syndrome noise and ln(P/N) < 0 at r = 0 (see :func:`_log_slope_ratio`).
     Elsewhere a window [0, b] brackets the minimum once ln(P/N) >= 0 at b:
     b starts at 3 and doubles (up to _R_LIMIT) while the slope at b is
-    still negative.  A safeguarded Newton iteration on ln(P/N) then finds
-    the root, starting where the syndrome variance reaches _W_START.  The
-    Newton step is taken in u = ln cosh^2 r, in which ln(P/N) is close to
-    linear both near r = 0 (where it goes as r^2) and far out (as 2r); it
-    falls back to bisection in r when the step leaves the bracket or is
-    more than half the step before last.  It stops at a step below 1e-13
-    of r or a bracket of 1e-10, typically after 4 to 6 evaluations.
+    still negative; the test at r = 0 and at b = 3 share one kernel call.
+    A safeguarded Newton iteration on ln(P/N) then finds the root, starting
+    where the syndrome variance reaches _W_START.  The Newton step is taken
+    in u = ln cosh^2 r, in which ln(P/N) is close to linear both near r = 0
+    (where it goes as r^2) and far out (as 2r); it falls back to bisection
+    in r when the step leaves the bracket or is more than half the step
+    before last.  It stops at a step below 1e-13 of r or a bracket of
+    1e-10, typically after 3 to 6 Newton evaluations of an element; the
+    whole search of the shipped a010 fading nodes takes 7 kernel calls.
+    The minimum is the residual of the last kernel call at r_opt, with no
+    pass of its own.
 
     Returns (r_opt, residual_variance(r_opt)) shaped like ``sigma2``
     (floats for a scalar); where coding gains less than 1e-12 of sigma2,
@@ -330,45 +371,53 @@ def optimize_squeezing(sigma2, ancilla: GkpAncilla = IDEAL):
     # it is searched as 0, which gives no gain
     s2 = np.where(noise < np.finfo(float).tiny, 0.0, noise)
     syn = ancilla.syndrome_noise_variance
-    r, f, df = np.zeros_like(s2), np.zeros_like(s2), np.zeros_like(s2)
+    r, v = np.zeros_like(s2), s2.copy()
     live = np.flatnonzero(s2 > syn)
-    f[live] = _log_slope_ratio(np.zeros(live.size), s2[live], syn)[0]
-    live = live[f[live] < 0.0]
-    a, b = np.zeros_like(s2), np.full_like(s2, _R_MAX)
-    todo = live
-    while todo.size:
-        r[todo] = b[todo]
-        f[todo] = _log_slope_ratio(b[todo], s2[todo], syn)[0]
-        todo = todo[(f[todo] < 0.0) & (b[todo] < _R_LIMIT)]
-        a[todo] = b[todo]
-        b[todo] = np.minimum(2.0 * b[todo], _R_LIMIT)
-    act = live[f[live] > 0.0]  # elsewhere r = b: a root there, or the minimum at _R_LIMIT
-    aa, ba = a[act], b[act]
-    x = np.clip(0.5 * np.arccosh(np.maximum((_W_START - syn) / s2[act], 1.0)),
-                aa + (ba - aa) / 8.0, 0.5 * (aa + ba))
-    step, last = b - a, b - a  # the bracket width stands in for the steps before the first
-    while act.size:
-        r[act] = x
-        f[act], df[act] = _log_slope_ratio(x, s2[act], syn)
-        left = f[act] < 0.0
-        a[act[left]], b[act[~left]] = x[left], x[~left]
-        act = act[(f[act] != 0.0) & (b[act] - a[act] > 1e-10)]
-        x, aa, ba = r[act], a[act], b[act]
-        du = np.divide(2.0 * np.tanh(x) * f[act], df[act], out=np.full_like(x, np.inf),
-                       where=df[act] > 0.0)
-        u = np.clip(np.log1p(np.sinh(x) ** 2) - du, 0.0, 709.0)  # expm1 stays finite
-        newton = np.arcsinh(np.sqrt(np.expm1(u)))
-        done = np.abs(newton - x) <= 1e-13 * x
-        ok = (aa < newton) & (newton < ba) & (2.0 * np.abs(newton - x) <= last[act])
-        nxt = np.where(ok, newton, 0.5 * (aa + ba))
-        last[act], step[act] = step[act], np.abs(nxt - x)
-        act, x = act[~done], nxt[~done]
-    v = s2.copy()
     if live.size:
-        v[live] = residual_variance(r[live], s2[live], ancilla)
+        _search(live, s2, syn, r, v)
     no_gain = v >= s2 * (1.0 - _NO_GAIN_RTOL)
     r[no_gain], v[no_gain] = 0.0, noise[no_gain]
     return _as_output(r.reshape(shape)), _as_output(v.reshape(shape))
+
+
+def _search(live, s2, syn, r, v):
+    """The search of :func:`optimize_squeezing` over the elements ``live`` of
+    ``s2``, each above the syndrome noise ``syn``: writes r_opt, and the
+    residual there, into ``r`` and ``v`` wherever r = 0 is not the minimum.
+    Every kernel call writes its r and residual, so the last call at an
+    element leaves the pair it stopped at."""
+    n = live.size
+    f0, _, v0 = _log_slope_ratio(np.repeat([0.0, _R_MAX], n), np.tile(s2[live], 2), syn)
+    gain = f0[:n] < 0.0  # the slope is negative just past r = 0
+    live, f = live[gain], np.zeros_like(s2)
+    r[live], f[live], v[live] = _R_MAX, f0[n:][gain], v0[n:][gain]
+    a, b = np.zeros_like(s2), np.full_like(s2, _R_MAX)
+    todo = live[f[live] < 0.0]
+    while todo.size:  # the window doubles while the slope at its edge is negative
+        a[todo] = b[todo]
+        b[todo] = r[todo] = np.minimum(2.0 * b[todo], _R_LIMIT)
+        f[todo], _, v[todo] = _log_slope_ratio(r[todo], s2[todo], syn)
+        todo = todo[(f[todo] < 0.0) & (b[todo] < _R_LIMIT)]
+    act = live[f[live] > 0.0]  # elsewhere r = b: a root there, or the minimum at _R_LIMIT
+    lo, hi, s = a[act], b[act], s2[act]
+    x = np.clip(0.5 * np.arccosh(np.maximum((_W_START - syn) / s, 1.0)),
+                lo + (hi - lo) / 8.0, 0.5 * (lo + hi))
+    step = last = hi - lo  # the bracket width stands in for the steps before the first
+    while act.size:  # the state of each active element, compressed once per call
+        r[act] = x
+        f, df, v[act] = _log_slope_ratio(x, s, syn)
+        left = f < 0.0
+        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+        du = np.divide(2.0 * np.tanh(x) * f, df, out=np.full_like(x, np.inf), where=df > 0.0)
+        u = np.clip(np.log1p(np.sinh(x) ** 2) - du, 0.0, 709.0)  # expm1 stays finite
+        newton = np.arcsinh(np.sqrt(np.expm1(u)))
+        ok = (lo < newton) & (newton < hi) & (2.0 * np.abs(newton - x) <= last)
+        nxt = np.where(ok, newton, 0.5 * (lo + hi))
+        last, step = step, np.abs(nxt - x)
+        go = (f != 0.0) & (hi - lo > 1e-10) & ~(np.abs(newton - x) <= 1e-13 * x)
+        act, x, s, lo, hi, step, last = (
+            (act, nxt, s, lo, hi, step, last) if go.all()
+            else (q[go] for q in (act, nxt, s, lo, hi, step, last)))
 
 
 def lower_bound_variance(sigma2):

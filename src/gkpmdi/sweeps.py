@@ -19,7 +19,8 @@ import numpy as np
 
 from .channels import _as_output, awgn_variance_preamp, awgn_variance_qt, fiber_transmittance
 from .config import SWEEPS, ConfigError, RunConfig, SweepSpec
-from .fading import fading_pdf, fading_quantile, residual_nodes, sigma_r2_of_tau, xi_integral
+from .fading import (_node_rule, fading_pdf, fading_quantile, residual_nodes, sigma_r2_of_tau,
+                     xi_integral)
 from .finite_size import composable_rate
 from .gkp import concat_variance, lower_bound_variance, optimize_squeezing
 from .security import asymptotic_rate, fiber_link, link_scalars
@@ -274,10 +275,14 @@ def fading_rows(cfg: RunConfig) -> Iterator[dict]:
     # for gamma0 > 2 the density diverges (integrably) at tau0: stop one step short
     hi = fad.tau0 - (fad.tau0 - lo) / (_PDF_ROWS - 1) if fad.gamma0 > 2.0 else fad.tau0
     taus = np.linspace(lo, hi, _PDF_ROWS)
+    # the residual_nodes, shared by the summary and every rate row, optimized
+    # together with the density rows: one optimization per run
+    w, tau = _node_rule(fad)
+    sigma_r2 = sigma_r2_of_tau(cfg.ancilla, np.concatenate([taus, tau]))
+    node_sigma_r2 = sigma_r2[_PDF_ROWS:]
+    nodes = (w, tau, node_sigma_r2)
     yield {**echo, "row_kind": "pdf", "tau_a": taus, "pdf_density": fading_pdf(taus, fad),
-           "sigma_r2_of_tau": sigma_r2_of_tau(cfg.ancilla, taus)}
-    nodes = residual_nodes(fad, cfg.ancilla)  # shared by the summary and every rate row
-    w, tau, node_sigma_r2 = nodes
+           "sigma_r2_of_tau": sigma_r2[:_PDF_ROWS]}
     # the nodes' mean residual, as rate_point writes it in every rate block
     yield {**echo, "row_kind": "summary", "mean_sigma_r2": float(np.sum(w * node_sigma_r2)),
            "mean_tau": float(np.sum(w * tau)), "xi": xi_integral(nodes, cfg.protocol)}

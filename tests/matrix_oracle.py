@@ -21,13 +21,17 @@ entropic quantities, kept for tests only:
   bit-for-bit reference of :func:`gkpmdi.security.link_scalars` on
   :func:`gkpmdi.security.fiber_link`;
 * :func:`plob_bound`, the repeaterless secret-key capacity of a pure-loss
-  channel, the ceiling every rate is checked against.
+  channel, the ceiling every rate is checked against;
+* :func:`padded_normal_tail`, the Cephes normal tail as the library formed
+  it before each erfc branch ran only where it applies: all four
+  polynomials of ``gkp._ERFC_PQRS`` at every element, in one zero-padded
+  Horner loop.  The bit-for-bit reference of ``gkp._normal_tail``.
 
 The conditioning and the entropy share no code with production (only the
-tail-bound shift, ``awgn_variance_preamp`` in the reference and the
-``ConditionedScalars`` type are imported): the per-mode A' variance and
-correlation are derived below from the channel steps (thermal loss,
-amplification), so a comparison against
+tail-bound shift, ``awgn_variance_preamp`` in the reference, the
+``ConditionedScalars`` type and the erfc coefficient table are imported):
+the per-mode A' variance and correlation are derived below from the
+channel steps (thermal loss, amplification), so a comparison against
 :func:`gkpmdi.security.link_scalars` also checks
 :func:`gkpmdi.security.fiber_link`'s link table.
 
@@ -47,6 +51,7 @@ import numpy as np
 
 from gkpmdi.channels import ProtocolParams, _as_output, awgn_variance_preamp
 from gkpmdi.finite_size import FiniteSizeParams, correlation_shift, kappa_from_eps
+from gkpmdi.gkp import _ERFC_PQRS, _MAXLOG
 from gkpmdi.security import ConditionedScalars
 
 
@@ -444,6 +449,20 @@ def plob_bound(tau):
     if not np.all((0.0 <= tau) & (tau < 1.0)):
         raise ValueError("transmittance must be in [0, 1)")
     return _as_output(-np.log2(1.0 - tau))
+
+
+def padded_normal_tail(z):
+    """Phi(-z) for z >= sqrt(2): both Cephes erfc quotients at every element,
+    the one that applies picked by ``np.where``, 0 past x^2 = MAXLOG."""
+    xp = np.minimum(z * np.sqrt(0.5), 27.0)
+    poly = np.zeros((4,) + xp.shape)
+    for coef in _ERFC_PQRS:
+        poly *= xp
+        poly += coef.reshape((4,) + (1,) * xp.ndim)
+    p, q, r, s = poly
+    e = np.exp(-xp * xp)
+    y = np.where(xp < 8.0, e * p / q, e * r / s)
+    return np.where(xp * xp > _MAXLOG, 0.0, 0.5 * y)
 
 
 _DIGITS = decimal.Context(prec=60)

@@ -540,12 +540,16 @@ def test_rate_on_fading_config_rejects_la_km_axis(tmp_path, capsys):
 
 
 def test_fading_nodes_built_once_per_run(tmp_path, monkeypatch):
+    # one optimize_squeezing call per run: the node residuals of a rate grid
+    # or frontier, and in `fading` those nodes together with the density rows
+    import gkpmdi.fading
     import gkpmdi.sweeps
 
     calls = []
-    build = gkpmdi.sweeps.residual_nodes
-    monkeypatch.setattr(gkpmdi.sweeps, "residual_nodes",
-                        lambda *args: calls.append(args) or build(*args))
+    optimize = gkpmdi.fading.optimize_squeezing
+    for module in (gkpmdi.fading, gkpmdi.sweeps):
+        monkeypatch.setattr(module, "optimize_squeezing",
+                            lambda *args: calls.append(args) or optimize(*args))
     shipped = reference_fading_config(0.1).read_text()
     for command, ini in (("rate", shipped), ("fading", shipped),
                          ("rate", shipped.replace("mode = grid", "mode = frontier"))):

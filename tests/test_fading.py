@@ -59,6 +59,25 @@ def test_quantile_inverts_cdf():
     assert np.allclose(fading_cdf(taus, CFG), us, atol=1e-12)
 
 
+def test_quantile_rejects_u_outside_its_domain():
+    # outside (0, 1] the inverse CDF returned NaN (u > 1 or u < 0) or the
+    # off-support transmittance 0 (u = 0), with a RuntimeWarning
+    assert fading_quantile(1.0, CFG) == CFG.tau0
+    for bad in (1.5, -0.2, 0.0, np.nan, [0.5, 1.0 + 1e-12]):
+        with pytest.raises(ValueError, match="u must be in"):
+            fading_quantile(bad, CFG)
+
+
+def test_residual_rejects_tau_outside_its_domain():
+    # a negative transmittance gave a noise above 1 (tau = -0.1: 1.1), and
+    # tau > 1 an error naming sigma2 rather than tau
+    assert sigma_r2_of_tau(ANC, 1.0) == 0.0
+    assert sigma_r2_of_tau(ANC, 0.0) == optimize_squeezing(1.0, ANC)[1]
+    for bad in (-0.1, 1.2, np.nan, [0.5, -1e-12]):
+        with pytest.raises(ValueError, match="tau must be in"):
+            sigma_r2_of_tau(ANC, bad)
+
+
 def test_sampling_matches_cdf():
     gen = RngStream(11).generator()
     taus = fading_quantile(gen.uniform(size=200_000), CFG)
