@@ -25,6 +25,7 @@ exponentials.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,12 +105,32 @@ def effective_estimator_gain(r, sigma2, ancilla: GkpAncilla = IDEAL):
 
     Equals tanh(2r) for an ideal ancilla and is reduced by the syndrome
     broadening of a finitely squeezed one; 0 where Var(w) = 0.  ``r`` and
-    ``sigma2`` broadcast together; scalars give a float.
+    ``sigma2`` broadcast together; scalars give a float.  Inputs outside
+    :func:`_input_rule` raise ValueError.
     """
+    with _input_rule(r, sigma2) as (r, sigma2):
+        phi = _gain(r, sigma2, ancilla.syndrome_noise_variance)[2]
+    return _as_output(phi)
+
+
+@contextmanager
+def _input_rule(r, sigma2):
+    """Yields ``r`` and ``sigma2`` broadcast, under the public input rule: r in
+    [0, _R_LIMIT], where cosh 2r is finite, sigma2 finite and >= 0, and a
+    finite Var(w) in the block's :func:`_gain`.  A breach raises ValueError
+    before any warning."""
     r, sigma2 = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(sigma2, dtype=float))
-    var_w = sigma2 * np.cosh(2.0 * r) + ancilla.syndrome_noise_variance
-    return _as_output(np.divide(sigma2 * np.sinh(2.0 * r), var_w, out=np.zeros_like(var_w),
-                                where=var_w > 0.0))
+    if not np.all((r >= 0) & (r <= _R_LIMIT)):
+        raise ValueError(f"r must be in [0, {_R_LIMIT:.2f}]: cosh 2r overflows past it")
+    if not np.all(np.isfinite(sigma2)):
+        raise ValueError("sigma2 must be finite")
+    if not np.all(sigma2 >= 0):
+        raise ValueError("sigma2 must be >= 0")
+    try:
+        with np.errstate(over="raise"):
+            yield r, sigma2
+    except FloatingPointError:
+        raise ValueError("sigma2 is too large for r: sigma2 cosh 2r overflows") from None
 
 
 def syndrome_reduce(x):
@@ -188,18 +209,34 @@ def _cell_terms(v):
 
 
 def _shift_terms(var):
-    """E[D^2] and its first two derivatives in ``var``, elementwise over a
-    flat array of positive variances (unchecked).
+    """E[D^2] and its first two derivatives in ``var`` for the lattice shift
+    D = w - wrap(w) of w ~ N(0, var), elementwise over a flat array of
+    positive variances (unchecked).
 
-    Narrow branch, with c_n = (n - 1/2) ell, z_n = c_n / sqrt(var) and
-    pdf the standard normal density (z^3 / c^2 = var^(-3/2) / c, and so on):
+    D = n ell on lattice cell n, where w lies in [(n - 1/2) ell, (n + 1/2) ell].
+    Narrow syndromes (var < 1/2) sum n^2 ell^2 P(cell n) by parts into
+    positive terms: with c_n = (n - 1/2) ell, z_n = c_n / sqrt(var) and pdf
+    the standard normal density (z^3 / c^2 = var^(-3/2) / c, and so on),
 
+        E[D^2] = 2 ell^2 sum_{n >= 1} (2n - 1) Phi(-z_n),
         E'  = ell^2 sum_n (2n - 1) pdf(z_n) z_n^3 / c_n^2,
-        E'' = (ell^2 / 2) sum_n (2n - 1) pdf(z_n) (z_n^2 - 3) z_n^5 / c_n^4;
+        E'' = (ell^2 / 2) sum_n (2n - 1) pdf(z_n) (z_n^2 - 3) z_n^5 / c_n^4,
 
-    past z = 40 the density underflows to 0, so z is capped there.  Theta
-    branch: E' = 1 + sum_k (-1)^k q_k (2 - 4 pi k^2 var) and
-    E'' = sum_k (-1)^k q_k pi k^2 (4 pi k^2 var - 6).
+    kept to n = 3; the n = 4 term is below 1e-32 of the first.  Every z_n is
+    at least sqrt(pi), where :func:`_normal_tail` applies, and past z = 40
+    the density underflows to 0, so z is capped there.
+
+    Broad syndromes (var >= 1/2) use the theta series of the wrapped normal
+    (Mardia & Jupp, Directional Statistics, 2000), with q_k =
+    (-1)^k exp(-pi k^2 var):
+
+        E[D^2] = var + pi/6 + sum_k q_k (2 / (pi k^2) + 4 var),
+        E'  = 1 + sum_k q_k (2 - 4 pi k^2 var),
+        E'' = sum_k q_k pi k^2 (4 pi k^2 var - 6),
+
+    summed to k = 5; the neglected terms are below exp(-18 pi) ~ 3e-25.  Any
+    finite variance converges: past var ~ 240 every q_k underflows and
+    E[D^2] is var + pi/6.
     """
     terms = np.zeros((3,) + var.shape)
     broad = var >= _THETA_MIN_VAR
@@ -208,44 +245,14 @@ def _shift_terms(var):
     return terms
 
 
-def lattice_shift_variance(var_w):
-    """E[D^2] for the lattice shift D = w - wrap(w) of w ~ N(0, var_w).
-
-    D = n ell on lattice cell n, where w lies in [(n - 1/2) ell, (n + 1/2) ell].
-    Narrow syndromes (0 < var_w < 1/2) sum n^2 ell^2 P(cell n) by parts into
-    positive terms, with sd = sqrt(var_w):
-
-        E[D^2] = 2 ell^2 sum_{n >= 1} (2n - 1) Phi(-(n - 1/2) ell / sd),
-
-    kept to n = 3; the n = 4 term is below 1e-32 of the first.  Every
-    argument is at least sqrt(pi) standard deviations out, where
-    :func:`_normal_tail` applies.
-
-    Broad syndromes (var_w >= 1/2) use the theta series of the wrapped
-    normal (Mardia & Jupp, Directional Statistics, 2000), with q_k =
-    exp(-pi k^2 var_w):
-
-        E[D^2] = var_w + pi/6 + sum_k (-1)^k q_k (2 / (pi k^2) + 4 var_w),
-
-    summed to k = 5; the neglected terms are below exp(-18 pi) ~ 3e-25.
-    Any finite variance converges: past var_w ~ 240 every q_k underflows
-    and E[D^2] is var_w + pi/6.
-
-    ``var_w`` may be an array; a scalar gives a float.  Each element's
-    arithmetic is independent of its batch.  A NaN, infinite or negative
-    variance raises ValueError.
-    """
-    var = np.asarray(var_w, dtype=float)
-    if not np.all(np.isfinite(var)):
-        raise ValueError("variance must be finite")
-    if np.any(var < 0):
-        raise ValueError("variance must be >= 0")
-    flat = var.ravel()
-    out = np.zeros_like(flat)
-    pos = flat > 0.0
-    if np.any(pos):
-        out[pos] = _shift_terms(flat[pos])[0]
-    return _as_output(out.reshape(var.shape))
+def _gain(r, s2, noise):
+    """The parts of every residual and gain, elementwise (unchecked): cosh 2r,
+    Var(w) = s2 cosh 2r + noise and phi = s2 sinh 2r / Var(w), 0 where
+    Var(w) = 0."""
+    c2r = np.cosh(2.0 * r)
+    var_w = s2 * c2r + noise
+    phi = np.divide(s2 * np.sinh(2.0 * r), var_w, out=np.zeros_like(var_w), where=var_w > 0.0)
+    return c2r, var_w, phi
 
 
 def residual_variance(r, sigma2, ancilla: GkpAncilla = IDEAL):
@@ -259,27 +266,19 @@ def residual_variance(r, sigma2, ancilla: GkpAncilla = IDEAL):
 
         sigma^2 (sigma^2 + delta_syn^2 cosh 2r) / Var(w) + phi^2 E[D^2],
 
-    the first being Var(a) - Cov(a, w)^2 / Var(w) and the second
-    :func:`lattice_shift_variance`.  At r = 0 the gain vanishes and the
-    channel noise is returned unchanged.  ``r`` and ``sigma2`` broadcast
-    together; scalars give a float.  An r outside [0, _R_LIMIT], where
-    cosh 2r is finite, raises ValueError.
+    the first being Var(a) - Cov(a, w)^2 / Var(w) and the second from
+    :func:`_shift_terms`.  At r = 0 the gain vanishes and the channel noise
+    is returned unchanged.  ``r`` and ``sigma2`` broadcast together; scalars
+    give a float.  Inputs outside :func:`_input_rule` raise ValueError.
     """
-    r, sigma2 = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(sigma2, dtype=float))
-    if not np.all((r >= 0) & (r <= _R_LIMIT)):
-        raise ValueError(f"r must be in [0, {_R_LIMIT:.1f}]: cosh 2r overflows past it")
-    if np.any(sigma2 < 0):
-        raise ValueError("sigma2 must be >= 0")
-    c2r = np.cosh(2.0 * r)
+    noise = ancilla.syndrome_noise_variance
+    with _input_rule(r, sigma2) as (r, sigma2):
+        c2r, var_w, phi = _gain(r, sigma2, noise)
     out = np.asarray(sigma2 * c2r)  # Var(a): the result where phi = 0
-    cov = sigma2 * np.sinh(2.0 * r)
-    live = cov != 0.0
+    live = phi != 0.0
     if np.any(live):
-        s2, c2r, cov = sigma2[live], c2r[live], cov[live]
-        noise = ancilla.syndrome_noise_variance
-        var_w = out[live] + noise
-        shift = lattice_shift_variance(var_w)  # raises first on a NaN or infinite var_w
-        out[live] = _residual(s2, c2r, var_w, cov / var_w, shift, noise)
+        var_w = var_w[live]
+        out[live] = _residual(sigma2[live], c2r[live], var_w, phi[live], _shift_terms(var_w)[0], noise)
     return _as_output(out)
 
 
@@ -312,10 +311,8 @@ def _log_slope_ratio(r, s2, noise):
     derivative 0.  The residual is :func:`_residual` of the same parts, so
     it equals ``residual_variance(r, s2)`` bit for bit.
     """
-    c2r = np.cosh(2.0 * r)
-    var_w = s2 * c2r + noise
+    c2r, var_w, phi = _gain(r, s2, noise)
     shift, d1, d2 = _shift_terms(var_w)
-    phi = s2 * np.sinh(2.0 * r) / var_w
     t, e = noise / var_w, shift / var_w
     dphi = 2.0 * ((s2 / var_w) ** 2 + (s2 * c2r / var_w) * t)
     rise = dphi * e + phi * phi * d1  # P / W

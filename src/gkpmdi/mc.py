@@ -58,13 +58,15 @@ def mc_residual_variance(r: float, sigma2: float, ancilla: GkpAncilla = IDEAL,
     Draws channel noise on the encoded pair, undoes the two-mode squeezer,
     reads the ancilla modulo the lattice pitch (with syndrome broadening for
     a finite ancilla), applies the linear corrective displacement and
-    accumulates the output moments per quadrature.
+    accumulates the output moments per quadrature.  ``r`` and ``sigma2``
+    follow the input rule of :func:`gkpmdi.gkp.residual_variance`, checked
+    before any draw.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    phi = effective_estimator_gain(r, sigma2, ancilla)  # raises on an r or sigma2 out of its rule
     gen = rng.generator()
     c, s = np.cosh(r), np.sinh(r)
-    phi = effective_estimator_gain(r, sigma2, ancilla)
     dsyn = np.sqrt(ancilla.syndrome_noise_variance)
     sd = np.sqrt(sigma2)
     sums = np.zeros(2)
@@ -143,9 +145,12 @@ def mc_protocol_mutual_info(params, sigma_r2: float, n_samples: int = 1_000_000,
     with their analytically known coefficients.  The estimate is the
     two-quadrature Gaussian mutual information of the displaced keys from
     sample covariances; the standard error comes from block means.
+    ``sigma_r2`` must be finite and >= 0.
     """
     if n_samples < _MI_BLOCKS * 10:
         raise ValueError("n_samples too small for block error estimation")
+    if not 0.0 <= sigma_r2 < np.inf:
+        raise ValueError("sigma_r2 must be finite and >= 0")
     gen = rng.generator()
     sa2, sb2 = params.sigma2_a, params.sigma2_b
     tau_b = params.tau_b

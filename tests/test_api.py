@@ -112,3 +112,16 @@ def test_params_level_rate_calls_fail():
         gkpmdi.asymptotic_rate(p, 0.02, "gkp")
     with pytest.raises(TypeError):
         gkpmdi.composable_rate(p, 0.02, gkpmdi.FiniteSizeParams(), "gkp")
+
+
+def test_residual_parts_have_one_production_route():
+    # Var(w) and the gain come from gkp._gain, and E[D^2] from
+    # gkp._shift_terms, for the public entry points and the optimizer alike
+    assert _callers_in_src("_gain") == {("gkp", "effective_estimator_gain"),
+                                        ("gkp", "residual_variance"), ("gkp", "_log_slope_ratio")}
+    assert _callers_in_src("_shift_terms") == {("gkp", "residual_variance"),
+                                               ("gkp", "_log_slope_ratio")}
+    defined = {node.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)}
+    assert "lattice_shift_variance" not in defined

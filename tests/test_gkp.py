@@ -1,6 +1,7 @@
 import json
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from scipy.special import ndtr
 from gkpmdi import fading, gkp, sweeps
 from gkpmdi.config import load_config
 from gkpmdi.gkp import (ELL, GkpAncilla, IDEAL, concat_variance,
-                        effective_estimator_gain, lattice_shift_variance, lower_bound_variance,
+                        effective_estimator_gain, lower_bound_variance,
                         optimize_squeezing, residual_variance, syndrome_reduce)
-from gkpmdi.mc import RngStream, mc_residual_variance
+from gkpmdi.channels import ProtocolParams
+from gkpmdi.mc import RngStream, mc_protocol_mutual_info, mc_residual_variance
 from matrix_oracle import (conditioning_blocks, linear_estimator, mu_tilde,
                            padded_normal_tail, reshaped_noise_cm, symplectic_form)
 from shipped import FIBER_DEFAULT, reference_fading_config
@@ -79,6 +81,11 @@ def cell_mass_shift_variance(var_w, n_cells=None):
         mass = ndtr(-(n - 0.5) * ELL / sd) - ndtr(-(n + 0.5) * ELL / sd)
         out.append(2.0 * np.sum((n * ELL) ** 2 * mass))
     return np.array(out)
+
+
+def shift_variance(var):
+    """E[D^2] from the production kernel, over positive variances."""
+    return gkp._shift_terms(np.asarray(var, dtype=float))[0]
 
 
 def test_ancilla_definitions():
@@ -173,14 +180,14 @@ def test_lattice_shift_variance_against_theta_series():
     # broad syndromes: E[D^2] = E[(w - wrap(w))^2] = v - 2 E[w wrap(w)] + E[wrap(w)^2]
     v = np.array([0.5, np.nextafter(0.5, 1.0), 0.51, 0.8, 1.5, 6.0, 20.0, 50.0, 200.0])
     ref = np.array([x - 2.0 * m11 + m2 for x in v for m2, m11 in [theta_series_moments(x)]])
-    shift = lattice_shift_variance(v)
+    shift = shift_variance(v)
     assert np.all(np.abs(shift - ref) <= 4e-15 * ref)
 
 
 def test_lattice_shift_variance_against_cell_mass_oracle():
     crossover = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.49, 0.51]
     v = np.concatenate([np.geomspace(1e-3, 1e3, 400), crossover])
-    shift = lattice_shift_variance(v)
+    shift = shift_variance(v)
     ref = cell_mass_shift_variance(v)
     assert np.all(np.abs(shift - ref) <= 4e-15 * ref)
     # the two branches meet at the crossover: the three variances next to 1/2
@@ -367,9 +374,9 @@ def test_residual_batch_matches_single_calls(pairs, ancilla):
     batch = residual_variance(r, s2, ancilla)
     single = [residual_variance(float(a), float(b), ancilla) for a, b in pairs]
     assert np.array_equal(batch, single)
-    shift = lattice_shift_variance(s2 * 1e3)  # 0 .. 1000: both branches
-    assert np.array_equal(shift, [lattice_shift_variance(float(x)) for x in s2 * 1e3])
-    assert isinstance(lattice_shift_variance(0.3), float)
+    var = s2[s2 > 0.0] * 1e3  # up to 1000: both branches
+    terms = gkp._shift_terms(var)
+    assert all(np.array_equal(terms[:, i:i + 1], gkp._shift_terms(var[i:i + 1])) for i in range(var.size))
     assert isinstance(residual_variance(0.4, 0.1, ancilla), float)
 
 
@@ -378,8 +385,6 @@ def test_residual_batch_matches_single_calls(pairs, ancilla):
 def test_negative_element_anywhere_raises(values, data):
     bad = np.array(values)
     bad[data.draw(st.integers(0, len(values) - 1))] = -1e-3
-    with pytest.raises(ValueError):
-        lattice_shift_variance(bad)
     with pytest.raises(ValueError):
         residual_variance(bad, 0.1)
     with pytest.raises(ValueError):
@@ -533,6 +538,51 @@ def test_optimum_matches_the_golden_table_bit_for_bit(name):
         assert v_x == residual_variance(r_x, x, ancilla)
 
 
+_GOLDEN_RESIDUAL = json.loads(Path(__file__).with_name("golden_residual.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RESIDUAL["residual_gain"]))
+def test_residual_and_gain_match_the_golden_table_bit_for_bit(name):
+    # (residual_variance, effective_estimator_gain) as float.hex, recorded
+    # before the two and the optimizer's kernel shared one parts function:
+    # r from 0 to 300 against sigma2 from 0 (subnormal, tiny, the 15-25 dB
+    # syndrome noises and the floats below them, Var(w) either side of 1/2)
+    # to 5, as one array call and as scalar calls
+    ancilla = IDEAL if name == "ideal" else GkpAncilla(float(name))
+    r, s2 = ([float.fromhex(x) for x in _GOLDEN_RESIDUAL[key]] for key in ("r", "sigma2"))
+    want = _GOLDEN_RESIDUAL["residual_gain"][name]
+    grid = np.array(r)[:, None], np.array(s2)
+    batch = np.stack([residual_variance(*grid, ancilla), effective_estimator_gain(*grid, ancilla)], -1)
+    assert [[[x.hex() for x in cell] for cell in row] for row in batch.tolist()] == want
+    for a, row in zip(r, want):
+        for b, cell in zip(s2, row):
+            assert [residual_variance(a, b, ancilla).hex(),
+                    effective_estimator_gain(a, b, ancilla).hex()] == cell
+
+
+@pytest.mark.parametrize("r, s2, message", [
+    (0.5, np.nan, "sigma2 must be finite"), (0.5, np.inf, "sigma2 must be finite"),
+    (0.5, -0.1, "sigma2 must be >= 0"), (-0.5, 0.1, "r must be in"),
+    (np.nan, 0.1, "r must be in"), (400.0, 0.1, "r must be in"),
+    (354.0, 100.0, "sigma2 is too large for r"), (1.0, 1e308, "sigma2 is too large for r")])
+def test_gain_residual_and_oracle_share_one_input_rule(r, s2, message):
+    # each raises before any arithmetic warns, and the oracle before it draws
+    no_draws = SimpleNamespace(generator=lambda: pytest.fail("the oracle drew"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (residual_variance, effective_estimator_gain):
+            with pytest.raises(ValueError, match=message):
+                call(r, s2, DB20)
+        with pytest.raises(ValueError, match=message):
+            mc_residual_variance(r, s2, DB20, n_samples=16, rng=no_draws)
+
+
+@pytest.mark.parametrize("sigma_r2", [-0.01, np.nan, np.inf])
+def test_mutual_info_oracle_rejects_a_bad_residual(sigma_r2):
+    with pytest.raises(ValueError, match="sigma_r2 must be finite and >= 0"):
+        mc_protocol_mutual_info(ProtocolParams(), sigma_r2, 1600)
+
+
 def test_optimizer_work_counts(monkeypatch):
     # deterministic work: kernel passes per optimize_squeezing call on the
     # shipped a010 node set and on the 400-point la_km frontier scan,
@@ -609,12 +659,8 @@ def test_residual_variance_rejects_bad_inputs():
     with pytest.raises(ValueError):
         residual_variance(0.1, -0.1)
     # every finite variance converges: a huge one gives the uniform limit
-    assert lattice_shift_variance(4e9) == 4e9 + np.pi / 6.0
-    assert lattice_shift_variance(np.finfo(float).max) == np.finfo(float).max
-    assert lattice_shift_variance(0.0) == 0.0
-    for bad in (np.nan, np.inf, -np.inf, [0.3, np.nan]):
-        with pytest.raises(ValueError):
-            lattice_shift_variance(bad)
+    assert shift_variance([4e9, np.finfo(float).max]).tolist() == [4e9 + np.pi / 6.0,
+                                                                  np.finfo(float).max]
     with pytest.raises(ValueError):
         residual_variance(0.4, np.nan)
     with pytest.raises(ValueError):
